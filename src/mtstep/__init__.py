@@ -28,7 +28,6 @@ from .diagnostics import (
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    NotConverged,
     SingularMatrix,
     SingularSaddleSystem,
 )
@@ -39,7 +38,6 @@ from .newmark import (
     NewmarkParams,
     critical_time_step,
     newmark_predict,
-    newmark_step_unconstrained,
 )
 from .problems import SCENARIOS, Scenario
 
@@ -55,7 +53,6 @@ __all__ = [
     "EnergyBreakdown",
     "KinematicState",
     "NewmarkParams",
-    "NotConverged",
     "SCENARIOS",
     "Scenario",
     "SignedBooleanMatrix",
@@ -71,7 +68,6 @@ __all__ = [
     "energy_norm",
     "initialize_coupled_system",
     "newmark_predict",
-    "newmark_step_unconstrained",
     "step_energy_report",
     "subcycling_indicator",
     "total_energy",

@@ -9,7 +9,8 @@ Two reference integrators:
       E^(n+1) - E^(n) = - sum_i (T_i(v^(n+1) - v^n) + V_i(d^(n+1) - d^n))
 
   which is negative for any non-trivial motion, so it bleeds energy far
-  faster than the coupled Newmark scheme.
+  faster than the coupled Newmark scheme.  :func:`backward_euler_decay`
+  evaluates the right-hand side.
 
 * :func:`merged_newmark_reference` — eliminates the interface DOFs by
   direct identification (primal assembly) and integrates the undecomposed
@@ -75,6 +76,20 @@ def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
     return SystemStepResult(
         new_states=tuple(new_states), lambda_next=sol[total:]
     )
+
+
+def backward_euler_decay(result: SystemStepResult, sys: CoupledSystem) -> float:
+    """Energy change E^(n+1) - E^(n) of one force-free backward-Euler step.
+
+    Evaluates - sum_i (T_i(v^(n+1) - v^n) + V_i(d^(n+1) - d^n)) from the
+    step ``result`` and the system ``sys`` it was computed from.
+    """
+    decay = 0.0
+    for sub, st, hist in zip(sys.subdomains, sys.states, result.new_states):
+        dv = hist[-1].v - st.v
+        dd = hist[-1].d - st.d
+        decay -= 0.5 * float(dv @ (sub.M @ dv)) + 0.5 * float(dd @ (sub.K @ dd))
+    return decay
 
 
 def merge_dof_map(sys: CoupledSystem) -> tuple[list[np.ndarray], int]:

@@ -33,6 +33,8 @@ drift norms for each value.
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import math
 import os
 import sys
@@ -43,29 +45,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics, problems
-from .baselines import backward_euler_step, merge_system_matrices
-from .coupling import CoupledSystem, advance_system_step
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    NotConverged,
-    SingularMatrix,
-    SingularSaddleSystem,
+from .baselines import (
+    backward_euler_decay,
+    backward_euler_step,
+    merge_system_matrices,
+    merged_newmark_reference,
 )
-from .newmark import EffectiveSolver, KinematicState, NewmarkParams
+from .coupling import CoupledSystem, advance_system_step
+from .errors import ConfigError, DimensionMismatch, SingularMatrix, SingularSaddleSystem
+from .newmark import NewmarkParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-#: Default (builder, subdomain count, default etas) per scenario name.
-_SCENARIO_INFO = {
-    "sdof2": (problems.build_sdof2, 2, (1, 4)),
-    "sdof3": (problems.build_sdof3, 3, (1, 2, 4)),
-    "bar1d": (problems.build_bar_1d, 3, (1, 10, 1)),
-    "plate2d": (problems.build_plate_2d, 4, (5, 5, 5, 1)),
-    "wave2d": (problems.build_wave_2d, 2, (10, 1)),
-}
 
 _METHODS = ("coupled", "backward_euler", "monolithic_newmark")
 
@@ -129,10 +121,10 @@ def parse_config(path: str | Path) -> RunConfig:
     if "scenario" not in values:
         raise ConfigError(f"{path}: missing required key 'scenario'")
     scenario = values["scenario"]
-    if scenario not in _SCENARIO_INFO:
+    if scenario not in problems.SCENARIOS:
         raise ConfigError(
             f"{path}: unknown scenario {scenario!r}; "
-            f"choose from {sorted(_SCENARIO_INFO)}"
+            f"choose from {sorted(problems.SCENARIOS)}"
         )
     method = values.get("method", "coupled")
     if method not in _METHODS:
@@ -156,9 +148,20 @@ def parse_config(path: str | Path) -> RunConfig:
     )
 
 
+def _scenario_defaults(name: str) -> tuple[tuple[int, ...], tuple[NewmarkParams, ...]]:
+    """Default etas and Newmark params of a scenario, read off its builder."""
+    parameters = inspect.signature(problems.SCENARIOS[name]).parameters
+    return tuple(parameters["etas"].default), tuple(parameters["params"].default)
+
+
 def build_scenario(config: RunConfig) -> problems.Scenario:
-    """Instantiate the configured scenario with all overrides applied."""
-    builder, n_subs, default_etas = _SCENARIO_INFO[config.scenario]
+    """Instantiate the configured scenario with all overrides applied.
+
+    ``method=backward_euler`` has no subcycling: once the overrides are
+    validated, every subdomain is put on the system time-step.
+    """
+    default_etas, default_params = _scenario_defaults(config.scenario)
+    n_subs = len(default_etas)
     for idx in list(config.eta_overrides) + list(config.newmark_overrides):
         if not 0 <= idx < n_subs:
             raise ConfigError(
@@ -166,38 +169,34 @@ def build_scenario(config: RunConfig) -> problems.Scenario:
                 f"{config.scenario} ({n_subs} subdomains)"
             )
 
-    kwargs: dict = {}
     etas = list(default_etas)
     for idx, eta in config.eta_overrides.items():
         if eta < 1:
             raise ConfigError(f"subdomain.{idx + 1}.eta must be >= 1, got {eta}")
         etas[idx] = eta
-    kwargs["etas"] = tuple(etas)
+    if config.method == "backward_euler":
+        etas = [1] * n_subs
+
+    params = list(default_params)
+    for idx in sorted(config.newmark_overrides):
+        patch = config.newmark_overrides[idx]
+        try:
+            params[idx] = NewmarkParams(
+                beta=patch.get("beta", params[idx].beta),
+                gamma=patch.get("gamma", params[idx].gamma),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"subdomain.{idx + 1}: {exc}") from exc
+
+    kwargs: dict = {"etas": tuple(etas), "params": tuple(params)}
     if config.dt_system is not None:
         kwargs["dt_system"] = config.dt_system
     if config.duration is not None:
         kwargs["duration"] = config.duration
-
-    if config.newmark_overrides:
-        # Start from the builder's defaults, patch the overridden entries.
-        base = builder(**{k: v for k, v in kwargs.items() if k != "etas"})
-        new_params = []
-        for i, sub in enumerate(base.system.subdomains):
-            patch = config.newmark_overrides.get(i, {})
-            beta = patch.get("beta", sub.params.beta)
-            gamma = patch.get("gamma", sub.params.gamma)
-            try:
-                new_params.append(NewmarkParams(beta=beta, gamma=gamma))
-            except ValueError as exc:
-                raise ConfigError(f"subdomain.{i + 1}: {exc}") from exc
-        kwargs["params"] = tuple(new_params)
-
     try:
-        scenario = builder(**kwargs)
+        scenario = problems.SCENARIOS[config.scenario](**kwargs)
     except (ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"scenario construction failed: {exc}") from exc
-    if config.duration is not None:
-        scenario = replace(scenario, duration=config.duration)
     if config.probes is not None:
         for i, dof in config.probes:
             if not 0 <= i < n_subs:
@@ -234,9 +233,9 @@ def _row(t, energy, drift, lams, probe_vals):
         e_pot,
         energy.e_algorithm,
         energy.e_interface,
-        float(np.linalg.norm(drift[0])),
-        float(np.linalg.norm(drift[1])),
-        float(np.linalg.norm(drift[2])),
+        float(np.linalg.norm(drift.d_drift)),
+        float(np.linalg.norm(drift.a_drift)),
+        float(np.linalg.norm(drift.v_residual)),
         *lams,
         *probe_vals,
     )
@@ -258,174 +257,96 @@ def _header(n_c: int, probes) -> tuple[str, ...]:
     )
 
 
+def _run_result(scenario: problems.Scenario, header, rows) -> RunResult:
+    """Pack the CSV rows with their summary statistics."""
+    column = dict(zip(header, zip(*rows)))
+    final_error = None
+    if scenario.oracle is not None and scenario.probes:
+        i, dof = scenario.probes[0]
+        probe = column[f"probe_{i + 1}_{dof}"][-1]
+        final_error = abs(probe - scenario.oracle(column["t"][-1]))
+    return RunResult(
+        header=header,
+        rows=tuple(rows),
+        final_oracle_error=final_error,
+        max_abs_e_interface=max(map(abs, column["e_interface"])),
+        max_norm_d_drift=max(column["norm_d_drift"]),
+        max_norm_a_drift=max(column["norm_a_drift"]),
+    )
+
+
 def execute(config: RunConfig) -> RunResult:
     """Run a configuration to completion, collecting all CSV rows."""
     scenario = build_scenario(config)
-    if config.method == "backward_euler" and any(
-        eta != 1 for eta in scenario.system.eta
-    ):
-        # The baseline has no subcycling: force every subdomain onto the
-        # system time-step.
-        forced = replace(
-            config,
-            eta_overrides={i: 1 for i in range(len(scenario.system.eta))},
-        )
-        scenario = build_scenario(forced)
-
     if config.method == "monolithic_newmark":
         return _execute_monolithic(scenario)
 
     sys_state = scenario.system
-    dt = sys_state.dt_system
-    n_steps = math.ceil(scenario.duration / dt - 1e-9)
+    n_steps = math.ceil(scenario.duration / sys_state.dt_system - 1e-9)
     probes = scenario.probes
-    n_c = sys_state.n_constraints
 
-    def probe_vals(s: CoupledSystem):
-        return [float(s.states[i].d[dof]) for i, dof in probes]
+    def row(s: CoupledSystem, energy) -> tuple[float, ...]:
+        probe_vals = [float(s.states[i].d[dof]) for i, dof in probes]
+        drift = diagnostics.drift_record(s)
+        return _row(s.t_current, energy, drift, s.lambda_current, probe_vals)
 
-    rows = []
-    energy0 = diagnostics.total_energy(sys_state)
-    drift0 = diagnostics.drift_record(sys_state)
-    rows.append(
-        _row(
-            sys_state.t_current,
-            energy0,
-            (drift0.d_drift, drift0.a_drift, drift0.v_residual),
-            sys_state.lambda_current,
-            probe_vals(sys_state),
-        )
-    )
-
-    max_e_int = 0.0
-    max_d_drift = float(np.linalg.norm(drift0.d_drift))
-    max_a_drift = float(np.linalg.norm(drift0.a_drift))
+    rows = [row(sys_state, diagnostics.total_energy(sys_state))]
     step_fn = (
         backward_euler_step if config.method == "backward_euler" else advance_system_step
     )
     for step_index in range(n_steps):
         try:
             result = step_fn(sys_state)
-        except (SingularSaddleSystem, SingularMatrix, NotConverged) as exc:
+        except (SingularSaddleSystem, SingularMatrix) as exc:
             raise SolverFailure(step_index, exc) from exc
         report = diagnostics.step_energy_report(result, sys_state)
         if config.method == "backward_euler":
             # Interface forces do no net work under this baseline (the
             # gamma-weighted split does not apply); report the decay
             # identity instead.
-            decay = 0.0
-            for sub, st, hist in zip(
-                sys_state.subdomains, sys_state.states, result.new_states
-            ):
-                dv = hist[-1].v - st.v
-                dd = hist[-1].d - st.d
-                decay -= 0.5 * float(dv @ (sub.M @ dv)) + 0.5 * float(dd @ (sub.K @ dd))
-            report = replace(report, e_algorithm=decay, e_interface=0.0)
-        sys_state = sys_state.apply(result)
-        drift = diagnostics.drift_record(sys_state)
-        rows.append(
-            _row(
-                sys_state.t_current,
+            report = replace(
                 report,
-                (drift.d_drift, drift.a_drift, drift.v_residual),
-                sys_state.lambda_current,
-                probe_vals(sys_state),
+                e_algorithm=backward_euler_decay(result, sys_state),
+                e_interface=0.0,
             )
-        )
-        max_e_int = max(max_e_int, abs(report.e_interface))
-        max_d_drift = max(max_d_drift, float(np.linalg.norm(drift.d_drift)))
-        max_a_drift = max(max_a_drift, float(np.linalg.norm(drift.a_drift)))
-
-    final_error = None
-    if scenario.oracle is not None and probes:
-        i, dof = probes[0]
-        final_error = abs(
-            float(sys_state.states[i].d[dof]) - scenario.oracle(sys_state.t_current)
-        )
-
-    return RunResult(
-        header=_header(n_c, probes),
-        rows=tuple(rows),
-        final_oracle_error=final_error,
-        max_abs_e_interface=max_e_int,
-        max_norm_d_drift=max_d_drift,
-        max_norm_a_drift=max_a_drift,
-    )
+        sys_state = sys_state.apply(result)
+        rows.append(row(sys_state, report))
+    return _run_result(scenario, _header(sys_state.n_constraints, probes), rows)
 
 
 def _execute_monolithic(scenario: problems.Scenario) -> RunResult:
     """Undecomposed single-scheme Newmark reference run.
 
-    Requires uniform (beta, gamma) across subdomains.  Interface columns
-    (lambdas, drifts, e_interface) are identically zero by construction.
+    Requires uniform (beta, gamma) across subdomains.  The drift columns
+    and e_interface are zero by construction and there are no multiplier
+    columns; e_algorithm is the energy change over each step.
     """
     sys0 = scenario.system
     params = sys0.subdomains[0].params
-    for sub in sys0.subdomains[1:]:
-        if sub.params != params:
-            raise ConfigError(
-                "monolithic_newmark requires uniform Newmark parameters"
-            )
-    M, K, force, maps = merge_system_matrices(sys0)
-    from .newmark import consistent_initial_acceleration
-
-    size = M.shape[0]
-    d0 = np.zeros(size)
-    v0 = np.zeros(size)
-    for st, mp in zip(sys0.states, maps):
-        d0[mp] = st.d
-        v0[mp] = st.v
-    state = KinematicState(
-        d=d0, v=v0, a=consistent_initial_acceleration(M, K, force(sys0.t_current), d0)
-    )
+    if any(sub.params != params for sub in sys0.subdomains[1:]):
+        raise ConfigError("monolithic_newmark requires uniform Newmark parameters")
     dt = sys0.dt_system
     n_steps = math.ceil(scenario.duration / dt - 1e-9)
-    probes = scenario.probes
-    solver = EffectiveSolver(M, K, params, dt)
+    states = merged_newmark_reference(sys0, params, n_steps)
+    M, K, _, maps = merge_system_matrices(sys0)
+    times = itertools.accumulate(itertools.repeat(dt, n_steps), initial=sys0.t_current)
 
-    def energy(st: KinematicState) -> tuple[float, float]:
-        return 0.5 * float(st.v @ (M @ st.v)), 0.5 * float(st.d @ (K @ st.d))
-
-    def make_row(t, st, e_alg):
-        kin, pot = energy(st)
-        vals = [float(st.d[maps[i][dof]]) for i, dof in probes]
-        return (t, kin + pot, kin, pot, e_alg, 0.0, 0.0, 0.0, 0.0, *vals)
-
-    rows = [make_row(sys0.t_current, state, 0.0)]
-    t = sys0.t_current
-    prev_total = sum(energy(state))
-    for _ in range(n_steps):
-        t += dt
-        state = solver.step(state, force(t))
-        total = sum(energy(state))
-        rows.append(make_row(t, state, total - prev_total))
+    no_drift = diagnostics.DriftRecord(*(np.zeros(0),) * 3)
+    rows = []
+    prev_total = None
+    for t, st in zip(times, states):
+        kin, pot = 0.5 * float(st.v @ (M @ st.v)), 0.5 * float(st.d @ (K @ st.d))
+        total = kin + pot
+        energy = diagnostics.EnergyBreakdown(
+            kinetic=(kin,),
+            potential=(pot,),
+            total=total,
+            e_algorithm=0.0 if prev_total is None else total - prev_total,
+        )
+        probe_vals = [float(st.d[maps[i][dof]]) for i, dof in scenario.probes]
+        rows.append(_row(t, energy, no_drift, (), probe_vals))
         prev_total = total
-
-    final_error = None
-    if scenario.oracle is not None and probes:
-        i, dof = probes[0]
-        final_error = abs(float(state.d[maps[i][dof]]) - scenario.oracle(t))
-
-    header = (
-        "t",
-        "E_total",
-        "E_kinetic",
-        "E_potential",
-        "e_algorithm",
-        "e_interface",
-        "norm_d_drift",
-        "norm_a_drift",
-        "norm_v_residual",
-        *(f"probe_{i + 1}_{dof}" for i, dof in probes),
-    )
-    return RunResult(
-        header=header,
-        rows=tuple(rows),
-        final_oracle_error=final_error,
-        max_abs_e_interface=0.0,
-        max_norm_d_drift=0.0,
-        max_norm_a_drift=0.0,
-    )
+    return _run_result(scenario, _header(0, scenario.probes), rows)
 
 
 class SolverFailure(Exception):
@@ -476,22 +397,29 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _parse_eta_value(raw: str, n_subs: int, base: RunConfig) -> dict[int, int]:
-    """One eta-axis value: either 'a:b:...' per subdomain or a single int.
+def _sweep_member(base: RunConfig, axis: str, raw: str) -> RunConfig:
+    """The base config with one sweep value applied.
 
-    A single integer applies to the subdomains that carry an eta override
-    in the base config (all subdomains when the base has none).
+    An eta value is either 'a:b:...' per subdomain or a single int; a
+    single int applies to the subdomains that carry an eta override in
+    the base config (all subdomains when the base has none).
     """
-    if ":" in raw:
-        parts = [int(p) for p in raw.split(":")]
-        if len(parts) != n_subs:
-            raise ConfigError(
-                f"eta value {raw!r} has {len(parts)} entries for {n_subs} subdomains"
-            )
-        return dict(enumerate(parts))
-    value = int(raw)
-    targets = sorted(base.eta_overrides) or list(range(n_subs))
-    return {i: value for i in targets}
+    try:
+        if axis == "dt_system":
+            return replace(base, dt_system=float(raw))
+        n_subs = len(_scenario_defaults(base.scenario)[0])
+        if ":" in raw:
+            parts = [int(p) for p in raw.split(":")]
+            if len(parts) != n_subs:
+                raise ConfigError(
+                    f"eta value {raw!r} has {len(parts)} entries "
+                    f"for {n_subs} subdomains"
+                )
+            return replace(base, eta_overrides=dict(enumerate(parts)))
+        targets = sorted(base.eta_overrides) or list(range(n_subs))
+        return replace(base, eta_overrides=dict.fromkeys(targets, int(raw)))
+    except ValueError as exc:
+        raise ConfigError(f"bad {axis} value {raw!r}: {exc}") from exc
 
 
 def sweep(base: RunConfig, axis: str, values: Sequence[str]) -> int:
@@ -502,17 +430,12 @@ def sweep(base: RunConfig, axis: str, values: Sequence[str]) -> int:
     if not values:
         print("configuration error: sweep needs at least one value", file=sys.stderr)
         return EXIT_CONFIG
-    _, n_subs, _ = _SCENARIO_INFO.get(base.scenario, (None, 0, ()))
 
     base_output = Path(base.output_path or f"{base.scenario}.csv")
     summary_rows = []
     for raw in values:
         try:
-            if axis == "dt_system":
-                cfg = replace(base, dt_system=float(raw))
-            else:
-                cfg = replace(base, eta_overrides=_parse_eta_value(raw, n_subs, base))
-            result = execute(cfg)
+            result = execute(_sweep_member(base, axis, raw))
         except ConfigError as exc:
             print(f"configuration error ({axis}={raw}): {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -22,12 +22,16 @@ equations are
     L_i X_i^(n + (j+1)/eta_i) - ((j+1)/eta_i) Ct_i^T (lam^(n+1) - lam^n)
         = P_i^(n + (j+1)/eta_i) + Ct_i^T lam^n + R_i X_i^(n + j/eta_i)
 
-with Ct_i = [C_i | 0 | 0], P_i = (f_i, 0, 0) and the augmented matrices
-L_i / R_i produced by :func:`assemble_L_R`.  The default solver
-eliminates the per-subdomain blocks (which are block lower bidiagonal)
-and solves only an N_C x N_C interface Schur complement; the fully
-assembled saddle system is also available as a reference path and both
-must agree to 1e-8.
+with Ct_i = [C_i | 0 | 0], P_i = (f_i, 0, 0) and, with dt = dt_i,
+
+    L_i = [[ M_i,           0,  K_i ],    R_i = [[ 0,                0,    0 ],
+           [-gamma_i dt I,  I,  0   ],           [(1-gamma_i) dt I,  I,    0 ],
+           [-beta_i dt^2 I, 0,  I   ]]           [(1/2-beta_i) dt^2 I, dt I, I ]]
+
+(:meth:`Subdomain.apply_R` applies R_i).  The solver eliminates the
+per-subdomain blocks, which are block lower bidiagonal, and solves only
+an N_C x N_C interface Schur complement; the assembled saddle system is
+never formed.  ``tests/saddle_oracle.py`` solves it densely as a check.
 """
 
 from __future__ import annotations
@@ -364,7 +368,7 @@ def initialize_coupled_system(
 
 
 # ---------------------------------------------------------------------------
-# Single substep and multiplier interpolation
+# Multiplier interpolation
 # ---------------------------------------------------------------------------
 
 def interpolate_lambda(
@@ -383,61 +387,8 @@ def interpolate_lambda(
     return (1.0 - w) * lam_n + w * lam_np1
 
 
-def assemble_L_R(sub: Subdomain) -> tuple[np.ndarray, np.ndarray]:
-    """Augmented substep matrices, block order (a, v, d).
-
-    L = [[ M,               0,  K ],          R = [[ 0,               0,     0 ],
-         [-gamma dt I,      I,  0 ],               [(1-gamma) dt I,   I,     0 ],
-         [-beta dt^2 I,     0,  I ]]              [(1/2-beta) dt^2 I, dt I,  I ]]
-
-    so that L X^(j+1) = P + (interface terms) + R X^(j) reproduces the
-    Newmark updates together with the equation of motion.
-    """
-    n = sub.n_dofs
-    dt = sub.dt_sub
-    beta, gamma = sub.params.beta, sub.params.gamma
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-    L = np.block([
-        [sub.M, Z, sub.K],
-        [-gamma * dt * I, I, Z],
-        [-beta * dt * dt * I, Z, I],
-    ])
-    R = np.block([
-        [Z, Z, Z],
-        [(1.0 - gamma) * dt * I, I, Z],
-        [(0.5 - beta) * dt * dt * I, dt * I, I],
-    ])
-    return L, R
-
-
-def subdomain_substep(
-    sub: Subdomain,
-    X_prev: KinematicState,
-    lam_n: np.ndarray,
-    lam_np1: np.ndarray,
-    j: int,
-    eta: int,
-    f_next: np.ndarray,
-) -> KinematicState:
-    """Advance one subdomain from sub-level j-1 to sub-level j.
-
-    Solves L X - (j/eta) Ct^T (lam^(n+1) - lam^n) = P + Ct^T lam^n + R X_prev,
-    i.e. a Newmark substep under the interpolated interface force
-    C^T lam^(n + j/eta).
-    """
-    if not 1 <= j <= eta:
-        raise ValueError(f"sublevel j={j} outside [1, {eta}]")
-    lam_j = interpolate_lambda(lam_n, lam_np1, j, eta)
-    solver = sub.solver()
-    ra, rv, rd = sub.apply_R(X_prev.a, X_prev.v, X_prev.d)
-    ra = ra + np.asarray(f_next, dtype=float) + sub.C.data.T @ lam_j
-    a, v, d = solver.solve_rows(ra, rv, rd)
-    return KinematicState(d=d, v=v, a=a)
-
-
 # ---------------------------------------------------------------------------
-# System step: Schur-complement path (default) and monolithic reference path
+# System step: interface Schur complement
 # ---------------------------------------------------------------------------
 
 def _sublevel_forces(sub: Subdomain, eta: int, t_n: float) -> list[np.ndarray]:
@@ -445,28 +396,19 @@ def _sublevel_forces(sub: Subdomain, eta: int, t_n: float) -> list[np.ndarray]:
     return [np.asarray(sub.force(t_n + j * sub.dt_sub), dtype=float) for j in range(1, eta + 1)]
 
 
-def advance_system_step(sys: CoupledSystem, method: str = "schur") -> SystemStepResult:
+def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     """Advance the whole coupled system over one system time-step.
 
     Pure function: the input system is untouched; commit the result with
-    ``sys.apply(result)``.
-
-    ``method="schur"`` (default) eliminates the block lower bidiagonal
-    subdomain blocks and solves only the N_C x N_C interface complement;
-    ``method="monolithic"`` assembles and solves the full saddle system.
-    Both produce the same result to well below 1e-8.
+    ``sys.apply(result)``.  The block lower bidiagonal subdomain blocks
+    are eliminated and only the N_C x N_C interface complement is solved.
 
     Raises
     ------
     SingularSaddleSystem
-        If the interface (or monolithic) system is singular — typically
-        redundant constraint rows.
+        If the interface system is singular — typically redundant
+        constraint rows.
     """
-    if method == "monolithic":
-        return _advance_monolithic(sys)
-    if method != "schur":
-        raise ValueError(f"unknown method {method!r}")
-
     lam_n = sys.lambda_current
     n_c = sys.n_constraints
 
@@ -514,102 +456,3 @@ def advance_system_step(sys: CoupledSystem, method: str = "schur") -> SystemStep
         new_states.append(sub_states)
 
     return SystemStepResult(new_states=tuple(new_states), lambda_next=lam_n + dlam)
-
-
-def assemble_saddle(sys: CoupledSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the monolithic blocks (A, B, C_blk) of the saddle system.
-
-    Unknown ordering is subdomain-major, sub-level-major, then (a, v, d)
-    blocks.  A is block diagonal over subdomains, each block being lower
-    bidiagonal with L_i on the diagonal and -R_i below; B carries the
-    -(j/eta_i) C_i^T coefficients on the acceleration rows; C_blk picks the
-    velocity rows of the final sub-level of every subdomain.
-    """
-    n_c = sys.n_constraints
-    sizes = [3 * sub.n_dofs * eta for sub, eta in zip(sys.subdomains, sys.eta)]
-    total = sum(sizes)
-    A = np.zeros((total, total))
-    B = np.zeros((total, n_c))
-    C_blk = np.zeros((n_c, total))
-
-    offset = 0
-    for sub, eta in zip(sys.subdomains, sys.eta):
-        n = sub.n_dofs
-        L, R = assemble_L_R(sub)
-        for j in range(1, eta + 1):
-            row = offset + (j - 1) * 3 * n
-            A[row:row + 3 * n, row:row + 3 * n] = L
-            if j > 1:
-                prev = offset + (j - 2) * 3 * n
-                A[row:row + 3 * n, prev:prev + 3 * n] = -R
-            B[row:row + n, :] = -(j / eta) * sub.C.data.T
-        last = offset + (eta - 1) * 3 * n
-        C_blk[:, last + n:last + 2 * n] = sub.C.data
-        offset += 3 * n * eta
-    return A, B, C_blk
-
-
-def assemble_rhs(sys: CoupledSystem) -> np.ndarray:
-    """Assemble the right-hand side F of the monolithic system.
-
-    Each sub-level contributes (f_i + C_i^T lam^n, 0, 0); the first
-    sub-level of every subdomain additionally carries R_i X_i^(n).
-    """
-    lam_n = sys.lambda_current
-    parts = []
-    for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
-        Ct_lam = sub.C.data.T @ lam_n
-        forces = _sublevel_forces(sub, eta, sys.t_current)
-        ra0, rv0, rd0 = sub.apply_R(st.a, st.v, st.d)
-        for j in range(1, eta + 1):
-            ra = forces[j - 1] + Ct_lam
-            rv = np.zeros(sub.n_dofs)
-            rd = np.zeros(sub.n_dofs)
-            if j == 1:
-                ra, rv, rd = ra + ra0, rv + rv0, rd + rd0
-            parts.extend((ra, rv, rd))
-    return np.concatenate(parts)
-
-
-def solve_saddle(sys: CoupledSystem, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the assembled saddle system [[A, B], [C, 0]] (X, dlam) = (F, 0).
-
-    Reference path; returns the stacked sub-level unknowns X and the
-    multiplier increment dlam.
-    """
-    A, B, C_blk = assemble_saddle(sys)
-    n_c = sys.n_constraints
-    total = A.shape[0]
-    F = np.asarray(F, dtype=float)
-    if F.shape != (total,):
-        raise DimensionMismatch(f"F has shape {F.shape}, expected ({total},)")
-    saddle = np.zeros((total + n_c, total + n_c))
-    saddle[:total, :total] = A
-    saddle[:total, total:] = B
-    saddle[total:, :total] = C_blk
-    rhs = np.concatenate([F, np.zeros(n_c)])
-    try:
-        sol = linalg.solve_general(saddle, rhs)
-    except linalg.SingularMatrix as exc:
-        raise SingularSaddleSystem(str(exc)) from exc
-    return sol[:total], sol[total:]
-
-
-def _advance_monolithic(sys: CoupledSystem) -> SystemStepResult:
-    X, dlam = solve_saddle(sys, assemble_rhs(sys))
-    new_states = []
-    offset = 0
-    for sub, eta in zip(sys.subdomains, sys.eta):
-        n = sub.n_dofs
-        hist = []
-        for j in range(eta):
-            base = offset + j * 3 * n
-            a = X[base:base + n]
-            v = X[base + n:base + 2 * n]
-            d = X[base + 2 * n:base + 3 * n]
-            hist.append(KinematicState(d=d, v=v, a=a))
-        new_states.append(tuple(hist))
-        offset += 3 * n * eta
-    return SystemStepResult(
-        new_states=tuple(new_states), lambda_next=sys.lambda_current + dlam
-    )

@@ -33,12 +33,11 @@ computed by :func:`external_work`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .coupling import CoupledSystem, SystemStepResult, interpolate_lambda
-from .newmark import KinematicState
 
 
 @dataclass(frozen=True)
@@ -75,13 +74,6 @@ def total_energy(sys: CoupledSystem) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic=kin, potential=pot, total=sum(kin) + sum(pot))
 
 
-def _sublevel_chain(
-    state_n: KinematicState, history: Sequence[KinematicState]
-) -> list[KinematicState]:
-    """States at sub-levels j = 0..eta (level n first, level n+1 last)."""
-    return [state_n, *history]
-
-
 def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
     """Scheme-induced energy change over the step from ``sys`` to ``step``.
 
@@ -92,7 +84,7 @@ def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
     for sub, st_n, hist in zip(sys.subdomains, sys.states, step.new_states):
         beta, gamma = sub.params.beta, sub.params.gamma
         dt_i = sub.dt_sub
-        chain = _sublevel_chain(st_n, hist)
+        chain = [st_n, *hist]
         jump_V = sum(
             _potential(sub, nxt.d - cur.d) for cur, nxt in zip(chain, chain[1:])
         )
@@ -116,7 +108,7 @@ def energy_interface(step: SystemStepResult, sys: CoupledSystem) -> float:
         sys.subdomains, sys.eta, sys.states, step.new_states
     ):
         gamma = sub.params.gamma
-        chain = _sublevel_chain(st_n, hist)
+        chain = [st_n, *hist]
         for j in range(eta):
             lam_lo = interpolate_lambda(lam_n, lam_np1, j, eta)
             lam_hi = interpolate_lambda(lam_n, lam_np1, j + 1, eta)
@@ -136,7 +128,7 @@ def external_work(step: SystemStepResult, sys: CoupledSystem) -> float:
         sys.subdomains, sys.eta, sys.states, step.new_states
     ):
         gamma = sub.params.gamma
-        chain = _sublevel_chain(st_n, hist)
+        chain = [st_n, *hist]
         t_n = sys.t_current
         for j in range(eta):
             f_lo = np.asarray(sub.force(t_n + j * sub.dt_sub), dtype=float)

@@ -5,10 +5,6 @@ class SingularMatrix(Exception):
     """A direct solve hit a pivot below the singularity threshold."""
 
 
-class NotConverged(Exception):
-    """An iterative computation exhausted its iteration budget."""
-
-
 class DimensionMismatch(Exception):
     """Operands have incompatible shapes."""
 

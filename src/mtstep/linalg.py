@@ -2,9 +2,11 @@
 
 Everything here operates on plain ``numpy`` arrays.  Matrices are dense:
 the meshes this library targets stay in the hundreds-of-DOFs range, so
-sparse storage would be complexity without payoff.  The saddle-point
-systems assembled by the coupling layer are symmetric *indefinite*, which
-is why the general solve insists on a pivoted factorization.
+sparse storage would be complexity without payoff.  The general solve
+uses a pivoted factorization because its systems are not assumed positive
+definite: the backward-Euler baseline solves an indefinite saddle-point
+system, and the interface Schur complement is solved without assuming
+symmetry.
 """
 
 from __future__ import annotations
@@ -12,16 +14,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import NotConverged, SingularMatrix
+from .errors import SingularMatrix
 
 #: Relative pivot threshold below which a factorization is declared singular.
 SINGULARITY_RTOL = 1e-14
-
-#: Iteration budget for the power iteration in max_generalized_eigenvalue.
-POWER_ITERATION_CAP = 10_000
-
-#: Relative tolerance on the converged Rayleigh quotient.
-POWER_ITERATION_RTOL = 1e-8
 
 
 def solve_general(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,43 +77,24 @@ def max_generalized_eigenvalue(K: np.ndarray, M: np.ndarray) -> float:
 
     ``M`` must be symmetric positive definite and ``K`` symmetric positive
     semidefinite, in which case all eigenvalues are real and non-negative.
-    Computed by power iteration on ``M^{-1} K`` with a Rayleigh-quotient
-    convergence test in the M-inner product.
+    Computed by an exact dense symmetric eigensolve restricted to the top
+    eigenvalue, so a step limit derived from it is not overestimated by an
+    unconverged iteration.
 
     Raises
     ------
-    NotConverged
-        If the Rayleigh quotient has not settled to relative tolerance
-        ``POWER_ITERATION_RTOL`` within ``POWER_ITERATION_CAP`` iterations.
+    SingularMatrix
+        If ``M`` is not numerically positive definite.
     """
     K = np.asarray(K, dtype=float)
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if K.shape != M.shape or K.shape != (n, n):
         raise ValueError(f"shape mismatch: K is {K.shape}, M is {M.shape}")
-    if n == 0:
+    if n == 0 or not np.any(K):
         return 0.0
-    if not np.any(K):
-        return 0.0
-
-    m_factor = cholesky_factor(M)
-    # Deterministic start vector; randomized to avoid being orthogonal to
-    # the dominant eigenspace for structured K.
-    rng = np.random.default_rng(20240817)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam_prev = np.inf
-    for _ in range(POWER_ITERATION_CAP):
-        Kx = K @ x
-        y = cholesky_solve(m_factor, Kx)
-        lam = float(x @ Kx) / float(x @ (M @ x))
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0  # x landed in the null space of K and K is null on it
-        x = y / norm_y
-        if abs(lam - lam_prev) <= POWER_ITERATION_RTOL * abs(lam):
-            return lam
-        lam_prev = lam
-    raise NotConverged(
-        f"power iteration did not converge in {POWER_ITERATION_CAP} iterations"
-    )
+    try:
+        top = scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    return float(top[0])

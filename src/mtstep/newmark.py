@@ -140,24 +140,6 @@ class EffectiveSolver:
         return KinematicState(d=d, v=v, a=a)
 
 
-def newmark_step_unconstrained(
-    M: np.ndarray,
-    K: np.ndarray,
-    f_next: np.ndarray,
-    state: KinematicState,
-    params: NewmarkParams,
-    dt: float,
-) -> KinematicState:
-    """One Newmark step of ``M a + K d = f`` without constraints.
-
-    Raises
-    ------
-    SingularMatrix
-        If ``M + beta dt^2 K`` is singular.
-    """
-    return EffectiveSolver(M, K, params, dt).step(state, f_next)
-
-
 def consistent_initial_acceleration(
     M: np.ndarray, K: np.ndarray, f0: np.ndarray, d0: np.ndarray
 ) -> np.ndarray:

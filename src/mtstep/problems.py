@@ -53,8 +53,8 @@ class Scenario:
     oracle_lambda: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
 
 
 def _constant_force(vec: np.ndarray) -> Callable[[float], np.ndarray]:
@@ -253,7 +253,11 @@ def build_bar_1d(
     elements_per_subdomain: Sequence[int] = (5, 5, 5),
     dt_system: float = 1.0e-3,
     etas: Sequence[int] = (1, 10, 1),
-    params: Optional[Sequence[NewmarkParams]] = None,
+    params: Sequence[NewmarkParams] = (
+        AVERAGE_ACCELERATION,
+        CENTRAL_DIFFERENCE,
+        AVERAGE_ACCELERATION,
+    ),
     duration: float = 0.025,
     lumped: bool = False,
     lambda_init: str = "consistent",
@@ -269,7 +273,6 @@ def build_bar_1d(
     if min(n_a, n_b, n_c) < 1:
         raise ValueError("each subdomain needs at least one element")
     seg = BAR_LENGTH / 3.0
-    schemes = params or (AVERAGE_ACCELERATION, CENTRAL_DIFFERENCE, AVERAGE_ACCELERATION)
 
     meshes = [
         fem.bar_mesh(n_a, seg, x0=0.0),
@@ -295,7 +298,7 @@ def build_bar_1d(
             force = _constant_force(f)
         else:
             force = _zero_force(n)
-        subs.append((M, K, schemes[i], dt_system / etas[i], force))
+        subs.append((M, K, params[i], dt_system / etas[i], force))
 
     C = _chain_constraints(loc_maps, n_dofs)
     subdomains = [
@@ -336,7 +339,12 @@ PLATE_CORNER_FORCE = (1.0, 1.0)
 def build_plate_2d(
     dt_system: float = 0.1,
     etas: Sequence[int] = (5, 5, 5, 1),
-    params: Optional[Sequence[NewmarkParams]] = None,
+    params: Sequence[NewmarkParams] = (
+        CENTRAL_DIFFERENCE,
+        CENTRAL_DIFFERENCE,
+        CENTRAL_DIFFERENCE,
+        AVERAGE_ACCELERATION,
+    ),
     elements_per_side: int = 5,
     duration: float = 2.0,
     lambda_init: str = "consistent",
@@ -350,13 +358,6 @@ def build_plate_2d(
     with chained constraints (three rows per component at the center
     cross point).
     """
-    if params is None:
-        params = (
-            CENTRAL_DIFFERENCE,
-            CENTRAL_DIFFERENCE,
-            CENTRAL_DIFFERENCE,
-            AVERAGE_ACCELERATION,
-        )
     half = PLATE_SIDE / 2.0
     origins = [(0.0, 0.0), (half, 0.0), (0.0, half), (half, half)]
     n_el = elements_per_side
@@ -433,7 +434,7 @@ def build_wave_2d(
     ny: int = 45,
     dt_system: float = 1.0e-4,
     etas: Sequence[int] = (10, 1),
-    params: Optional[Sequence[NewmarkParams]] = None,
+    params: Sequence[NewmarkParams] = (CENTRAL_DIFFERENCE, AVERAGE_ACCELERATION),
     duration: float = 0.25,
     lambda_init: str = "consistent",
 ) -> Scenario:
@@ -458,7 +459,6 @@ def build_wave_2d(
         fem.quad_grid(nx1, ny, WAVE_INTERFACE_X, WAVE_LY),
         fem.quad_grid(nx2, ny, WAVE_LX - WAVE_INTERFACE_X, WAVE_LY, x0=WAVE_INTERFACE_X),
     ]
-    schemes = params or (CENTRAL_DIFFERENCE, AVERAGE_ACCELERATION)
     subdomain_data = []
     loc_maps = []
     n_dofs = []
@@ -497,7 +497,7 @@ def build_wave_2d(
             probe = ((0, int(np.argmin(dist))),)
         else:
             force = _zero_force(n)
-        subdomain_data.append((M_red, K_red, schemes[i], dt_system / etas[i], force))
+        subdomain_data.append((M_red, K_red, params[i], dt_system / etas[i], force))
 
     C = _chain_constraints(loc_maps, n_dofs)
     subdomains = [

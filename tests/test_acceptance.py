@@ -95,7 +95,8 @@ def bar_run(eta_b):
 
 @functools.lru_cache(maxsize=None)
 def plate_run(etas, dt_system=0.1, params=None):
-    sc = problems.build_plate_2d(dt_system=dt_system, etas=etas, params=params)
+    kwargs = {} if params is None else {"params": params}
+    sc = problems.build_plate_2d(dt_system=dt_system, etas=etas, **kwargs)
     return run_coupled(sc.system, round(sc.duration / dt_system))[0]
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from mtstep import diagnostics
 from mtstep.baselines import (
+    backward_euler_decay,
     backward_euler_step,
     merge_dof_map,
     merge_system_matrices,
@@ -47,6 +48,7 @@ def test_backward_euler_decay_identity():
             dv = hist[-1].v - st.v
             dd = hist[-1].d - st.d
             decay += 0.5 * float(dv @ (sub.M @ dv)) + 0.5 * float(dd @ (sub.K @ dd))
+        assert backward_euler_decay(result, sys) == -decay
         sys = sys.apply(result)
         e_after = diagnostics.total_energy(sys).total
         assert e_after < e_before

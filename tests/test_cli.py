@@ -1,7 +1,10 @@
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mtstep import cli
+from mtstep import cli, problems
 from mtstep.errors import ConfigError, SingularSaddleSystem
 
 
@@ -86,6 +89,12 @@ def test_build_scenario_validates_overrides(tmp_path):
     with pytest.raises(ConfigError, match="out of range"):
         cli.build_scenario(cfg)
 
+    cfg = cli.parse_config(
+        write_config(tmp_path, "scenario=sdof2\nduration=inf\n", "d.cfg")
+    )
+    with pytest.raises(ConfigError, match="finite"):
+        cli.build_scenario(cfg)
+
 
 # ---------------------------------------------------------------------------
 # Running
@@ -160,7 +169,7 @@ def test_exit_code_unbuildable_scenario(tmp_path, capsys):
 
 
 def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):
-    def boom(sys_state, method="schur"):
+    def boom(sys_state):
         raise SingularSaddleSystem("synthetic failure")
 
     monkeypatch.setattr(cli, "advance_system_step", boom)
@@ -205,6 +214,47 @@ def test_monolithic_method_requires_uniform_scheme(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "scenario=bar1d\nmethod=monolithic_newmark\n")
     assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
     assert "uniform" in capsys.readouterr().err
+
+
+def test_each_run_builds_its_scenario_once(tmp_path, monkeypatch):
+    builder = problems.SCENARIOS["sdof2"]
+    calls = []
+
+    @functools.wraps(builder)
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return builder(*args, **kwargs)
+
+    monkeypatch.setitem(problems.SCENARIOS, "sdof2", counted)
+    for extra in (
+        "subdomain.1.beta=0.3025\nsubdomain.1.gamma=0.6\n",
+        "method=backward_euler\n",
+    ):
+        calls.clear()
+        cfg_path = write_config(tmp_path, "scenario=sdof2\nduration=0.1\n" + extra)
+        cli.execute(cli.parse_config(cfg_path))
+        assert len(calls) == 1, extra
+
+
+# Byte-exact CSVs of one run per method plus a Newmark override.  All
+# subdomains have one DOF, so the bytes do not depend on the BLAS build.
+GOLDEN_CONFIGS = {
+    "sdof2_coupled": "scenario=sdof2\n",
+    "sdof2_monolithic_newmark": "scenario=sdof2\nmethod=monolithic_newmark\n",
+    "sdof3_backward_euler": "scenario=sdof3\nmethod=backward_euler\nduration=0.5\n",
+    "sdof2_newmark_override": (
+        "scenario=sdof2\nsubdomain.1.beta=0.3025\nsubdomain.1.gamma=0.6\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_run_matches_golden_csv(tmp_path, name):
+    out = tmp_path / "out.csv"
+    cfg_path = write_config(tmp_path, f"{GOLDEN_CONFIGS[name]}output={out}\n")
+    assert cli.main(["run", str(cfg_path)]) == 0
+    golden = Path(__file__).parent / "data" / f"{name}.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +310,6 @@ def test_sweep_rejects_bad_axis_and_values(tmp_path):
     assert cli.sweep(cfg, "mass", ["1"]) == cli.EXIT_CONFIG
     assert cli.sweep(cfg, "eta", []) == cli.EXIT_CONFIG
     assert cli.sweep(cfg, "eta", ["1:2:3"]) == cli.EXIT_CONFIG  # wrong arity
+    assert cli.sweep(cfg, "dt_system", ["fast"]) == cli.EXIT_CONFIG
+    assert cli.sweep(cfg, "eta", ["x"]) == cli.EXIT_CONFIG
+    assert cli.sweep(cfg, "eta", ["1:a"]) == cli.EXIT_CONFIG

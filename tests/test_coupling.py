@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mtstep.coupling import (
     CoupledSystem,
     SignedBooleanMatrix,
     Subdomain,
     advance_system_step,
-    assemble_L_R,
     initialize_coupled_system,
     interpolate_lambda,
-    subdomain_substep,
 )
 from mtstep.errors import DimensionMismatch
-from mtstep.newmark import AVERAGE_ACCELERATION, KinematicState, NewmarkParams
-from mtstep.problems import build_sdof2, build_sdof3
+from mtstep.newmark import (
+    AVERAGE_ACCELERATION,
+    CENTRAL_DIFFERENCE,
+    KinematicState,
+    NewmarkParams,
+)
+from mtstep.problems import build_plate_2d, build_sdof2, build_sdof3
+from saddle_oracle import advance_monolithic, assemble_L_R, subdomain_substep
 
 
 def zero_force(n):
@@ -88,6 +93,29 @@ def test_subcritical_time_step_enforced():
     subs = make_pair(dt_a=0.025, dt_b=0.025, params=params)
     with pytest.raises(ValueError, match="critical"):
         initialize_coupled_system(subs, 0.025, d0=[[0.0], [0.0]], v0=[[0.0], [0.0]])
+
+
+def test_critical_step_guard_is_exact():
+    # Plate subdomain 0 under central difference: dt_crit = 2 / omega_max.
+    # A step 2e-8 above the exact limit is rejected, one 2e-8 below is
+    # accepted.
+    sub = build_plate_2d().system.subdomains[0]
+    omega_sq = scipy.linalg.eigh(sub.K, sub.M, eigvals_only=True)[-1]
+    dt_crit = 2.0 / np.sqrt(omega_sq)
+    n = sub.n_dofs
+
+    def system(dt):
+        single = Subdomain(
+            M=sub.M, K=sub.K, params=CENTRAL_DIFFERENCE, dt_sub=dt,
+            force=zero_force(n), C=SignedBooleanMatrix.zeros(0, n),
+        )
+        return initialize_coupled_system(
+            [single], dt, d0=[np.zeros(n)], v0=[np.zeros(n)]
+        )
+
+    with pytest.raises(ValueError, match="critical"):
+        system((1.0 + 2e-8) * dt_crit)
+    assert system((1.0 - 2e-8) * dt_crit).eta == (1,)
 
 
 def test_incompatible_initial_velocities_rejected():
@@ -226,8 +254,8 @@ def test_schur_and_monolithic_paths_agree():
     sys_s = sc.system
     sys_m = sc.system
     for _ in range(10):
-        res_s = advance_system_step(sys_s, method="schur")
-        res_m = advance_system_step(sys_m, method="monolithic")
+        res_s = advance_system_step(sys_s)
+        res_m = advance_monolithic(sys_m)
         np.testing.assert_allclose(res_s.lambda_next, res_m.lambda_next, atol=1e-9)
         for hist_s, hist_m in zip(res_s.new_states, res_m.new_states):
             for a, b in zip(hist_s, hist_m):
@@ -236,12 +264,6 @@ def test_schur_and_monolithic_paths_agree():
                 np.testing.assert_allclose(a.a, b.a, atol=1e-9)
         sys_s = sys_s.apply(res_s)
         sys_m = sys_m.apply(res_m)
-
-
-def test_unknown_method_rejected():
-    sc = build_sdof2()
-    with pytest.raises(ValueError):
-        advance_system_step(sc.system, method="staggered")
 
 
 def test_subdomain_order_does_not_matter():

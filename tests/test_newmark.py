@@ -14,7 +14,6 @@ from mtstep.newmark import (
     consistent_initial_acceleration,
     critical_time_step,
     newmark_predict,
-    newmark_step_unconstrained,
 )
 
 
@@ -82,7 +81,7 @@ def test_step_against_direct_linear_solve():
     rhs = np.concatenate([f, v_pred, d_pred])
     sol = np.linalg.solve(big, rhs)
 
-    new = newmark_step_unconstrained(M, K, f, st, params, dt)
+    new = EffectiveSolver(M, K, params, dt).step(st, f)
     np.testing.assert_allclose(new.a, sol[:n], atol=1e-11)
     np.testing.assert_allclose(new.v, sol[n:2 * n], atol=1e-11)
     np.testing.assert_allclose(new.d, sol[2 * n:], atol=1e-11)
