@@ -21,11 +21,36 @@ Two reference integrators:
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
 from .coupling import CoupledSystem, SystemStepResult
 from .errors import SingularSaddleSystem
 from .newmark import KinematicState, NewmarkParams
+
+
+def _backward_euler_factor(sys: CoupledSystem) -> linalg.Factor:
+    """LU factor of the constant backward-Euler saddle matrix
+
+        [[M_i / dt + dt K_i, -C_i^T],
+         [C_i,               0     ]]      (one block row per subdomain)
+
+    dense or sparse as its size calls for.
+    """
+    dt = sys.dt_system
+    n_subs = len(sys.subdomains)
+    blocks = [[None] * (n_subs + 1) for _ in range(n_subs + 1)]
+    for i, sub in enumerate(sys.subdomains):
+        # Substituting d^(n+1) = d^n + dt v^(n+1) into the momentum row:
+        blocks[i][i] = scipy.sparse.coo_array(sub.M / dt + dt * sub.K)
+        blocks[i][n_subs] = scipy.sparse.coo_array(-sub.C.data.T)
+        blocks[n_subs][i] = scipy.sparse.coo_array(sub.C.data)
+    n_c = sys.n_constraints
+    blocks[n_subs][n_subs] = scipy.sparse.coo_array((n_c, n_c))
+    try:
+        return linalg.lu_factor(linalg.operator(scipy.sparse.block_array(blocks)))
+    except linalg.SingularMatrix as exc:
+        raise SingularSaddleSystem(str(exc)) from exc
 
 
 def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
@@ -37,32 +62,21 @@ def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
         d^(n+1) = d^n + dt v^(n+1)
         sum_i C_i v^(n+1) = 0
 
-    Subcycling is not part of this baseline: every subdomain is stepped
-    at the system time-step regardless of its dt_sub.  The reported
-    acceleration is the difference quotient (v^(n+1) - v^n)/dt.
+    The system matrix is the same at every step, so it is factored once
+    and kept in the system's plan.  Subcycling is not part of this
+    baseline: every subdomain is stepped at the system time-step
+    regardless of its dt_sub.  The reported acceleration is the
+    difference quotient (v^(n+1) - v^n)/dt.
     """
     dt = sys.dt_system
-    n_c = sys.n_constraints
-    sizes = [sub.n_dofs for sub in sys.subdomains]
-    total = sum(sizes)
-
-    A = np.zeros((total + n_c, total + n_c))
-    rhs = np.zeros(total + n_c)
-    offset = 0
-    for sub, st in zip(sys.subdomains, sys.states):
-        n = sub.n_dofs
-        # Substituting d^(n+1) = d^n + dt v^(n+1) into the momentum row:
-        A[offset:offset + n, offset:offset + n] = sub.M / dt + dt * sub.K
-        A[offset:offset + n, total:] = -sub.C.data.T
-        A[total:, offset:offset + n] = sub.C.data
-        f_next = np.asarray(sub.force(sys.t_current + dt), dtype=float)
-        rhs[offset:offset + n] = f_next + sub.M @ st.v / dt - sub.K @ st.d
-        offset += n
-
-    try:
-        sol = linalg.solve_general(A, rhs)
-    except linalg.SingularMatrix as exc:
-        raise SingularSaddleSystem(str(exc)) from exc
+    factor = sys.plan.cached("backward_euler", lambda: _backward_euler_factor(sys))
+    rhs = [
+        np.asarray(sub.force(sys.t_current + dt), dtype=float)
+        + sub.M @ st.v / dt
+        - sub.K @ st.d
+        for sub, st in zip(sys.subdomains, sys.states)
+    ]
+    sol = factor.solve(np.concatenate([*rhs, np.zeros(sys.n_constraints)]))
 
     new_states = []
     offset = 0
@@ -74,7 +88,7 @@ def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
         new_states.append((KinematicState(d=d_new, v=v_new, a=a_new),))
         offset += n
     return SystemStepResult(
-        new_states=tuple(new_states), lambda_next=sol[total:]
+        new_states=tuple(new_states), lambda_next=sol[offset:]
     )
 
 
@@ -134,15 +148,20 @@ def merge_dof_map(sys: CoupledSystem) -> tuple[list[np.ndarray], int]:
 
 
 def merge_system_matrices(sys: CoupledSystem):
-    """Assemble the undecomposed (M, K, force, dof maps) of a coupled model."""
-    maps, size = merge_dof_map(sys)
-    M = np.zeros((size, size))
-    K = np.zeros((size, size))
-    for sub, mp in zip(sys.subdomains, maps):
-        M[np.ix_(mp, mp)] += sub.M
-        K[np.ix_(mp, mp)] += sub.K
+    """Assemble the undecomposed (M, K, force, dof maps) of a coupled model.
 
+    M and K get the storage :func:`mtstep.linalg.operator` picks for the
+    merged size; shared entries are summed in subdomain order.
+    """
+    maps, size = merge_dof_map(sys)
     subs = sys.subdomains
+
+    def merged(attr: str):
+        parts = [scipy.sparse.coo_array(getattr(sub, attr)) for sub in subs]
+        rows = np.concatenate([mp[p.row] for p, mp in zip(parts, maps)])
+        cols = np.concatenate([mp[p.col] for p, mp in zip(parts, maps)])
+        data = np.concatenate([p.data for p in parts])
+        return linalg.operator(scipy.sparse.coo_array((data, (rows, cols)), shape=(size, size)))
 
     def force(t: float) -> np.ndarray:
         f = np.zeros(size)
@@ -150,7 +169,7 @@ def merge_system_matrices(sys: CoupledSystem):
             np.add.at(f, mp, np.asarray(sub.force(t), dtype=float))
         return f
 
-    return M, K, force, maps
+    return merged("M"), merged("K"), force, maps
 
 
 def merged_newmark_reference(

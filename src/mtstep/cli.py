@@ -195,7 +195,7 @@ def build_scenario(config: RunConfig) -> problems.Scenario:
         kwargs["duration"] = config.duration
     try:
         scenario = problems.SCENARIOS[config.scenario](**kwargs)
-    except (ValueError, DimensionMismatch) as exc:
+    except (ValueError, DimensionMismatch, SingularMatrix) as exc:
         raise ConfigError(f"scenario construction failed: {exc}") from exc
     if config.probes is not None:
         for i, dof in config.probes:

@@ -32,14 +32,18 @@ with Ct_i = [C_i | 0 | 0], P_i = (f_i, 0, 0) and, with dt = dt_i,
 per-subdomain blocks, which are block lower bidiagonal, and solves only
 an N_C x N_C interface Schur complement; the assembled saddle system is
 never formed.  ``tests/saddle_oracle.py`` solves it densely as a check.
+The complement does not change from step to step: :class:`CouplingPlan`
+factors it once per run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
 from .errors import DimensionMismatch, SingularSaddleSystem
@@ -97,13 +101,30 @@ class SignedBooleanMatrix:
         return f"SignedBooleanMatrix(shape={self.shape})"
 
 
-@dataclass
+def _read_only(A):
+    """A private copy of a dense or sparse operator that cannot be written."""
+    if scipy.sparse.issparse(A):
+        A = scipy.sparse.csr_array(A, dtype=float, copy=True)
+        A.sum_duplicates()  # canonical: no later operation sorts it in place
+        parts = (A.data, A.indices, A.indptr)
+    else:
+        A = np.array(A, dtype=float)
+        parts = (A,)
+    for part in parts:
+        part.setflags(write=False)
+    return A
+
+
+@dataclass(frozen=True)
 class Subdomain:
     """One physics partition: matrices, scheme, local step, load, glue rows.
 
-    ``force`` maps a time to the load vector f_i(t).  Instances are treated
-    as immutable after construction; the private ``_cache`` only memoizes
-    factorizations and interface propagators derived from the fields.
+    ``force`` maps a time to the load vector f_i(t).  ``M`` and ``K`` are
+    dense arrays or sparse matrices (stored as CSR); either way the
+    subdomain keeps a read-only copy, so with the frozen fields nothing a
+    factor or propagator is derived from can change.  The private
+    ``_cache`` therefore memoizes those derived objects for the life of
+    the subdomain without ever going stale.
     """
 
     M: np.ndarray
@@ -112,21 +133,21 @@ class Subdomain:
     dt_sub: float
     force: Callable[[float], np.ndarray]
     C: SignedBooleanMatrix
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=float)
-        self.K = np.asarray(self.K, dtype=float)
+        object.__setattr__(self, "M", _read_only(self.M))
+        object.__setattr__(self, "K", _read_only(self.K))
         n = self.M.shape[0]
         if self.M.shape != (n, n) or self.K.shape != (n, n):
             raise DimensionMismatch(
                 f"M is {self.M.shape}, K is {self.K.shape}; need matching squares"
             )
-        scale_m = np.abs(self.M).max() or 1.0
-        scale_k = np.abs(self.K).max() or 1.0
-        if np.abs(self.M - self.M.T).max() > 1e-12 * scale_m:
+        scale_m = abs(self.M).max() or 1.0
+        scale_k = abs(self.K).max() or 1.0
+        if abs(self.M - self.M.T).max() > 1e-12 * scale_m:
             raise ValueError("M must be symmetric")
-        if np.abs(self.K - self.K.T).max() > 1e-12 * scale_k:
+        if abs(self.K - self.K.T).max() > 1e-12 * scale_k:
             raise ValueError("K must be symmetric")
         if not self.dt_sub > 0.0:
             raise ValueError(f"dt_sub must be positive, got {self.dt_sub}")
@@ -146,18 +167,21 @@ class Subdomain:
 
     # -- cached derived objects ------------------------------------------
 
-    def solver(self) -> EffectiveSolver:
-        """Cached factorization of M + beta dt_sub^2 K."""
-        key = ("solver", self.dt_sub)
+    def _cached(self, key, build):
         if key not in self._cache:
-            self._cache[key] = EffectiveSolver(self.M, self.K, self.params, self.dt_sub)
+            self._cache[key] = build()
         return self._cache[key]
 
+    def solver(self) -> EffectiveSolver:
+        """Cached factorization of M + beta dt_sub^2 K."""
+        return self._cached(
+            "solver", lambda: EffectiveSolver(self.M, self.K, self.params, self.dt_sub)
+        )
+
     def critical_dt(self) -> float:
-        key = "critical_dt"
-        if key not in self._cache:
-            self._cache[key] = critical_time_step(self.M, self.K, self.params)
-        return self._cache[key]
+        return self._cached(
+            "critical_dt", lambda: critical_time_step(self.M, self.K, self.params)
+        )
 
     def apply_R(self, a, v, d):
         """Apply the history operator R_i to an (a, v, d) triplet.
@@ -181,22 +205,115 @@ class Subdomain:
         and zero initial state.  Depends only on (M, K, params, dt_sub,
         C, eta), so it is computed once and reused for every system step.
         """
-        key = ("propagators", self.dt_sub, eta)
+        return self._cached(("propagators", eta), lambda: self._propagators(eta))
+
+    def _propagators(self, eta: int):
+        solver = self.solver()
+        n, nc = self.n_dofs, self.n_constraints
+        Ct = self.C.data.T  # (n, nc)
+        aY = np.zeros((n, nc))
+        vY = np.zeros((n, nc))
+        dY = np.zeros((n, nc))
+        out = []
+        for j in range(1, eta + 1):
+            ra, rv, rd = self.apply_R(aY, vY, dY)
+            ra = ra + (j / eta) * Ct
+            aY, vY, dY = solver.solve_rows(ra, rv, rd)
+            out.append((aY, vY, dY))
+        return out
+
+
+class CouplingPlan:
+    """What a coupled model derives once from (subdomains, dt_system).
+
+    Validates the pair (matching constraint counts, integer sub-step
+    ratios eta_i, every sub-step below its critical step) and holds the
+    ratios.  On first use it factors the N_C x N_C interface Schur
+    complement
+
+        S = sum_i C_i Y_i^v
+
+    with Y_i^v the end-of-step velocity response of subdomain i to a unit
+    dlam (:meth:`Subdomain.multiplier_propagators`).  S depends on
+    nothing that changes from step to step, so one pivoted LU serves the
+    whole run.  :meth:`cached` keeps other run-constant objects, such as
+    the backward-Euler system matrix.  :meth:`CoupledSystem.apply` hands
+    the same plan to every later level.
+    """
+
+    def __init__(self, subdomains: tuple[Subdomain, ...], dt_system: float):
+        if not subdomains:
+            raise ValueError("need at least one subdomain")
+        if not 0.0 < dt_system < math.inf:
+            raise ValueError(f"dt_system must be positive and finite, got {dt_system}")
+        n_c = subdomains[0].n_constraints
+        if any(sub.n_constraints != n_c for sub in subdomains):
+            raise DimensionMismatch(
+                "all subdomains must carry the same number of constraint rows"
+            )
+        self.subdomains = subdomains
+        self.dt_system = dt_system
+        self.n_constraints = n_c
+
+        # eta_i = dt / dt_i must be a positive integer (up to rounding).
+        etas = []
+        for sub in subdomains:
+            ratio = dt_system / sub.dt_sub
+            eta = round(ratio)
+            if eta < 1 or abs(ratio - eta) > ETA_ROUND_TOL * max(1.0, ratio):
+                raise ValueError(
+                    f"dt_system/dt_sub = {ratio!r} is not a positive integer"
+                )
+            etas.append(eta)
+        self.eta = tuple(etas)
+
+        # Theorem-1 hypothesis: every local step below its critical value.
+        for k, sub in enumerate(subdomains):
+            crit = sub.critical_dt()
+            if not sub.dt_sub < crit:
+                raise ValueError(
+                    f"subdomain {k}: dt_sub = {sub.dt_sub:g} exceeds the "
+                    f"critical time-step {crit:g}"
+                )
+        self._cache: dict = {}
+
+    def describes(self, subdomains: tuple[Subdomain, ...], dt_system: float) -> bool:
+        """Whether this plan was built for exactly these subdomains and step."""
+        return (
+            dt_system == self.dt_system
+            and len(subdomains) == len(self.subdomains)
+            and all(a is b for a, b in zip(subdomains, self.subdomains))
+        )
+
+    def cached(self, key, build):
+        """``build()``, computed on the first call with ``key`` only."""
         if key not in self._cache:
-            solver = self.solver()
-            n, nc = self.n_dofs, self.n_constraints
-            Ct = self.C.data.T  # (n, nc)
-            aY = np.zeros((n, nc))
-            vY = np.zeros((n, nc))
-            dY = np.zeros((n, nc))
-            out = []
-            for j in range(1, eta + 1):
-                ra, rv, rd = self.apply_R(aY, vY, dY)
-                ra = ra + (j / eta) * Ct
-                aY, vY, dY = solver.solve_rows(ra, rv, rd)
-                out.append((aY, vY, dY))
-            self._cache[key] = out
+            self._cache[key] = build()
         return self._cache[key]
+
+    def interface_factor(self) -> linalg.Factor:
+        """Pivoted LU of the interface Schur complement.
+
+        Raises
+        ------
+        SingularSaddleSystem
+            If the complement is singular — typically redundant
+            constraint rows.
+        """
+        return self.cached("interface", self._factor_interface)
+
+    def _factor_interface(self) -> linalg.Factor:
+        n_c = self.n_constraints
+        schur = np.zeros((n_c, n_c))
+        for sub, eta in zip(self.subdomains, self.eta):
+            Y = sub.multiplier_propagators(eta)
+            schur += sub.C.data @ Y[-1][1]  # velocity response at j = eta
+        try:
+            return linalg.lu_factor(schur)
+        except linalg.SingularMatrix as exc:
+            raise SingularSaddleSystem(
+                f"interface Schur complement is singular: {exc}"
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -213,13 +330,19 @@ class SystemStepResult:
 
 @dataclass(frozen=True)
 class CoupledSystem:
-    """Immutable snapshot of the coupled model at one system time level."""
+    """Immutable snapshot of the coupled model at one system time level.
+
+    ``plan`` is built from the subdomains and ``dt_system`` when not
+    given (or given for other ones); :meth:`apply` passes it on, so the
+    validation and the factors it holds are made once per run.
+    """
 
     subdomains: tuple[Subdomain, ...]
     dt_system: float
     states: tuple[KinematicState, ...]
     lambda_current: np.ndarray
     t_current: float = 0.0
+    plan: Optional[CouplingPlan] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         subs = tuple(self.subdomains)
@@ -229,19 +352,12 @@ class CoupledSystem:
         object.__setattr__(
             self, "lambda_current", np.asarray(self.lambda_current, dtype=float)
         )
-        if not subs:
-            raise ValueError("need at least one subdomain")
         if len(states) != len(subs):
             raise DimensionMismatch("one state per subdomain required")
-        if not self.dt_system > 0.0:
-            raise ValueError(f"dt_system must be positive, got {self.dt_system}")
+        if self.plan is None or not self.plan.describes(subs, self.dt_system):
+            object.__setattr__(self, "plan", CouplingPlan(subs, self.dt_system))
 
-        n_c = subs[0].n_constraints
-        for sub in subs:
-            if sub.n_constraints != n_c:
-                raise DimensionMismatch(
-                    "all subdomains must carry the same number of constraint rows"
-                )
+        n_c = self.n_constraints
         if self.lambda_current.shape != (n_c,):
             raise DimensionMismatch(
                 f"lambda has shape {self.lambda_current.shape}, expected ({n_c},)"
@@ -249,27 +365,6 @@ class CoupledSystem:
         for sub, st in zip(subs, states):
             if st.size != sub.n_dofs:
                 raise DimensionMismatch("state size does not match subdomain DOFs")
-
-        # eta_i = dt / dt_i must be a positive integer (up to rounding).
-        etas = []
-        for sub in subs:
-            ratio = self.dt_system / sub.dt_sub
-            eta = round(ratio)
-            if eta < 1 or abs(ratio - eta) > ETA_ROUND_TOL * max(1.0, ratio):
-                raise ValueError(
-                    f"dt_system/dt_sub = {ratio!r} is not a positive integer"
-                )
-            etas.append(eta)
-        object.__setattr__(self, "eta", tuple(etas))
-
-        # Theorem-1 hypothesis: every local step below its critical value.
-        for k, sub in enumerate(subs):
-            crit = sub.critical_dt()
-            if not sub.dt_sub < crit:
-                raise ValueError(
-                    f"subdomain {k}: dt_sub = {sub.dt_sub:g} exceeds the "
-                    f"critical time-step {crit:g}"
-                )
 
         # Compatible initial conditions: interface velocities already match.
         residual = self.velocity_residual()
@@ -282,8 +377,13 @@ class CoupledSystem:
     # -- derived quantities ----------------------------------------------
 
     @property
+    def eta(self) -> tuple[int, ...]:
+        """Sub-step ratios eta_i = dt_system / dt_i."""
+        return self.plan.eta
+
+    @property
     def n_constraints(self) -> int:
-        return self.subdomains[0].n_constraints
+        return self.plan.n_constraints
 
     def velocity_residual(self) -> np.ndarray:
         """sum_i C_i v_i at the current system level."""
@@ -331,7 +431,7 @@ def initialize_coupled_system(
 
     m_factors = [linalg.cholesky_factor(sub.M) for sub in subs]
     free_acc = [
-        linalg.cholesky_solve(fac, sub.force(t0) - sub.K @ d)
+        fac.solve(sub.force(t0) - sub.K @ d)
         for sub, fac, d in zip(subs, m_factors, d0)
     ]
 
@@ -340,7 +440,7 @@ def initialize_coupled_system(
         rhs = np.zeros(n_c)
         for sub, fac, acc in zip(subs, m_factors, free_acc):
             Ct = sub.C.data.T
-            schur += sub.C.data @ linalg.cholesky_solve(fac, Ct)
+            schur += sub.C.data @ fac.solve(Ct)
             rhs -= sub.C.data @ acc
         try:
             lam0 = linalg.solve_general(schur, rhs)
@@ -355,7 +455,7 @@ def initialize_coupled_system(
 
     states = []
     for sub, fac, acc, d, v in zip(subs, m_factors, free_acc, d0, v0):
-        a = acc + linalg.cholesky_solve(fac, sub.C.data.T @ lam0)
+        a = acc + fac.solve(sub.C.data.T @ lam0)
         states.append(KinematicState(d=d, v=v, a=a))
 
     return CoupledSystem(
@@ -401,7 +501,8 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
 
     Pure function: the input system is untouched; commit the result with
     ``sys.apply(result)``.  The block lower bidiagonal subdomain blocks
-    are eliminated and only the N_C x N_C interface complement is solved.
+    are eliminated and only the N_C x N_C interface complement is solved,
+    with the factor the system's plan keeps for the whole run.
 
     Raises
     ------
@@ -414,7 +515,6 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
 
     # Forward-eliminate each subdomain with dlam = 0.
     base_hist: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-    schur = np.zeros((n_c, n_c))
     gap = np.zeros(n_c)
     for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
         solver = sub.solver()
@@ -428,20 +528,9 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
             a, v, d = solver.solve_rows(ra, rv, rd)
             hist.append((a, v, d))
         base_hist.append(hist)
-        if n_c:
-            Y = sub.multiplier_propagators(eta)
-            schur += sub.C.data @ Y[-1][1]  # velocity response at j = eta
         gap += sub.C.data @ hist[-1][1] if n_c else 0.0
 
-    if n_c:
-        try:
-            dlam = linalg.solve_general(schur, -gap)
-        except linalg.SingularMatrix as exc:
-            raise SingularSaddleSystem(
-                f"interface Schur complement is singular: {exc}"
-            ) from exc
-    else:
-        dlam = np.zeros(0)
+    dlam = sys.plan.interface_factor().solve(-gap) if n_c else np.zeros(0)
 
     new_states = []
     for sub, eta, hist in zip(sys.subdomains, sys.eta, base_hist):

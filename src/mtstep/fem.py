@@ -5,6 +5,11 @@ consistent (or optionally lumped) mass, and 4-node bilinear quadrilaterals
 with 2x2 Gauss quadrature for plane-strain elasticity and for the scalar
 wave equation.  Dirichlet conditions are applied by DOF elimination so the
 reduced mass matrix stays SPD and the stiffness PSD.
+
+Assembly is vectorised over elements: the element matrices of all
+elements are computed at once and summed as one COO matrix.  Every
+assembled or reduced matrix passes through :func:`mtstep.linalg.operator`,
+so small meshes come back as dense arrays and large ones as CSR.
 """
 
 from __future__ import annotations
@@ -12,10 +17,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+
+from . import linalg
 
 # 2x2 Gauss points and weights on [-1, 1]^2.
 _GP = 1.0 / np.sqrt(3.0)
 _GAUSS_2D = [(-_GP, -_GP), (_GP, -_GP), (_GP, _GP), (-_GP, _GP)]
+
+
+def _assemble(dofs: np.ndarray, blocks: np.ndarray, n: int):
+    """Sum element matrices ``blocks[e]`` into rows/columns ``dofs[e]``.
+
+    ``dofs`` is (n_elems, k) and ``blocks`` (n_elems, k, k); the result is
+    an n x n operator in the storage :func:`mtstep.linalg.operator` picks.
+    """
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    coo = scipy.sparse.coo_array((blocks.ravel(), (rows, cols)), shape=(n, n))
+    return linalg.operator(coo)
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +52,7 @@ def bar_mesh(n_elems: int, length: float, x0: float = 0.0) -> np.ndarray:
 
 def assemble_bar(
     coords: np.ndarray, E: float, rho: float, A: float, lumped: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+):
     """Mass and stiffness of an axial bar on a 1-D mesh.
 
     Element matrices (length h):
@@ -41,22 +62,17 @@ def assemble_bar(
         m_e = rho A h / 2 [[1, 0], [0, 1]]     (lumped)
     """
     coords = np.asarray(coords, dtype=float)
-    n = coords.size
-    M = np.zeros((n, n))
-    K = np.zeros((n, n))
-    for e in range(n - 1):
-        h = coords[e + 1] - coords[e]
-        if h <= 0.0:
-            raise ValueError("node coordinates must be strictly increasing")
-        ke = (E * A / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        if lumped:
-            me = (rho * A * h / 2.0) * np.eye(2)
-        else:
-            me = (rho * A * h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-        idx = (e, e + 1)
-        K[np.ix_(idx, idx)] += ke
-        M[np.ix_(idx, idx)] += me
-    return M, K
+    h = np.diff(coords)
+    if (h <= 0.0).any():
+        raise ValueError("node coordinates must be strictly increasing")
+    ke = (E * A / h)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    if lumped:
+        me = (rho * A * h / 2.0)[:, None, None] * np.eye(2)
+    else:
+        me = (rho * A * h / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+    nodes = np.arange(coords.size)
+    dofs = np.column_stack([nodes[:-1], nodes[1:]])
+    return _assemble(dofs, me, coords.size), _assemble(dofs, ke, coords.size)
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +108,9 @@ def quad_grid(
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     coords = np.column_stack([X.ravel(), Y.ravel()])
 
-    conn = np.empty((nx * ny, 4), dtype=int)
-    e = 0
-    for j in range(ny):
-        for i in range(nx):
-            n0 = j * (nx + 1) + i
-            conn[e] = (n0, n0 + 1, n0 + nx + 2, n0 + nx + 1)
-            e += 1
+    row, col = np.divmod(np.arange(nx * ny), nx)
+    n0 = row * (nx + 1) + col
+    conn = np.column_stack([n0, n0 + 1, n0 + nx + 2, n0 + nx + 1])
     return QuadGrid(coords=coords, conn=conn)
 
 
@@ -114,20 +126,21 @@ def _shape_functions(xi: float, eta: float):
 
 
 def _quadrature_data(xy: np.ndarray):
-    """Per-Gauss-point (N, physical gradients, weighted Jacobian)."""
+    """Per Gauss point: N (4,), physical gradients (n_elems, 4, 2), det J (n_elems,).
+
+    ``xy`` holds the node coordinates of every element, (n_elems, 4, 2).
+    """
     for xi, eta in _GAUSS_2D:
         N, dN = _shape_functions(xi, eta)
-        J = dN.T @ xy  # (2, 2): d(x, y)/d(xi, eta)
+        J = np.einsum("ai,eaj->eij", dN, xy)  # d(x, y)/d(xi, eta) per element
         detJ = np.linalg.det(J)
-        if detJ <= 0.0:
+        if (detJ <= 0.0).any():
             raise ValueError("degenerate or inverted element")
-        grad = dN @ np.linalg.inv(J)  # physical gradients (4, 2)
+        grad = dN @ np.linalg.inv(J)
         yield N, grad, detJ  # unit Gauss weights in 2x2 rule
 
 
-def assemble_plane_strain(
-    grid: QuadGrid, lam: float, mu: float, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
+def assemble_plane_strain(grid: QuadGrid, lam: float, mu: float, rho: float):
     """Consistent mass and stiffness for plane-strain elasticity.
 
     Two DOFs per node ordered (u_x, u_y) node-major.  Constitutive matrix
@@ -142,52 +155,41 @@ def assemble_plane_strain(
         [lam, lam + 2.0 * mu, 0.0],
         [0.0, 0.0, mu],
     ])
+    n_el = grid.n_elems
+    ke = np.zeros((n_el, 8, 8))
+    me = np.zeros((n_el, 8, 8))
+    B = np.zeros((n_el, 3, 8))
+    for N, grad, detJ in _quadrature_data(grid.coords[grid.conn]):
+        B[:, 0, 0::2] = grad[:, :, 0]
+        B[:, 1, 1::2] = grad[:, :, 1]
+        B[:, 2, 0::2] = grad[:, :, 1]
+        B[:, 2, 1::2] = grad[:, :, 0]
+        ke += B.transpose(0, 2, 1) @ D @ B * detJ[:, None, None]
+        Nmat = np.zeros((2, 8))
+        Nmat[0, 0::2] = N
+        Nmat[1, 1::2] = N
+        me += rho * Nmat.T @ Nmat * detJ[:, None, None]
+    dofs = np.empty((n_el, 8), dtype=int)
+    dofs[:, 0::2] = 2 * grid.conn
+    dofs[:, 1::2] = 2 * grid.conn + 1
     n_dof = 2 * grid.n_nodes
-    M = np.zeros((n_dof, n_dof))
-    K = np.zeros((n_dof, n_dof))
-    for nodes in grid.conn:
-        xy = grid.coords[nodes]
-        ke = np.zeros((8, 8))
-        me = np.zeros((8, 8))
-        for N, grad, detJ in _quadrature_data(xy):
-            B = np.zeros((3, 8))
-            B[0, 0::2] = grad[:, 0]
-            B[1, 1::2] = grad[:, 1]
-            B[2, 0::2] = grad[:, 1]
-            B[2, 1::2] = grad[:, 0]
-            ke += B.T @ D @ B * detJ
-            Nmat = np.zeros((2, 8))
-            Nmat[0, 0::2] = N
-            Nmat[1, 1::2] = N
-            me += rho * Nmat.T @ Nmat * detJ
-        dofs = np.empty(8, dtype=int)
-        dofs[0::2] = 2 * nodes
-        dofs[1::2] = 2 * nodes + 1
-        K[np.ix_(dofs, dofs)] += ke
-        M[np.ix_(dofs, dofs)] += me
-    return M, K
+    return _assemble(dofs, me, n_dof), _assemble(dofs, ke, n_dof)
 
 
-def assemble_scalar_wave(grid: QuadGrid, c0: float) -> tuple[np.ndarray, np.ndarray]:
+def assemble_scalar_wave(grid: QuadGrid, c0: float):
     """Consistent mass and stiffness for (1/c0^2) u_tt - div(grad u) = f.
 
     One DOF per node; M carries the 1/c0^2 density, K is the Laplacian
     stiffness.
     """
-    n = grid.n_nodes
-    M = np.zeros((n, n))
-    K = np.zeros((n, n))
+    n_el = grid.n_elems
+    ke = np.zeros((n_el, 4, 4))
+    me = np.zeros((n_el, 4, 4))
     inv_c2 = 1.0 / (c0 * c0)
-    for nodes in grid.conn:
-        xy = grid.coords[nodes]
-        ke = np.zeros((4, 4))
-        me = np.zeros((4, 4))
-        for N, grad, detJ in _quadrature_data(xy):
-            ke += grad @ grad.T * detJ
-            me += inv_c2 * np.outer(N, N) * detJ
-        K[np.ix_(nodes, nodes)] += ke
-        M[np.ix_(nodes, nodes)] += me
-    return M, K
+    for N, grad, detJ in _quadrature_data(grid.coords[grid.conn]):
+        ke += grad @ grad.transpose(0, 2, 1) * detJ[:, None, None]
+        me += inv_c2 * np.outer(N, N) * detJ[:, None, None]
+    return _assemble(grid.conn, me, grid.n_nodes), _assemble(grid.conn, ke, grid.n_nodes)
 
 
 def edge_load_left(grid: QuadGrid, y_lo: float, y_hi: float, tol: float = 1e-12) -> np.ndarray:
@@ -212,13 +214,16 @@ def edge_load_left(grid: QuadGrid, y_lo: float, y_hi: float, tol: float = 1e-12)
     return f
 
 
-def eliminate_dofs(
-    M: np.ndarray, K: np.ndarray, fixed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Remove homogeneous-Dirichlet DOFs; returns (M_red, K_red, free_idx)."""
+def eliminate_dofs(M, K, fixed: np.ndarray):
+    """Remove homogeneous-Dirichlet DOFs; returns (M_red, K_red, free_idx).
+
+    ``M`` and ``K`` may be dense or sparse; the reduced matrices get the
+    storage :func:`mtstep.linalg.operator` picks for their size.
+    """
     n = M.shape[0]
     fixed = np.asarray(fixed, dtype=int)
     mask = np.ones(n, dtype=bool)
     mask[fixed] = False
     free = np.nonzero(mask)[0]
-    return M[np.ix_(free, free)], K[np.ix_(free, free)], free
+    keep = np.ix_(free, free)
+    return linalg.operator(M[keep]), linalg.operator(K[keep]), free

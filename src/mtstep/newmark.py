@@ -30,7 +30,7 @@ class NewmarkParams:
     """Integrator parameters (beta, gamma).
 
     gamma >= 1/2 is required for stability of the family; gamma < 1/2 is
-    rejected outright rather than warned about.
+    rejected outright rather than warned about, as are non-finite values.
     """
 
     beta: float
@@ -41,6 +41,9 @@ class NewmarkParams:
             raise ValueError(f"gamma must be >= 1/2, got {self.gamma}")
         if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
+        for name in ("beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def unconditionally_stable(self) -> bool:
@@ -109,18 +112,18 @@ class EffectiveSolver:
 
     The factorization is computed once per (M, K, params, dt) combination
     and reused for every substep, which is where the per-subdomain solver
-    spends essentially all of its time.
+    spends essentially all of its time.  ``M`` and ``K`` may be dense or
+    sparse (see :mod:`mtstep.linalg`).
     """
 
-    def __init__(self, M: np.ndarray, K: np.ndarray, params: NewmarkParams, dt: float):
+    def __init__(self, M, K, params: NewmarkParams, dt: float):
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        self.M = np.asarray(M, dtype=float)
-        self.K = np.asarray(K, dtype=float)
+        self.M = M
+        self.K = K
         self.params = params
         self.dt = float(dt)
-        effective = self.M + params.beta * dt * dt * self.K
-        self._factor = linalg.cholesky_factor(effective)
+        self._factor = linalg.cholesky_factor(M + params.beta * dt * dt * K)
 
     def solve_rows(self, ra, rv, rd):
         """Solve the lower-triangular-in-structure step equations.
@@ -128,7 +131,7 @@ class EffectiveSolver:
         Accepts vector or matrix (stacked columns) right-hand sides and
         returns the (a, v, d) solution with matching shape.
         """
-        a = linalg.cholesky_solve(self._factor, ra - self.K @ rd)
+        a = self._factor.solve(ra - self.K @ rd)
         d = rd + self.params.beta * self.dt * self.dt * a
         v = rv + self.params.gamma * self.dt * a
         return a, v, d
@@ -140,19 +143,17 @@ class EffectiveSolver:
         return KinematicState(d=d, v=v, a=a)
 
 
-def consistent_initial_acceleration(
-    M: np.ndarray, K: np.ndarray, f0: np.ndarray, d0: np.ndarray
-) -> np.ndarray:
+def consistent_initial_acceleration(M, K, f0: np.ndarray, d0: np.ndarray) -> np.ndarray:
     """Initial acceleration from the equation of motion: ``M a0 = f(0) - K d0``.
 
     The standard choice; it makes static equilibrium an exact fixed point
     of the integrator.
     """
-    factor = linalg.cholesky_factor(np.asarray(M, dtype=float))
-    return linalg.cholesky_solve(factor, np.asarray(f0, float) - np.asarray(K, float) @ np.asarray(d0, float))
+    factor = linalg.cholesky_factor(M)
+    return factor.solve(np.asarray(f0, float) - K @ np.asarray(d0, float))
 
 
-def critical_time_step(M: np.ndarray, K: np.ndarray, params: NewmarkParams) -> float:
+def critical_time_step(M, K, params: NewmarkParams) -> float:
     """Largest stable time-step; ``math.inf`` for unconditional stability.
 
     The step limit keeps ``A = M + dt^2 (beta - gamma/2) K`` positive
@@ -161,7 +162,8 @@ def critical_time_step(M: np.ndarray, K: np.ndarray, params: NewmarkParams) -> f
         dt_crit = 1 / (omega_max * sqrt(gamma/2 - beta))
 
     with ``omega_max^2`` the largest generalized eigenvalue of
-    ``omega^2 M x = K x``.  When ``2 beta >= gamma`` the scheme is
+    ``omega^2 M x = K x``, from an exact eigensolve of dense copies of
+    ``M`` and ``K``.  When ``2 beta >= gamma`` the scheme is
     unconditionally stable and ``math.inf`` is returned; callers should
     only ever compare against the result, never do arithmetic with it.
     """

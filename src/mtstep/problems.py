@@ -537,7 +537,7 @@ def free_vibration_variant(scenario: Scenario) -> Scenario:
 
     sys = scenario.system
     _, K_merged, force_merged, maps = merge_system_matrices(sys)
-    d_static = linalg.solve_general(K_merged, force_merged(sys.t_current))
+    d_static = linalg.cholesky_factor(K_merged).solve(force_merged(sys.t_current))
 
     new_subs = [
         Subdomain(

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse
 
-from mtstep import diagnostics
+from mtstep import diagnostics, linalg
 from mtstep.baselines import (
     backward_euler_decay,
     backward_euler_step,
@@ -9,9 +12,9 @@ from mtstep.baselines import (
     merge_system_matrices,
     merged_newmark_reference,
 )
-from mtstep.coupling import advance_system_step
+from mtstep.coupling import advance_system_step, initialize_coupled_system
 from mtstep.newmark import AVERAGE_ACCELERATION
-from mtstep.problems import build_bar_1d, build_sdof2, build_sdof3
+from mtstep.problems import build_bar_1d, build_sdof2, build_sdof3, build_wave_2d
 
 
 def test_backward_euler_satisfies_its_equations():
@@ -34,6 +37,40 @@ def test_backward_euler_satisfies_its_equations():
             v_residual += sub.C.data @ new.v
         np.testing.assert_allclose(v_residual, 0.0, atol=1e-13)
         sys = sys.apply(result)
+
+
+def test_backward_euler_factored_once_in_either_storage(monkeypatch):
+    # The constant system matrix is factored at the first step only, and
+    # the sparse factor (forced here by lowering the size threshold) gives
+    # the dense trajectory.
+    calls = []
+    lu_factor = linalg.lu_factor
+
+    def counted(A):
+        calls.append((A.shape, scipy.sparse.issparse(A)))
+        return lu_factor(A)
+
+    monkeypatch.setattr(linalg, "lu_factor", counted)
+    params = (AVERAGE_ACCELERATION, AVERAGE_ACCELERATION)
+    sc = build_wave_2d(nx=10, ny=5, dt_system=2e-3, etas=(1, 1), params=params)
+    size = sum(sub.n_dofs for sub in sc.system.subdomains) + sc.system.n_constraints
+
+    def run():
+        sys, out = sc.system, []
+        for _ in range(40):
+            sys = sys.apply(backward_euler_step(sys))
+            out.append(np.concatenate([st.d for st in sys.states]))
+        return np.array(out)
+
+    calls.clear()
+    dense_run = run()
+    monkeypatch.setattr(linalg, "SPARSE_MIN_DOFS", 1)
+    sc = replace(sc, system=replace(sc.system, plan=None))  # a new run: a new plan
+    sparse_run = run()
+    assert calls == [((size, size), False), ((size, size), True)]
+    scale = np.abs(dense_run).max()
+    assert scale > 0.0
+    np.testing.assert_allclose(sparse_run, dense_run, rtol=0, atol=1e-10 * scale)
 
 
 def test_backward_euler_decay_identity():

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from mtstep import cli, problems
-from mtstep.errors import ConfigError, SingularSaddleSystem
+from mtstep import cli, fem, problems
+from mtstep.errors import ConfigError, SingularMatrix, SingularSaddleSystem
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -89,11 +90,17 @@ def test_build_scenario_validates_overrides(tmp_path):
     with pytest.raises(ConfigError, match="out of range"):
         cli.build_scenario(cfg)
 
-    cfg = cli.parse_config(
-        write_config(tmp_path, "scenario=sdof2\nduration=inf\n", "d.cfg")
-    )
-    with pytest.raises(ConfigError, match="finite"):
-        cli.build_scenario(cfg)
+    for body, message in (
+        ("duration=inf", "finite"),
+        ("subdomain.1.beta=inf", "beta must be finite"),
+        ("subdomain.2.gamma=inf", "gamma must be finite"),
+        ("dt_system=inf", "dt_system must be positive and finite"),
+    ):
+        cfg = cli.parse_config(
+            write_config(tmp_path, f"scenario=sdof2\n{body}\n", "d.cfg")
+        )
+        with pytest.raises(ConfigError, match=message):
+            cli.build_scenario(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +173,26 @@ def test_exit_code_unbuildable_scenario(tmp_path, capsys):
     )
     assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
     assert "critical" in capsys.readouterr().err
+
+
+def test_exit_code_non_spd_sparse_mass(tmp_path, monkeypatch, capsys):
+    # wave2d's subdomains are stored sparse; an indefinite mass matrix must
+    # still fail while the scenario is built: configuration error, exit 2.
+    assemble = fem.assemble_scalar_wave
+
+    def indefinite_mass(grid, c0):
+        M, K = assemble(grid, c0)
+        assert scipy.sparse.issparse(M)
+        return M - 2.0 * M.diagonal().max() * scipy.sparse.eye_array(M.shape[0]), K
+
+    monkeypatch.setattr(fem, "assemble_scalar_wave", indefinite_mass)
+    with pytest.raises(SingularMatrix):
+        problems.build_wave_2d()
+    cfg_path = write_config(tmp_path, "scenario=wave2d\noutput=x.csv\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert "positive definite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):

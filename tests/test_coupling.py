@@ -1,7 +1,12 @@
+import dataclasses
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
+from mtstep import linalg
 from mtstep.coupling import (
     CoupledSystem,
     SignedBooleanMatrix,
@@ -10,14 +15,15 @@ from mtstep.coupling import (
     initialize_coupled_system,
     interpolate_lambda,
 )
-from mtstep.errors import DimensionMismatch
+from mtstep.diagnostics import step_energy_report
+from mtstep.errors import DimensionMismatch, SingularSaddleSystem
 from mtstep.newmark import (
     AVERAGE_ACCELERATION,
     CENTRAL_DIFFERENCE,
     KinematicState,
     NewmarkParams,
 )
-from mtstep.problems import build_plate_2d, build_sdof2, build_sdof3
+from mtstep.problems import build_plate_2d, build_sdof2, build_sdof3, build_wave_2d
 from saddle_oracle import advance_monolithic, assemble_L_R, subdomain_substep
 
 
@@ -298,3 +304,104 @@ def test_subcycled_sublevels_interpolate_between_levels():
     np.testing.assert_allclose(
         result.new_states[1][-1].d, final.states[1].d
     )
+
+
+# ---------------------------------------------------------------------------
+# Immutability, the per-run plan and sparse operators
+# ---------------------------------------------------------------------------
+
+def test_subdomain_is_immutable():
+    dense_sub = make_pair()[0]
+    sparse_sub = Subdomain(
+        M=scipy.sparse.csr_array(np.array([[0.1]])), K=np.array([[2.5]]),
+        params=AVERAGE_ACCELERATION, dt_sub=0.02, force=zero_force(1),
+        C=SignedBooleanMatrix(np.array([[1.0]])),
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dense_sub.M = np.array([[0.2]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dense_sub.dt_sub = 0.01
+    with pytest.raises(ValueError):
+        dense_sub.M[0, 0] = 0.2
+    with pytest.raises(ValueError):
+        dense_sub.K[0, 0] = 0.2
+    with pytest.raises(ValueError):
+        sparse_sub.M.data[0] = 0.2
+    # The subdomain holds its own copy: the caller's array stays writable
+    # and later writes to it do not reach the subdomain.
+    M = np.array([[0.1]])
+    sub = replace(dense_sub, M=M)
+    M[0, 0] = 0.2
+    assert sub.M[0, 0] == 0.1
+
+
+def test_interface_factor_built_once_per_run(monkeypatch):
+    calls = []
+    lu_factor = linalg.lu_factor
+
+    def counted(A):
+        calls.append(A.shape)
+        return lu_factor(A)
+
+    monkeypatch.setattr(linalg, "lu_factor", counted)
+    sys = build_sdof3(etas=(1, 2, 4)).system
+    calls.clear()  # the consistent initial multiplier is solved once at build
+    plan = sys.plan
+    for _ in range(5):
+        sys = sys.apply(advance_system_step(sys))
+        assert sys.plan is plan
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_redundant_rows_fail_on_every_advance():
+    # Two copies of the same constraint row: the interface complement is
+    # singular.  The failure is not cached away.
+    subs = [
+        Subdomain(
+            M=np.array([[m]]), K=np.array([[k]]), params=AVERAGE_ACCELERATION,
+            dt_sub=0.02, force=zero_force(1),
+            C=SignedBooleanMatrix(np.array([[sign], [sign]])),
+        )
+        for m, k, sign in ((0.1, 2.5, 1.0), (0.005, 50.0, -1.0))
+    ]
+    sys = initialize_coupled_system(
+        subs, 0.02, d0=[[0.1], [0.1]], v0=[[1.0], [1.0]], lambda_init="zero"
+    )
+    for _ in range(2):
+        with pytest.raises(SingularSaddleSystem):
+            advance_system_step(sys)
+
+
+def test_sparse_operators_match_dense_operators():
+    # The small wave2d mesh is stored dense; the same model with CSR
+    # operators must follow the same trajectory.
+    sc = build_wave_2d(nx=10, ny=5, dt_system=2e-3, etas=(2, 1))
+    dense_sys = sc.system
+    assert not any(scipy.sparse.issparse(sub.M) for sub in dense_sys.subdomains)
+    sparse_subs = [
+        replace(sub, M=scipy.sparse.csr_array(sub.M), K=scipy.sparse.csr_array(sub.K))
+        for sub in dense_sys.subdomains
+    ]
+    zeros = [np.zeros(sub.n_dofs) for sub in sparse_subs]
+    sparse_sys = initialize_coupled_system(sparse_subs, 2e-3, d0=zeros, v0=zeros)
+    assert all(scipy.sparse.issparse(sub.K) for sub in sparse_sys.subdomains)
+    for _ in range(60):
+        res_d = advance_system_step(dense_sys)
+        res_s = advance_system_step(sparse_sys)
+        for hist_d, hist_s in zip(res_d.new_states, res_s.new_states):
+            for a, b in zip(hist_d, hist_s):
+                for x, y in ((a.d, b.d), (a.v, b.v), (a.a, b.a)):
+                    np.testing.assert_allclose(y, x, rtol=0, atol=1e-10 * max(np.abs(x).max(), 1e-30))
+        np.testing.assert_allclose(
+            res_s.lambda_next, res_d.lambda_next, rtol=0,
+            atol=1e-10 * np.abs(res_d.lambda_next).max(),
+        )
+        rep_d = step_energy_report(res_d, dense_sys)
+        rep_s = step_energy_report(res_s, sparse_sys)
+        for x, y in ((rep_d.total, rep_s.total), (rep_d.e_interface, rep_s.e_interface)):
+            assert abs(x - y) <= 1e-10 * rep_d.total
+        dense_sys = dense_sys.apply(res_d)
+        sparse_sys = sparse_sys.apply(res_s)
+        assert np.abs(sparse_sys.velocity_residual()).max() <= 1e-8
+    assert rep_d.total > 0.0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
-from mtstep import fem
+import fem_oracle
+from mtstep import fem, linalg
 
 
 # ---------------------------------------------------------------------------
@@ -130,3 +132,50 @@ def test_degenerate_element_rejected():
     grid = fem.QuadGrid(coords=coords, conn=conn)
     with pytest.raises(ValueError):
         fem.assemble_plane_strain(grid, 1.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Vectorised assembly against the per-element loop, in both storages
+# ---------------------------------------------------------------------------
+
+def _assert_matches_oracle(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(linalg.dense(g), w, rtol=0, atol=1e-14 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("n_elems", [7, 300])
+@pytest.mark.parametrize("lumped", [False, True])
+def test_bar_assembly_matches_element_loop(n_elems, lumped):
+    coords = fem.bar_mesh(n_elems, 1.3, x0=0.2)
+    got = fem.assemble_bar(coords, 1e4, 0.1, 2.0, lumped=lumped)
+    _assert_matches_oracle(got, fem_oracle.assemble_bar(coords, 1e4, 0.1, 2.0, lumped))
+    assert scipy.sparse.issparse(got[0]) == (n_elems + 1 >= linalg.SPARSE_MIN_DOFS)
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 4), (12, 10)])
+def test_plane_strain_assembly_matches_element_loop(nx, ny):
+    grid = fem.quad_grid(nx, ny, 1.5, 1.0, x0=0.3)
+    got = fem.assemble_plane_strain(grid, 40.0, 30.0, 7.0)
+    _assert_matches_oracle(got, fem_oracle.assemble_plane_strain(grid, 40.0, 30.0, 7.0))
+    assert scipy.sparse.issparse(got[0]) == (2 * grid.n_nodes >= linalg.SPARSE_MIN_DOFS)
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 4), (18, 15)])
+def test_scalar_wave_assembly_matches_element_loop(nx, ny):
+    grid = fem.quad_grid(nx, ny, 2.0, 1.0, y0=-0.5)
+    got = fem.assemble_scalar_wave(grid, 1.7)
+    _assert_matches_oracle(got, fem_oracle.assemble_scalar_wave(grid, 1.7))
+    assert scipy.sparse.issparse(got[0]) == (grid.n_nodes >= linalg.SPARSE_MIN_DOFS)
+
+
+def test_eliminate_dofs_sparse_input():
+    grid = fem.quad_grid(18, 15, 2.0, 1.0)
+    M, K = fem.assemble_scalar_wave(grid, 1.0)
+    fixed = np.arange(0, grid.n_nodes, 3)
+    M_red, K_red, free = fem.eliminate_dofs(M, K, fixed)
+    assert scipy.sparse.issparse(K_red)  # 202 free DOFs: still sparse
+    np.testing.assert_array_equal(K_red.toarray(), K.toarray()[np.ix_(free, free)])
+    M_small, _, free = fem.eliminate_dofs(M, K, np.arange(150))
+    assert isinstance(M_small, np.ndarray)  # 154 free DOFs: dense
+    np.testing.assert_array_equal(M_small, M.toarray()[np.ix_(free, free)])
