@@ -10,6 +10,7 @@ from .coupling import (
     CoupledSystem,
     SignedBooleanMatrix,
     Subdomain,
+    SubstepHistory,
     SystemStepResult,
     advance_system_step,
     initialize_coupled_system,
@@ -28,6 +29,7 @@ from .diagnostics import (
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    NonFiniteState,
     SingularMatrix,
     SingularSaddleSystem,
 )
@@ -53,12 +55,14 @@ __all__ = [
     "EnergyBreakdown",
     "KinematicState",
     "NewmarkParams",
+    "NonFiniteState",
     "SCENARIOS",
     "Scenario",
     "SignedBooleanMatrix",
     "SingularMatrix",
     "SingularSaddleSystem",
     "Subdomain",
+    "SubstepHistory",
     "SystemStepResult",
     "advance_system_step",
     "critical_time_step",

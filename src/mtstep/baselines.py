@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .coupling import CoupledSystem, SystemStepResult
+from .coupling import CoupledSystem, SubstepHistory, SystemStepResult, require_finite
 from .errors import SingularSaddleSystem
 from .newmark import KinematicState, NewmarkParams
 
@@ -65,31 +65,38 @@ def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
     The system matrix is the same at every step, so it is factored once
     and kept in the system's plan.  Subcycling is not part of this
     baseline: every subdomain is stepped at the system time-step
-    regardless of its dt_sub.  The reported acceleration is the
-    difference quotient (v^(n+1) - v^n)/dt.
+    regardless of its dt_sub, and each history has one level.  The
+    reported acceleration is the difference quotient (v^(n+1) - v^n)/dt.
+    Raises :class:`mtstep.errors.NonFiniteState` as the coupled step
+    does.
     """
     dt = sys.dt_system
+    t_n = sys.t_current
     factor = sys.plan.cached("backward_euler", lambda: _backward_euler_factor(sys))
+    loads = [
+        np.array([sub.force(t_n), sub.force(t_n + dt)], dtype=float)
+        for sub in sys.subdomains
+    ]
     rhs = [
-        np.asarray(sub.force(sys.t_current + dt), dtype=float)
-        + sub.M @ st.v / dt
-        - sub.K @ st.d
-        for sub, st in zip(sys.subdomains, sys.states)
+        f[1] + sub.M @ st.v / dt - sub.K @ st.d
+        for sub, st, f in zip(sys.subdomains, sys.states, loads)
     ]
     sol = factor.solve(np.concatenate([*rhs, np.zeros(sys.n_constraints)]))
 
-    new_states = []
+    histories = []
     offset = 0
-    for sub, st in zip(sys.subdomains, sys.states):
+    for sub, st, f in zip(sys.subdomains, sys.states, loads):
         n = sub.n_dofs
         v_new = sol[offset:offset + n]
         d_new = st.d + dt * v_new
         a_new = (v_new - st.v) / dt
-        new_states.append((KinematicState(d=d_new, v=v_new, a=a_new),))
+        histories.append(SubstepHistory(
+            a=a_new[np.newaxis], v=v_new[np.newaxis], d=d_new[np.newaxis], f=f
+        ))
         offset += n
-    return SystemStepResult(
-        new_states=tuple(new_states), lambda_next=sol[offset:]
-    )
+    result = SystemStepResult(histories=tuple(histories), lambda_next=sol[offset:])
+    require_finite(result)
+    return result
 
 
 def backward_euler_decay(result: SystemStepResult, sys: CoupledSystem) -> float:
@@ -99,9 +106,9 @@ def backward_euler_decay(result: SystemStepResult, sys: CoupledSystem) -> float:
     step ``result`` and the system ``sys`` it was computed from.
     """
     decay = 0.0
-    for sub, st, hist in zip(sys.subdomains, sys.states, result.new_states):
-        dv = hist[-1].v - st.v
-        dd = hist[-1].d - st.d
+    for sub, st, hist in zip(sys.subdomains, sys.states, result.histories):
+        dv = hist.v[-1] - st.v
+        dd = hist.d[-1] - st.d
         decay -= 0.5 * float(dv @ (sub.M @ dv)) + 0.5 * float(dd @ (sub.K @ dd))
     return decay
 

@@ -52,7 +52,13 @@ from .baselines import (
     merged_newmark_reference,
 )
 from .coupling import CoupledSystem, advance_system_step
-from .errors import ConfigError, DimensionMismatch, SingularMatrix, SingularSaddleSystem
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    NonFiniteState,
+    SingularMatrix,
+    SingularSaddleSystem,
+)
 from .newmark import NewmarkParams
 
 EXIT_OK = 0
@@ -297,7 +303,7 @@ def execute(config: RunConfig) -> RunResult:
     for step_index in range(n_steps):
         try:
             result = step_fn(sys_state)
-        except (SingularSaddleSystem, SingularMatrix) as exc:
+        except (SingularSaddleSystem, SingularMatrix, NonFiniteState) as exc:
             raise SolverFailure(step_index, exc) from exc
         report = diagnostics.step_energy_report(result, sys_state)
         if config.method == "backward_euler":

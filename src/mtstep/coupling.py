@@ -28,12 +28,21 @@ with Ct_i = [C_i | 0 | 0], P_i = (f_i, 0, 0) and, with dt = dt_i,
            [-gamma_i dt I,  I,  0   ],           [(1-gamma_i) dt I,  I,    0 ],
            [-beta_i dt^2 I, 0,  I   ]]           [(1/2-beta_i) dt^2 I, dt I, I ]]
 
-(:meth:`Subdomain.apply_R` applies R_i).  The solver eliminates the
-per-subdomain blocks, which are block lower bidiagonal, and solves only
-an N_C x N_C interface Schur complement; the assembled saddle system is
-never formed.  ``tests/saddle_oracle.py`` solves it densely as a check.
-The complement does not change from step to step: :class:`CouplingPlan`
-factors it once per run.
+The solver eliminates the per-subdomain blocks, which are block lower
+bidiagonal, and solves only an N_C x N_C interface Schur complement; the
+assembled saddle system is never formed.  ``tests/saddle_oracle.py``
+solves it densely as a check.
+
+Each subdomain's sub-levels of one system step are kept as stacked
+(eta_i, n_i) arrays (:class:`SubstepHistory`), not as eta_i state
+objects.  A step sweeps every subdomain once with dlam = 0
+(:meth:`mtstep.newmark.EffectiveSolver.sweep`, which applies R_i and
+solves with L_i), solves the complement for dlam and corrects all
+sub-levels of a subdomain with one product against its stacked
+multiplier propagators (:meth:`Subdomain.multiplier_propagators`).  The
+complement and the propagators do not change from step to step:
+:class:`CouplingPlan` factors the complement once per run and each
+subdomain keeps its propagators.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .errors import DimensionMismatch, SingularSaddleSystem
+from .errors import DimensionMismatch, NonFiniteState, SingularSaddleSystem
 from .newmark import EffectiveSolver, KinematicState, NewmarkParams, critical_time_step
 
 #: Rounding tolerance for the integrality check on eta_i = dt / dt_i.
@@ -183,44 +192,27 @@ class Subdomain:
             "critical_dt", lambda: critical_time_step(self.M, self.K, self.params)
         )
 
-    def apply_R(self, a, v, d):
-        """Apply the history operator R_i to an (a, v, d) triplet.
-
-        Returns the (ra, rv, rd) rows of R_i X; the acceleration row of
-        R_i is identically zero.
-        """
-        dt = self.dt_sub
-        beta, gamma = self.params.beta, self.params.gamma
-        ra = np.zeros_like(np.asarray(a, dtype=float))
-        rv = (1.0 - gamma) * dt * a + v
-        rd = (0.5 - beta) * dt * dt * a + dt * v + d
-        return ra, rv, rd
-
     def multiplier_propagators(self, eta: int):
         """Per-sublevel response of this subdomain to a unit dlam.
 
-        Returns a list ``Y[j]`` (j = 1..eta) of (aY, vY, dY) matrices of
-        shape (n_dofs, N_C): the state produced at sublevel j by the
-        homogeneous recurrence with interface loading (j/eta) C^T dlam
-        and zero initial state.  Depends only on (M, K, params, dt_sub,
-        C, eta), so it is computed once and reused for every system step.
+        Returns one array of shape (3, eta, n_dofs, N_C): entry [k, j - 1]
+        is the acceleration (k = 0), velocity (1) or displacement (2)
+        produced at sublevel j = 1..eta by the homogeneous recurrence with
+        interface loading (j/eta) C^T dlam and zero initial state.
+        Depends only on (M, K, params, dt_sub, C, eta), so it is computed
+        once and reused for every system step.
         """
         return self._cached(("propagators", eta), lambda: self._propagators(eta))
 
     def _propagators(self, eta: int):
-        solver = self.solver()
         n, nc = self.n_dofs, self.n_constraints
         Ct = self.C.data.T  # (n, nc)
-        aY = np.zeros((n, nc))
-        vY = np.zeros((n, nc))
-        dY = np.zeros((n, nc))
-        out = []
-        for j in range(1, eta + 1):
-            ra, rv, rd = self.apply_R(aY, vY, dY)
-            ra = ra + (j / eta) * Ct
-            aY, vY, dY = solver.solve_rows(ra, rv, rd)
-            out.append((aY, vY, dY))
-        return out
+        Y = np.empty((3, eta, n, nc))
+        for j in range(eta):
+            Y[0, j] = 0.0 + ((j + 1) / eta) * Ct
+        zero = np.zeros((n, nc))
+        self.solver().sweep(zero, zero, zero, *Y)
+        return Y
 
 
 class CouplingPlan:
@@ -307,7 +299,7 @@ class CouplingPlan:
         schur = np.zeros((n_c, n_c))
         for sub, eta in zip(self.subdomains, self.eta):
             Y = sub.multiplier_propagators(eta)
-            schur += sub.C.data @ Y[-1][1]  # velocity response at j = eta
+            schur += sub.C.data @ Y[1, -1]  # velocity response at j = eta
         try:
             return linalg.lu_factor(schur)
         except linalg.SingularMatrix as exc:
@@ -317,14 +309,32 @@ class CouplingPlan:
 
 
 @dataclass(frozen=True)
-class SystemStepResult:
-    """Full subcycle histories and the new multiplier from one system step.
+class SubstepHistory:
+    """One subdomain's sub-levels over one system step, stacked by level.
 
-    ``new_states[i]`` holds the eta_i sub-level states of subdomain i, the
-    last entry being the state at the new system level.
+    ``a``, ``v`` and ``d`` have shape (eta, n): row j - 1 is the state at
+    sub-level j = 1..eta, so the last row is the state at the new system
+    level.  ``f`` has shape (eta + 1, n): the loads at sub-levels 0..eta,
+    as the step evaluated them.
     """
 
-    new_states: tuple[tuple[KinematicState, ...], ...]
+    a: np.ndarray
+    v: np.ndarray
+    d: np.ndarray
+    f: np.ndarray
+
+
+@dataclass(frozen=True)
+class SystemStepResult:
+    """Sub-level histories and the new multiplier from one system step.
+
+    ``histories[i]`` holds the eta_i sub-levels of subdomain i as stacked
+    arrays (:class:`SubstepHistory`); only the last level becomes a
+    :class:`KinematicState`, when :meth:`CoupledSystem.apply` commits the
+    step.
+    """
+
+    histories: tuple[SubstepHistory, ...]
     lambda_next: np.ndarray
 
 
@@ -394,7 +404,13 @@ class CoupledSystem:
 
     def apply(self, result: SystemStepResult) -> "CoupledSystem":
         """Commit a step result, returning the system at the next level."""
-        new_states = tuple(hist[-1] for hist in result.new_states)
+        # Copies: a committed level does not keep the step's history alive.
+        new_states = tuple(
+            KinematicState(
+                d=hist.d[-1].copy(), v=hist.v[-1].copy(), a=hist.a[-1].copy()
+            )
+            for hist in result.histories
+        )
         return replace(
             self,
             states=new_states,
@@ -468,80 +484,68 @@ def initialize_coupled_system(
 
 
 # ---------------------------------------------------------------------------
-# Multiplier interpolation
-# ---------------------------------------------------------------------------
-
-def interpolate_lambda(
-    lam_n: np.ndarray, lam_np1: np.ndarray, j: int, eta: int
-) -> np.ndarray:
-    """Linear multiplier interpolant (1 - j/eta) lam^n + (j/eta) lam^(n+1)."""
-    lam_n = np.asarray(lam_n, dtype=float)
-    lam_np1 = np.asarray(lam_np1, dtype=float)
-    if lam_n.shape != lam_np1.shape:
-        raise DimensionMismatch(
-            f"multiplier shapes differ: {lam_n.shape} vs {lam_np1.shape}"
-        )
-    if not 0 <= j <= eta:
-        raise ValueError(f"sublevel j={j} outside [0, {eta}]")
-    w = j / eta
-    return (1.0 - w) * lam_n + w * lam_np1
-
-
-# ---------------------------------------------------------------------------
 # System step: interface Schur complement
 # ---------------------------------------------------------------------------
 
-def _sublevel_forces(sub: Subdomain, eta: int, t_n: float) -> list[np.ndarray]:
-    """f_i evaluated at the eta sub-levels following t_n."""
-    return [np.asarray(sub.force(t_n + j * sub.dt_sub), dtype=float) for j in range(1, eta + 1)]
+def require_finite(result: SystemStepResult) -> None:
+    """Raise :class:`NonFiniteState` unless the step's new level is finite.
+
+    Checks the new multiplier and each subdomain's state at the new
+    system level.
+    """
+    arrays = [result.lambda_next]
+    for hist in result.histories:
+        arrays += (hist.a[-1], hist.v[-1], hist.d[-1])
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise NonFiniteState("non-finite multiplier or state at the new system level")
 
 
 def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     """Advance the whole coupled system over one system time-step.
 
     Pure function: the input system is untouched; commit the result with
-    ``sys.apply(result)``.  The block lower bidiagonal subdomain blocks
-    are eliminated and only the N_C x N_C interface complement is solved,
-    with the factor the system's plan keeps for the whole run.
+    ``sys.apply(result)``.  Each subdomain is swept once with dlam = 0 on
+    preallocated (eta, n) arrays; the N_C x N_C interface complement,
+    factored once per run by the system's plan, gives dlam; and one
+    product with the stacked multiplier propagators corrects every
+    sub-level of a subdomain at once.
 
     Raises
     ------
     SingularSaddleSystem
         If the interface system is singular — typically redundant
         constraint rows.
+    NonFiniteState
+        If the new multiplier or a state at the new system level is not
+        finite.
     """
     lam_n = sys.lambda_current
     n_c = sys.n_constraints
+    t_n = sys.t_current
 
-    # Forward-eliminate each subdomain with dlam = 0.
-    base_hist: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
+    # Forward-eliminate each subdomain with dlam = 0.  H[0], H[1] and
+    # H[2] are the stacked sub-level accelerations, velocities and
+    # displacements.
+    levels = []
     gap = np.zeros(n_c)
     for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
-        solver = sub.solver()
-        Ct_lam = sub.C.data.T @ lam_n
-        forces = _sublevel_forces(sub, eta, sys.t_current)
-        a, v, d = st.a, st.v, st.d
-        hist = []
-        for j in range(1, eta + 1):
-            ra, rv, rd = sub.apply_R(a, v, d)
-            ra = ra + forces[j - 1] + Ct_lam
-            a, v, d = solver.solve_rows(ra, rv, rd)
-            hist.append((a, v, d))
-        base_hist.append(hist)
-        gap += sub.C.data @ hist[-1][1] if n_c else 0.0
+        f = np.array([sub.force(t_n + j * sub.dt_sub) for j in range(eta + 1)], dtype=float)
+        H = np.empty((3, eta, sub.n_dofs))
+        H[0] = 0.0 + f[1:]  # R_i's zero acceleration row plus the loads
+        H[0] += sub.C.data.T @ lam_n
+        sub.solver().sweep(st.a, st.v, st.d, *H)
+        levels.append((H, f))
+        gap += sub.C.data @ H[1, -1] if n_c else 0.0
 
     dlam = sys.plan.interface_factor().solve(-gap) if n_c else np.zeros(0)
 
-    new_states = []
-    for sub, eta, hist in zip(sys.subdomains, sys.eta, base_hist):
-        if n_c:
-            Y = sub.multiplier_propagators(eta)
-            sub_states = tuple(
-                KinematicState(d=d + dY @ dlam, v=v + vY @ dlam, a=a + aY @ dlam)
-                for (a, v, d), (aY, vY, dY) in zip(hist, Y)
-            )
-        else:
-            sub_states = tuple(KinematicState(d=d, v=v, a=a) for a, v, d in hist)
-        new_states.append(sub_states)
+    if n_c:
+        for sub, eta, (H, _) in zip(sys.subdomains, sys.eta, levels):
+            H += sub.multiplier_propagators(eta) @ dlam
 
-    return SystemStepResult(new_states=tuple(new_states), lambda_next=lam_n + dlam)
+    result = SystemStepResult(
+        histories=tuple(SubstepHistory(*H, f=f) for H, f in levels),
+        lambda_next=lam_n + dlam,
+    )
+    require_finite(result)
+    return result

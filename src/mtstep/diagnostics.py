@@ -27,7 +27,16 @@ vanish when every subdomain uses average acceleration without subcycling
 gamma > 1/2, beta = gamma/2.
 
 With non-zero loads the balance extends by the external work term
-computed by :func:`external_work`.
+computed by :func:`external_work`, from the sub-level loads the step
+evaluated.
+
+The terms are computed from a step's stacked sub-level histories
+(:class:`mtstep.coupling.SubstepHistory`): the jumps [x]_j are one
+``np.diff`` of a history, the quadratic forms of all sub-levels come from
+one product ``M_i X^T`` or ``K_i X^T`` per subdomain (dense or sparse),
+and the interpolated multipliers from one weight vector j/eta_i.  The
+per-level terms are then added in level order, subdomain by subdomain,
+so the sums do not depend on how a vectorised reduction would group them.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .coupling import CoupledSystem, SystemStepResult, interpolate_lambda
+from .coupling import CoupledSystem, SystemStepResult
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,27 @@ def total_energy(sys: CoupledSystem) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic=kin, potential=pot, total=sum(kin) + sum(pot))
 
 
+def _jumps(x0: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Sub-level jumps [x]_j of a stacked (eta, n) history that starts at x0."""
+    return np.diff(X, axis=0, prepend=x0[np.newaxis])
+
+
+def _half_forms(A, X: np.ndarray) -> list[float]:
+    """1/2 x_j^T A x_j for every row x_j of X, from one product A X^T."""
+    return (0.5 * np.einsum("ij,ji->i", X, A @ X.T)).tolist()
+
+
+def _add_in_order(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., one addition at a time.
+
+    A vectorised sum groups the terms differently, which moves the last
+    digits of a split term.
+    """
+    for term in terms.tolist():
+        total += term
+    return total
+
+
 def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
     """Scheme-induced energy change over the step from ``sys`` to ``step``.
 
@@ -81,17 +111,12 @@ def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
     n); the sub-level histories come from ``step``.
     """
     out = 0.0
-    for sub, st_n, hist in zip(sys.subdomains, sys.states, step.new_states):
+    for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
         beta, gamma = sub.params.beta, sub.params.gamma
         dt_i = sub.dt_sub
-        chain = [st_n, *hist]
-        jump_V = sum(
-            _potential(sub, nxt.d - cur.d) for cur, nxt in zip(chain, chain[1:])
-        )
-        jump_T = sum(
-            _kinetic(sub, nxt.a - cur.a) for cur, nxt in zip(chain, chain[1:])
-        )
-        system_jump_T = _kinetic(sub, chain[-1].a) - _kinetic(sub, chain[0].a)
+        jump_V = sum(_half_forms(sub.K, _jumps(st_n.d, hist.d)))
+        jump_T = sum(_half_forms(sub.M, _jumps(st_n.a, hist.a)))
+        system_jump_T = _kinetic(sub, hist.a[-1]) - _kinetic(sub, st_n.a)
         coeff = dt_i * dt_i * (beta - 0.5 * gamma)
         out -= 2.0 * (gamma - 0.5) * jump_V
         out -= coeff * system_jump_T
@@ -104,16 +129,14 @@ def energy_interface(step: SystemStepResult, sys: CoupledSystem) -> float:
     lam_n = sys.lambda_current
     lam_np1 = step.lambda_next
     out = 0.0
-    for sub, eta, st_n, hist in zip(
-        sys.subdomains, sys.eta, sys.states, step.new_states
-    ):
+    for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
         gamma = sub.params.gamma
-        chain = [st_n, *hist]
-        for j in range(eta):
-            lam_lo = interpolate_lambda(lam_n, lam_np1, j, eta)
-            lam_hi = interpolate_lambda(lam_n, lam_np1, j + 1, eta)
-            lam_w = (1.0 - gamma) * lam_lo + gamma * lam_hi
-            out += float(lam_w @ (sub.C.data @ (chain[j + 1].d - chain[j].d)))
+        eta = len(hist.d)
+        w = np.arange(eta + 1) / eta  # lam^(n+j/eta) = (1 - w_j) lam^n + w_j lam^(n+1)
+        lam = np.multiply.outer(1.0 - w, lam_n) + np.multiply.outer(w, lam_np1)
+        lam_w = (1.0 - gamma) * lam[:-1] + gamma * lam[1:]
+        jumps = _jumps(st_n.d, hist.d) @ sub.C.data.T  # rows C_i [d_i]_j
+        out = _add_in_order(out, np.einsum("ij,ij->i", lam_w, jumps))
     return out
 
 
@@ -121,20 +144,14 @@ def external_work(step: SystemStepResult, sys: CoupledSystem) -> float:
     """gamma-weighted work of the external loads over one system step.
 
     Extends the f = 0 balance identity: E^(n+1) - E^(n) = e_algorithm +
-    e_interface + external_work.
+    e_interface + external_work.  The loads are the ones the step
+    evaluated, carried by its histories.
     """
     out = 0.0
-    for sub, eta, st_n, hist in zip(
-        sys.subdomains, sys.eta, sys.states, step.new_states
-    ):
+    for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
         gamma = sub.params.gamma
-        chain = [st_n, *hist]
-        t_n = sys.t_current
-        for j in range(eta):
-            f_lo = np.asarray(sub.force(t_n + j * sub.dt_sub), dtype=float)
-            f_hi = np.asarray(sub.force(t_n + (j + 1) * sub.dt_sub), dtype=float)
-            f_w = (1.0 - gamma) * f_lo + gamma * f_hi
-            out += float(f_w @ (chain[j + 1].d - chain[j].d))
+        f_w = (1.0 - gamma) * hist.f[:-1] + gamma * hist.f[1:]
+        out = _add_in_order(out, np.einsum("ij,ij->i", f_w, _jumps(st_n.d, hist.d)))
     return out
 
 
@@ -143,12 +160,12 @@ def step_energy_report(
 ) -> EnergyBreakdown:
     """Energy at the new level plus the per-step split terms."""
     kin = tuple(
-        _kinetic(sub, hist[-1].v)
-        for sub, hist in zip(sys_before.subdomains, step.new_states)
+        _kinetic(sub, hist.v[-1])
+        for sub, hist in zip(sys_before.subdomains, step.histories)
     )
     pot = tuple(
-        _potential(sub, hist[-1].d)
-        for sub, hist in zip(sys_before.subdomains, step.new_states)
+        _potential(sub, hist.d[-1])
+        for sub, hist in zip(sys_before.subdomains, step.histories)
     )
     return EnergyBreakdown(
         kinetic=kin,

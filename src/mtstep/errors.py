@@ -19,3 +19,7 @@ class SingularSaddleSystem(Exception):
 
 class ConfigError(Exception):
     """A run configuration could not be parsed or validated."""
+
+
+class NonFiniteState(Exception):
+    """A system step produced a non-finite multiplier or state."""

@@ -136,6 +136,34 @@ class EffectiveSolver:
         v = rv + self.params.gamma * self.dt * a
         return a, v, d
 
+    def sweep(self, a, v, d, A, V, D) -> None:
+        """Advance ``len(A)`` steps from the state (a, v, d), in place.
+
+        On entry ``A[j]`` holds the acceleration-row load of step j + 1;
+        on return ``A``, ``V`` and ``D`` hold the state after each step.
+        States are vectors, or matrices of stacked columns.  Each step
+        forms the predictor rows
+
+            rv = (1 - gamma) dt a + v
+            rd = (1/2 - beta) dt^2 a + dt v + d
+
+        and then does what :meth:`solve_rows` does, with the same
+        arithmetic in the same order, so a swept history equals one built
+        step by step.
+        """
+        dt = self.dt
+        beta, gamma = self.params.beta, self.params.gamma
+        c_v, c_d = (1.0 - gamma) * dt, (0.5 - beta) * dt * dt
+        c_a, c_g = beta * dt * dt, gamma * dt
+        K, solve = self.K, self._factor.solve
+        for j in range(len(A)):
+            rv = c_v * a + v
+            rd = c_d * a + dt * v + d
+            a = solve(A[j] - K @ rd)
+            d = rd + c_a * a
+            v = rv + c_g * a
+            A[j], V[j], D[j] = a, v, d
+
     def step(self, state: KinematicState, f_next: np.ndarray) -> KinematicState:
         """Advance one unconstrained step under end-of-step load ``f_next``."""
         d_pred, v_pred = newmark_predict(state, self.params, self.dt)

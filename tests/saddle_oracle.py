@@ -11,14 +11,39 @@ complement); the tests use it as an independent oracle.  Its size is
 import numpy as np
 
 from mtstep import linalg
-from mtstep.coupling import (
-    CoupledSystem,
-    Subdomain,
-    SystemStepResult,
-    interpolate_lambda,
-)
+from mtstep.coupling import CoupledSystem, Subdomain, SubstepHistory, SystemStepResult
 from mtstep.errors import DimensionMismatch, SingularSaddleSystem
 from mtstep.newmark import KinematicState
+
+
+def interpolate_lambda(
+    lam_n: np.ndarray, lam_np1: np.ndarray, j: int, eta: int
+) -> np.ndarray:
+    """Linear multiplier interpolant (1 - j/eta) lam^n + (j/eta) lam^(n+1)."""
+    lam_n = np.asarray(lam_n, dtype=float)
+    lam_np1 = np.asarray(lam_np1, dtype=float)
+    if lam_n.shape != lam_np1.shape:
+        raise DimensionMismatch(
+            f"multiplier shapes differ: {lam_n.shape} vs {lam_np1.shape}"
+        )
+    if not 0 <= j <= eta:
+        raise ValueError(f"sublevel j={j} outside [0, {eta}]")
+    w = j / eta
+    return (1.0 - w) * lam_n + w * lam_np1
+
+
+def apply_R(sub: Subdomain, a, v, d):
+    """Apply the history operator R_i to an (a, v, d) triplet.
+
+    Returns the (ra, rv, rd) rows of R_i X; the acceleration row of R_i
+    is identically zero.
+    """
+    dt = sub.dt_sub
+    beta, gamma = sub.params.beta, sub.params.gamma
+    ra = np.zeros_like(np.asarray(a, dtype=float))
+    rv = (1.0 - gamma) * dt * a + v
+    rd = (0.5 - beta) * dt * dt * a + dt * v + d
+    return ra, rv, rd
 
 
 def assemble_L_R(sub: Subdomain) -> tuple[np.ndarray, np.ndarray]:
@@ -68,7 +93,7 @@ def subdomain_substep(
         raise ValueError(f"sublevel j={j} outside [1, {eta}]")
     lam_j = interpolate_lambda(lam_n, lam_np1, j, eta)
     solver = sub.solver()
-    ra, rv, rd = sub.apply_R(X_prev.a, X_prev.v, X_prev.d)
+    ra, rv, rd = apply_R(sub, X_prev.a, X_prev.v, X_prev.d)
     ra = ra + np.asarray(f_next, dtype=float) + sub.C.data.T @ lam_j
     a, v, d = solver.solve_rows(ra, rv, rd)
     return KinematicState(d=d, v=v, a=a)
@@ -117,7 +142,7 @@ def assemble_rhs(sys: CoupledSystem) -> np.ndarray:
     parts = []
     for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
         Ct_lam = sub.C.data.T @ lam_n
-        ra0, rv0, rd0 = sub.apply_R(st.a, st.v, st.d)
+        ra0, rv0, rd0 = apply_R(sub, st.a, st.v, st.d)
         for j in range(1, eta + 1):
             ra = np.asarray(sub.force(sys.t_current + j * sub.dt_sub), dtype=float)
             ra = ra + Ct_lam
@@ -160,19 +185,19 @@ def advance_monolithic(sys: CoupledSystem) -> SystemStepResult:
     must agree with it to well below 1e-8.
     """
     X, dlam = solve_saddle(sys, assemble_rhs(sys))
-    new_states = []
+    histories = []
     offset = 0
     for sub, eta in zip(sys.subdomains, sys.eta):
         n = sub.n_dofs
-        hist = []
-        for j in range(eta):
-            base = offset + j * 3 * n
-            a = X[base:base + n]
-            v = X[base + n:base + 2 * n]
-            d = X[base + 2 * n:base + 3 * n]
-            hist.append(KinematicState(d=d, v=v, a=a))
-        new_states.append(tuple(hist))
+        levels = X[offset:offset + 3 * n * eta].reshape(eta, 3, n)  # (a, v, d) blocks
+        f = np.array(
+            [sub.force(sys.t_current + j * sub.dt_sub) for j in range(eta + 1)],
+            dtype=float,
+        )
+        histories.append(
+            SubstepHistory(a=levels[:, 0], v=levels[:, 1], d=levels[:, 2], f=f)
+        )
         offset += 3 * n * eta
     return SystemStepResult(
-        new_states=tuple(new_states), lambda_next=sys.lambda_current + dlam
+        histories=tuple(histories), lambda_next=sys.lambda_current + dlam
     )

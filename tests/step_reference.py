@@ -1,0 +1,137 @@
+"""Per-sub-level reference for the stacked system step and its diagnostics.
+
+The library keeps each subdomain's sub-levels of a system step as stacked
+(eta, n) arrays, sweeps them in one loop and evaluates the energy split
+with one product per subdomain.  This module keeps the straightforward
+form of the same algorithm as an independent reference: one
+``KinematicState`` per sub-level, a list of per-level multiplier
+propagators, and diagnostics that walk the sub-levels one by one.  It
+also turns a step result's histories into per-level states for tests
+that read individual sub-levels.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from mtstep.coupling import CoupledSystem, Subdomain, SystemStepResult
+from mtstep.newmark import KinematicState
+from saddle_oracle import apply_R, interpolate_lambda
+
+
+def sublevel_states(result: SystemStepResult) -> tuple[tuple[KinematicState, ...], ...]:
+    """Per subdomain, the eta sub-level states of a step, last one at the new level."""
+    return tuple(
+        tuple(KinematicState(d=d, v=v, a=a) for a, v, d in zip(h.a, h.v, h.d))
+        for h in result.histories
+    )
+
+
+class ReferenceStep(NamedTuple):
+    """Per-level states of one system step, as the reference step builds them."""
+
+    new_states: tuple[tuple[KinematicState, ...], ...]
+    lambda_next: np.ndarray
+
+
+def propagators(sub: Subdomain, eta: int) -> list[tuple[np.ndarray, ...]]:
+    """``Y[j - 1] = (aY, vY, dY)``: the response at sub-level j to a unit dlam."""
+    solver = sub.solver()
+    n, nc = sub.n_dofs, sub.n_constraints
+    Ct = sub.C.data.T
+    aY = vY = dY = np.zeros((n, nc))
+    out = []
+    for j in range(1, eta + 1):
+        ra, rv, rd = apply_R(sub, aY, vY, dY)
+        aY, vY, dY = solver.solve_rows(ra + (j / eta) * Ct, rv, rd)
+        out.append((aY, vY, dY))
+    return out
+
+
+def reference_step(sys: CoupledSystem) -> ReferenceStep:
+    """One system step, sub-level by sub-level, through the Schur complement."""
+    lam_n = sys.lambda_current
+    n_c = sys.n_constraints
+    base = []
+    gap = np.zeros(n_c)
+    for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
+        solver = sub.solver()
+        Ct_lam = sub.C.data.T @ lam_n
+        a, v, d = st.a, st.v, st.d
+        hist = []
+        for j in range(1, eta + 1):
+            f = np.asarray(sub.force(sys.t_current + j * sub.dt_sub), dtype=float)
+            ra, rv, rd = apply_R(sub, a, v, d)
+            a, v, d = solver.solve_rows(ra + f + Ct_lam, rv, rd)
+            hist.append((a, v, d))
+        base.append(hist)
+        gap += sub.C.data @ hist[-1][1]
+
+    schur = np.zeros((n_c, n_c))
+    Ys = [propagators(sub, eta) for sub, eta in zip(sys.subdomains, sys.eta)]
+    for sub, Y in zip(sys.subdomains, Ys):
+        schur += sub.C.data @ Y[-1][1]
+    dlam = np.linalg.solve(schur, -gap) if n_c else np.zeros(0)
+
+    new_states = tuple(
+        tuple(
+            KinematicState(d=d + dY @ dlam, v=v + vY @ dlam, a=a + aY @ dlam)
+            for (a, v, d), (aY, vY, dY) in zip(hist, Y)
+        )
+        for hist, Y in zip(base, Ys)
+    )
+    return ReferenceStep(new_states=new_states, lambda_next=lam_n + dlam)
+
+
+def _quad(A, x: np.ndarray) -> float:
+    return 0.5 * float(x @ (A @ x))
+
+
+def energy_algorithm(step: ReferenceStep, sys: CoupledSystem) -> float:
+    """Scheme-induced energy change, summed sub-level by sub-level."""
+    out = 0.0
+    for sub, st_n, hist in zip(sys.subdomains, sys.states, step.new_states):
+        beta, gamma = sub.params.beta, sub.params.gamma
+        chain = [st_n, *hist]
+        pairs = list(zip(chain, chain[1:]))
+        jump_V = sum(_quad(sub.K, nxt.d - cur.d) for cur, nxt in pairs)
+        jump_T = sum(_quad(sub.M, nxt.a - cur.a) for cur, nxt in pairs)
+        system_jump_T = _quad(sub.M, chain[-1].a) - _quad(sub.M, chain[0].a)
+        coeff = sub.dt_sub * sub.dt_sub * (beta - 0.5 * gamma)
+        out -= 2.0 * (gamma - 0.5) * jump_V
+        out -= coeff * system_jump_T
+        out -= coeff * (2.0 * gamma - 1.0) * jump_T
+    return out
+
+
+def energy_interface(step: ReferenceStep, sys: CoupledSystem) -> float:
+    """Interface work, with the multiplier interpolated at each sub-level."""
+    lam_n, lam_np1 = sys.lambda_current, step.lambda_next
+    out = 0.0
+    for sub, eta, st_n, hist in zip(
+        sys.subdomains, sys.eta, sys.states, step.new_states
+    ):
+        gamma = sub.params.gamma
+        chain = [st_n, *hist]
+        for j in range(eta):
+            lam_w = (1.0 - gamma) * interpolate_lambda(
+                lam_n, lam_np1, j, eta
+            ) + gamma * interpolate_lambda(lam_n, lam_np1, j + 1, eta)
+            out += float(lam_w @ (sub.C.data @ (chain[j + 1].d - chain[j].d)))
+    return out
+
+
+def external_work(step: ReferenceStep, sys: CoupledSystem) -> float:
+    """gamma-weighted load work, calling each load function at each sub-level."""
+    out = 0.0
+    for sub, eta, st_n, hist in zip(
+        sys.subdomains, sys.eta, sys.states, step.new_states
+    ):
+        gamma = sub.params.gamma
+        chain = [st_n, *hist]
+        for j in range(eta):
+            f_lo = np.asarray(sub.force(sys.t_current + j * sub.dt_sub), dtype=float)
+            f_hi = np.asarray(sub.force(sys.t_current + (j + 1) * sub.dt_sub), dtype=float)
+            f_w = (1.0 - gamma) * f_lo + gamma * f_hi
+            out += float(f_w @ (chain[j + 1].d - chain[j].d))
+    return out

@@ -1,4 +1,6 @@
 import functools
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +206,37 @@ def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["run", str(cfg_path)]) == cli.EXIT_SOLVER
     assert "step 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["coupled", "backward_euler"])
+def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys, method):
+    # The middle subdomain's load turns NaN during the third system step
+    # (index 2): the run stops with a solver failure naming that step and
+    # writes no CSV.
+    builder = problems.SCENARIOS["sdof3"]
+
+    @functools.wraps(builder)
+    def nan_from_third_step(*args, **kwargs):
+        sc = builder(*args, **kwargs)
+        sys0 = sc.system
+        t_nan = 2.25 * sys0.dt_system
+
+        def force(t, base=sys0.subdomains[1].force):
+            return base(t) * (math.nan if t > t_nan else 1.0)
+
+        subs = list(sys0.subdomains)
+        subs[1] = replace(subs[1], force=force)
+        return replace(sc, system=replace(sys0, subdomains=tuple(subs), plan=None))
+
+    monkeypatch.setitem(problems.SCENARIOS, "sdof3", nan_from_third_step)
+    cfg_path = write_config(
+        tmp_path, f"scenario=sdof3\nmethod={method}\nduration=0.1\noutput=x.csv\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "step 2" in err and "non-finite" in err
     assert not (tmp_path / "x.csv").exists()
 
 

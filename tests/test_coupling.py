@@ -13,7 +13,6 @@ from mtstep.coupling import (
     Subdomain,
     advance_system_step,
     initialize_coupled_system,
-    interpolate_lambda,
 )
 from mtstep.diagnostics import step_energy_report
 from mtstep.errors import DimensionMismatch, SingularSaddleSystem
@@ -24,7 +23,13 @@ from mtstep.newmark import (
     NewmarkParams,
 )
 from mtstep.problems import build_plate_2d, build_sdof2, build_sdof3, build_wave_2d
-from saddle_oracle import advance_monolithic, assemble_L_R, subdomain_substep
+from saddle_oracle import (
+    advance_monolithic,
+    assemble_L_R,
+    interpolate_lambda,
+    subdomain_substep,
+)
+from step_reference import sublevel_states
 
 
 def zero_force(n):
@@ -200,7 +205,7 @@ def test_step_histories_satisfy_substep_equations():
     for _ in range(3):
         result = advance_system_step(sys)
         for sub, eta, st, hist in zip(
-            sys.subdomains, sys.eta, sys.states, result.new_states
+            sys.subdomains, sys.eta, sys.states, sublevel_states(result)
         ):
             prev = st
             for j in range(1, eta + 1):
@@ -219,7 +224,7 @@ def test_sublevel_states_obey_equations_of_motion():
     sc = build_sdof3(etas=(2, 1, 4))
     sys = sc.system
     result = advance_system_step(sys)
-    for sub, eta, hist in zip(sys.subdomains, sys.eta, result.new_states):
+    for sub, eta, hist in zip(sys.subdomains, sys.eta, sublevel_states(result)):
         assert len(hist) == eta
         for j, st in enumerate(hist, start=1):
             lam_j = interpolate_lambda(
@@ -263,7 +268,7 @@ def test_schur_and_monolithic_paths_agree():
         res_s = advance_system_step(sys_s)
         res_m = advance_monolithic(sys_m)
         np.testing.assert_allclose(res_s.lambda_next, res_m.lambda_next, atol=1e-9)
-        for hist_s, hist_m in zip(res_s.new_states, res_m.new_states):
+        for hist_s, hist_m in zip(sublevel_states(res_s), sublevel_states(res_m)):
             for a, b in zip(hist_s, hist_m):
                 np.testing.assert_allclose(a.d, b.d, atol=1e-9)
                 np.testing.assert_allclose(a.v, b.v, atol=1e-9)
@@ -298,12 +303,11 @@ def test_subcycled_sublevels_interpolate_between_levels():
     sc = build_sdof2(etas=(1, 4))
     sys = sc.system
     result = advance_system_step(sys)
-    assert len(result.new_states[0]) == 1
-    assert len(result.new_states[1]) == 4
+    hist = sublevel_states(result)
+    assert len(hist[0]) == 1
+    assert len(hist[1]) == 4
     final = sys.apply(result)
-    np.testing.assert_allclose(
-        result.new_states[1][-1].d, final.states[1].d
-    )
+    np.testing.assert_allclose(hist[1][-1].d, final.states[1].d)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +393,7 @@ def test_sparse_operators_match_dense_operators():
     for _ in range(60):
         res_d = advance_system_step(dense_sys)
         res_s = advance_system_step(sparse_sys)
-        for hist_d, hist_s in zip(res_d.new_states, res_s.new_states):
+        for hist_d, hist_s in zip(sublevel_states(res_d), sublevel_states(res_s)):
             for a, b in zip(hist_d, hist_s):
                 for x, y in ((a.d, b.d), (a.v, b.v), (a.a, b.a)):
                     np.testing.assert_allclose(y, x, rtol=0, atol=1e-10 * max(np.abs(x).max(), 1e-30))

@@ -1,0 +1,147 @@
+"""The stacked system step against the per-sub-level reference.
+
+``advance_system_step`` keeps every subdomain's sub-levels as stacked
+(eta, n) arrays and the diagnostics work on whole histories at once.
+These tests hold both to the straightforward per-sub-level form kept in
+``tests/step_reference.py``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mtstep import diagnostics, problems
+from mtstep.coupling import advance_system_step
+from saddle_oracle import apply_R
+import step_reference
+
+
+def _bar():
+    return problems.build_bar_1d(etas=(1, 1000, 1)).system
+
+
+def _plate():
+    return problems.build_plate_2d().system
+
+
+def _sdof3():
+    return problems.build_sdof3().system
+
+
+def _close(x, ref, rtol):
+    """|x - ref| <= rtol times the largest magnitude of ref."""
+    scale = max(np.abs(ref).max(initial=0.0), np.finfo(float).tiny)
+    assert np.abs(np.asarray(x) - ref).max(initial=0.0) <= rtol * scale
+
+
+@pytest.mark.parametrize(
+    "build, n_steps",
+    [(_bar, 5), (_plate, 5), (_sdof3, 20)],
+    ids=["bar_eta1000", "plate", "forced_sdof3"],
+)
+def test_stacked_step_matches_per_level_reference(build, n_steps):
+    # From the same system value each step: sub-level states and dlam to
+    # 1e-13 of their scale, and the energy split to 1e-12 of the energy.
+    sys = build()
+    for _ in range(n_steps):
+        result = advance_system_step(sys)
+        ref = step_reference.reference_step(sys)
+        for hist, ref_hist in zip(result.histories, ref.new_states):
+            assert hist.d.shape == (len(ref_hist), ref_hist[0].size)
+            for name in ("a", "v", "d"):
+                _close(
+                    getattr(hist, name),
+                    np.array([getattr(st, name) for st in ref_hist]),
+                    1e-13,
+                )
+        lam_n = sys.lambda_current
+        _close(result.lambda_next - lam_n, ref.lambda_next - lam_n, 1e-13)
+
+        e_before = diagnostics.total_energy(sys).total
+        sys_next = sys.apply(result)
+        scale = max(e_before, diagnostics.total_energy(sys_next).total)
+        assert scale > 0.0
+        for stacked, reference in (
+            (diagnostics.energy_algorithm, step_reference.energy_algorithm),
+            (diagnostics.energy_interface, step_reference.energy_interface),
+            (diagnostics.external_work, step_reference.external_work),
+        ):
+            assert abs(stacked(result, sys) - reference(ref, sys)) <= 1e-12 * scale
+        sys = sys_next
+
+
+def test_forced_energy_balance_bar_eta1000():
+    # dE = e_algorithm + e_interface + W_ext over 20 steps of the loaded
+    # bar with its explicit subdomain sub-stepped 1000 times.
+    sys = _bar()
+    energy = diagnostics.total_energy(sys).total
+    max_energy, worst = energy, 0.0
+    for _ in range(20):
+        result = advance_system_step(sys)
+        report = diagnostics.step_energy_report(result, sys)
+        work = diagnostics.external_work(result, sys)
+        worst = max(
+            worst,
+            abs(report.total - energy - report.e_algorithm - report.e_interface - work),
+        )
+        sys = sys.apply(result)
+        energy = report.total
+        max_energy = max(max_energy, energy)
+    assert work != 0.0 and max_energy > 0.0
+    assert worst <= 1e-9 * max_energy
+
+
+def test_sweep_reproduces_substeps_exactly():
+    # One sweep over stacked arrays gives the bits of apply-R-then-solve
+    # taken one sub-step at a time, for vector and stacked-column states.
+    sys = problems.build_plate_2d().system
+    sub, st = sys.subdomains[0], sys.states[0]
+    solver = sub.solver()
+    rng = np.random.default_rng(7)
+    for shape in ((sub.n_dofs,), (sub.n_dofs, 3)):
+        loads = rng.standard_normal((6, *shape))
+        a0, v0, d0 = (rng.standard_normal(shape) for _ in range(3))
+        A, V, D = loads.copy(), np.empty_like(loads), np.empty_like(loads)
+        solver.sweep(a0, v0, d0, A, V, D)
+        a, v, d = a0, v0, d0
+        for j in range(len(loads)):
+            ra, rv, rd = apply_R(sub, a, v, d)
+            a, v, d = solver.solve_rows(ra + loads[j], rv, rd)
+            np.testing.assert_array_equal(A[j], a)
+            np.testing.assert_array_equal(V[j], v)
+            np.testing.assert_array_equal(D[j], d)
+
+
+def test_propagators_stored_once_as_stacked_arrays():
+    sys = _plate()
+    for sub, eta in zip(sys.subdomains, sys.eta):
+        stacked = sub.multiplier_propagators(eta)
+        assert stacked.shape == (3, eta, sub.n_dofs, sub.n_constraints)
+        assert sub.multiplier_propagators(eta) is stacked
+        reference = step_reference.propagators(sub, eta)
+        for k, Y in enumerate(stacked):
+            np.testing.assert_array_equal(Y, np.array([level[k] for level in reference]))
+
+
+def test_step_carries_its_loads():
+    # The loads at sub-levels 0..eta are evaluated by the step, and
+    # external_work reads them instead of calling the load functions.
+    calls = []
+
+    def counting(force):
+        def wrapped(t):
+            calls.append(t)
+            return force(t)
+        return wrapped
+
+    sys = _sdof3()
+    subs = tuple(replace(sub, force=counting(sub.force)) for sub in sys.subdomains)
+    sys = replace(sys, subdomains=subs, plan=None)
+    result = advance_system_step(sys)
+    assert len(calls) == sum(eta + 1 for eta in sys.eta)
+    for sub, eta, hist in zip(sys.subdomains, sys.eta, result.histories):
+        assert hist.f.shape == (eta + 1, sub.n_dofs)
+    calls.clear()
+    diagnostics.external_work(result, sys)
+    assert calls == []
