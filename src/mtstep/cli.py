@@ -305,17 +305,18 @@ def execute(config: RunConfig) -> RunResult:
             result = step_fn(sys_state)
         except (SingularSaddleSystem, SingularMatrix, NonFiniteState) as exc:
             raise SolverFailure(step_index, exc) from exc
-        report = diagnostics.step_energy_report(result, sys_state)
+        sys_next = sys_state.apply(result)
         if config.method == "backward_euler":
             # Interface forces do no net work under this baseline (the
             # gamma-weighted split does not apply); report the decay
-            # identity instead.
+            # identity with the new level's energies instead.
             report = replace(
-                report,
+                diagnostics.total_energy(sys_next),
                 e_algorithm=backward_euler_decay(result, sys_state),
-                e_interface=0.0,
             )
-        sys_state = sys_state.apply(result)
+        else:
+            report = diagnostics.step_energy_report(result, sys_state)
+        sys_state = sys_next
         rows.append(row(sys_state, report))
     return _run_result(scenario, _header(sys_state.n_constraints, probes), rows)
 

@@ -541,7 +541,15 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
 
     if n_c:
         for sub, eta, (H, _) in zip(sys.subdomains, sys.eta, levels):
-            H += sub.multiplier_propagators(eta) @ dlam
+            Y = sub.multiplier_propagators(eta)
+            if sub.n_dofs > 1:
+                # One (3 eta n, N_C) matrix-vector product in place of
+                # the 3 eta small ones a stacked matmul makes.
+                H += (Y.reshape(-1, n_c) @ dlam).reshape(H.shape)
+            else:
+                # numpy takes each one-row product as a dot product,
+                # which a matrix-vector kernel would round differently.
+                H += Y @ dlam
 
     result = SystemStepResult(
         histories=tuple(SubstepHistory(*H, f=f) for H, f in levels),

@@ -6,20 +6,21 @@ storages support ``@``, ``+``, scaling, ``abs`` and ``.T``, so the solver
 modules read them the same way.  Which storage a matrix gets is decided
 in one place, :func:`operator`, from its DOF count alone: below
 ``SPARSE_MIN_DOFS`` dense LAPACK kernels beat a sparse solve, above it
-the FEM operators (a handful of non-zeros per row) are stored as CSR and
-factored by SuperLU.
+the FEM operators (a handful of non-zeros per row) are stored as CSR.
 
 Factors hide the storage from their callers.  Each picks its backend
 once, when it is built, and exposes that backend's own ``solve``:
 
 * :func:`cholesky_factor` for symmetric positive definite blocks (mass
-  and effective Newmark matrices): dense Cholesky, or a SuperLU factor
-  with symmetric ordering and diagonal pivots that is accepted only when
-  every pivot is positive;
+  and effective Newmark matrices): dense Cholesky, or for CSR a LAPACK
+  band Cholesky in reverse Cuthill-McKee order
+  (:func:`reverse_cuthill_mckee`), computed here with array operations;
 * :func:`lu_factor` for general square systems: pivoted LU, dense or
   SuperLU.  The backward-Euler baseline solves an indefinite
   saddle-point system with it, and the interface Schur complement is
-  solved with it without assuming symmetry.
+  solved with it without assuming symmetry.  It is the only user of
+  SuperLU, so runs that make no sparse LU never import
+  ``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ SINGULARITY_RTOL = 1e-14
 #: Matrices with at least this many rows are stored as CSR and factored
 #: sparse.  Measured on scalar-wave and plane-strain FEM matrices (2 vCPUs,
 #: two BLAS threads), one solve plus two products costs the same in both
-#: storages between 160 and 200 DOFs; dense is 1.3-1.6x cheaper at 120-130
-#: DOFs, sparse 2x cheaper at 290 and 6.5x at 840.
+#: storages between 90 and 110 DOFs with the band Cholesky; dense is
+#: 1.3-2x cheaper at 36-72 DOFs, sparse 1.2-1.6x cheaper at 110-180, 2-3x
+#: at 195-265, 5-8x at 310-390 and 15x at 840.  (Against SuperLU the tie
+#: was at 160-200 DOFs.)
 SPARSE_MIN_DOFS = 200
 
 
@@ -74,12 +77,12 @@ class Factor:
         self.solve = solve
 
 
-def _splu(A, **options):
-    # Imported on first use: runs whose matrices are all small never load it.
+def _splu(A):
+    # Imported on first use: runs that make no sparse LU never load it.
     from scipy.sparse.linalg import splu
 
     try:
-        return splu(scipy.sparse.csc_array(A), **options)
+        return splu(scipy.sparse.csc_array(A))
     except RuntimeError as exc:  # SuperLU reports an exactly zero pivot
         raise SingularMatrix(str(exc)) from exc
 
@@ -127,14 +130,100 @@ def solve_general(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lu_factor(A).solve(b)
 
 
+def reverse_cuthill_mckee(A) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the sparsity pattern of ``A``.
+
+    The pattern must be symmetric, as that of an SPD matrix is.
+
+    Returns ``perm`` with ``perm[k]`` the original index of the row that
+    goes to position k; ``A[perm][:, perm]`` then has a narrow band.  Each
+    connected component is numbered breadth-first from an unnumbered node
+    of least degree, and the nodes of the next level in the order of
+    their first numbered neighbour, ties by degree (Cuthill & McKee, ACM
+    1969).  The order is built one level at a time with array operations,
+    and the whole numbering is reversed at the end (George & Liu, 1981).
+    """
+    A = scipy.sparse.csr_array(A)
+    n = A.shape[0]
+    indptr, indices = A.indptr, A.indices
+    degree = np.diff(indptr)
+    rows = np.repeat(np.arange(n), degree)
+    # Each row's neighbours sorted by degree, then by index.
+    neighbours = indices[np.lexsort((indices, degree[indices], rows))]
+    by_degree = np.argsort(degree, kind="stable")
+    numbered = np.zeros(n, dtype=bool)
+    order = np.empty(n, dtype=np.intp)
+    count = 0
+    while count < n:
+        start = by_degree[np.argmin(numbered[by_degree])]
+        level = np.array([start])
+        numbered[start] = True
+        while level.size:
+            order[count:count + level.size] = level
+            count += level.size
+            lo, hi = indptr[level], indptr[level + 1]
+            sizes = hi - lo
+            offsets = np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+            cand = neighbours[offsets + np.arange(offsets.size)]
+            cand = cand[~numbered[cand]]
+            _, first = np.unique(cand, return_index=True)
+            level = cand[np.sort(first)]
+            numbered[level] = True
+    return order[::-1].copy()
+
+
+def _band_factor(A) -> Factor:
+    """Banded Cholesky of a sparse SPD matrix; see :func:`cholesky_factor`."""
+    coo = scipy.sparse.coo_array(A, copy=True)
+    coo.sum_duplicates()
+    n = coo.shape[0]
+    perm = reverse_cuthill_mckee(coo)
+    new = np.empty(n, dtype=np.intp)
+    new[perm] = np.arange(n)
+    i, j = new[coo.row], new[coo.col]
+    if np.abs(coo.row - coo.col).max(initial=0) <= np.abs(i - j).max(initial=0):
+        perm, i, j = None, coo.row, coo.col
+    upper = i <= j
+    i, j, data = i[upper], j[upper], coo.data[upper]
+    kd = int((j - i).max(initial=0))
+    # LAPACK upper band storage: ab[kd + i - j, j] = A[i, j] for i <= j.
+    ab = np.zeros((kd + 1, n), order="F")
+    ab[kd + i - j, j] = data
+    c, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=True)
+    if info > 0:
+        raise SingularMatrix(
+            f"matrix is not positive definite: leading minor {info} is not positive"
+        )
+    if info < 0:
+        raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+    pbtrs = scipy.linalg.lapack.dpbtrs
+    if perm is None:
+        return Factor(lambda b: pbtrs(c, b)[0])
+
+    def solve(b):
+        # Gather into band order (Fortran layout for several columns),
+        # solve in place, scatter back.
+        x = b[perm] if b.ndim == 1 else b.T[:, perm].T
+        x = pbtrs(c, x, overwrite_b=True)[0]
+        out = np.empty_like(x)
+        out[perm] = x
+        return out
+
+    return Factor(solve)
+
+
 def cholesky_factor(A) -> Factor:
     """Factor of a symmetric positive definite matrix, dense or sparse.
 
-    Dense matrices get a Cholesky factor.  Sparse ones get a SuperLU
-    factor in symmetric mode (minimum-degree ordering of A^T + A, diagonal
-    pivots), which is an LDL^T factor up to scaling; it is accepted only
-    if the row and column orders agree and every pivot is positive, the
-    conditions under which a symmetric matrix is positive definite.
+    Dense matrices get a dense Cholesky factor.  Sparse ones get a LAPACK
+    band Cholesky factor (``dpbtrf``) in reverse Cuthill-McKee order
+    (:func:`reverse_cuthill_mckee`), which gives FEM matrices a narrow
+    band; a solve gathers the right-hand side into band order, calls
+    ``dpbtrs`` and scatters the result back.  When the given order has
+    a band at most as wide (a grid numbered row by row along its short
+    side often does), it is kept and a solve needs no gather.  Only the
+    upper band is stored, built from the matrix's entries without a
+    dense copy.
 
     Raises
     ------
@@ -142,15 +231,7 @@ def cholesky_factor(A) -> Factor:
         If the matrix is not numerically positive definite.
     """
     if scipy.sparse.issparse(A):
-        lu = _splu(
-            A,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all()):
-            raise SingularMatrix("matrix is not positive definite: a pivot is not positive")
-        return Factor(lu.solve)
+        return _band_factor(A)
     try:
         c, lower = scipy.linalg.cho_factor(np.asarray(A, dtype=float), check_finite=False)
     except scipy.linalg.LinAlgError as exc:

@@ -1,9 +1,17 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee as csgraph_rcm
 
-from mtstep import fem, linalg
+import mtstep
+from mtstep import baselines, fem, linalg, problems
 from mtstep.errors import SingularMatrix
 
 
@@ -110,6 +118,87 @@ def test_sparse_cholesky_matches_dense_on_wave_block():
             got = linalg.cholesky_factor(A).solve(b)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@functools.cache
+def merged_wave():
+    """Merged mass and stiffness of the default wave2d model (3960 DOFs)."""
+    M, K, _, _ = baselines.merge_system_matrices(problems.build_wave_2d().system)
+    return M, K
+
+
+def merged_plate_stiffness():
+    return baselines.merge_system_matrices(problems.build_plate_2d().system)[1]
+
+
+def two_component_pattern():
+    # Two uncoupled grids (the second larger) on one diagonal, numbered
+    # at random.
+    blocks = [
+        scipy.sparse.csr_array(fem.assemble_scalar_wave(fem.quad_grid(n, n, 1.0, 1.0), 1.0)[1])
+        for n in (6, 9)
+    ]
+    A = scipy.sparse.block_diag(blocks, format="csr")
+    shuffle = np.random.default_rng(10).permutation(A.shape[0])
+    return A[shuffle][:, shuffle]
+
+
+def bandwidth(A, perm):
+    A = scipy.sparse.coo_array(A)
+    position = np.empty(A.shape[0], dtype=int)
+    position[perm] = np.arange(A.shape[0])
+    return int(np.abs(position[A.row] - position[A.col]).max())
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: merged_wave()[1], merged_plate_stiffness, two_component_pattern]
+)
+def test_reverse_cuthill_mckee_matches_csgraph_bandwidth(build):
+    A = scipy.sparse.csr_array(build())
+    perm = linalg.reverse_cuthill_mckee(A)
+    n = A.shape[0]
+    assert perm.shape == (n,)
+    np.testing.assert_array_equal(np.sort(perm), np.arange(n))  # a permutation
+    want = bandwidth(A, csgraph_rcm(A, symmetric_mode=True))
+    assert bandwidth(A, perm) == want < bandwidth(A, np.arange(n))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: merged_wave()[0] + 0.25e-8 * merged_wave()[1],  # average acceleration, dt = 1e-4
+        lambda: two_component_pattern() + scipy.sparse.eye_array(149),  # 49 + 100 DOFs
+    ],
+)
+def test_banded_cholesky_matches_dense(build):
+    A = scipy.sparse.csr_array(build())
+    factor = linalg.cholesky_factor(A)
+    dense_factor = scipy.linalg.cho_factor(A.toarray())
+    rng = np.random.default_rng(9)
+    for b in (rng.standard_normal(A.shape[0]), rng.standard_normal((A.shape[0], 44))):
+        want = scipy.linalg.cho_solve(dense_factor, b)
+        got = factor.solve(b)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_coupled_wave_run_loads_no_sparse_solver_modules():
+    script = (
+        "import sys\n"
+        "from mtstep import problems\n"
+        "from mtstep.coupling import advance_system_step\n"
+        "system = problems.build_wave_2d().system\n"
+        "for _ in range(2):\n"
+        "    system = system.apply(advance_system_step(system))\n"
+        "print(sorted({'scipy.sparse.linalg', 'scipy.sparse.csgraph'} & set(sys.modules)))\n"
+    )
+    src = str(Path(mtstep.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sparse_lu_matches_dense():
