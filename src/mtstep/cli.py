@@ -230,8 +230,8 @@ class RunResult:
 
 
 def _row(t, energy, drift, lams, probe_vals):
-    e_kin = sum(energy.kinetic)
-    e_pot = sum(energy.potential)
+    e_kin = diagnostics._add_in_order(energy.kinetic)
+    e_pot = diagnostics._add_in_order(energy.potential)
     return (
         t,
         energy.total,

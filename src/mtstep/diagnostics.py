@@ -80,7 +80,8 @@ def total_energy(sys: CoupledSystem) -> EnergyBreakdown:
     """Kinetic/potential split at the system's current level."""
     kin = tuple(_kinetic(sub, st.v) for sub, st in zip(sys.subdomains, sys.states))
     pot = tuple(_potential(sub, st.d) for sub, st in zip(sys.subdomains, sys.states))
-    return EnergyBreakdown(kinetic=kin, potential=pot, total=sum(kin) + sum(pot))
+    total = _add_in_order(kin) + _add_in_order(pot)
+    return EnergyBreakdown(kinetic=kin, potential=pot, total=total)
 
 
 def _jumps(x0: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -93,13 +94,15 @@ def _half_forms(A, X: np.ndarray) -> list[float]:
     return (0.5 * np.einsum("ij,ji->i", X, A @ X.T)).tolist()
 
 
-def _add_in_order(total: float, terms: np.ndarray) -> float:
+def _add_in_order(terms: Iterable[float], total: float = 0.0) -> float:
     """total + terms[0] + terms[1] + ..., one addition at a time.
 
     A vectorised sum groups the terms differently, which moves the last
-    digits of a split term.
+    digits of a split term.  The built-in ``sum`` is no substitute: from
+    Python 3.12 it compensates the rounding of float sums, so its result
+    would depend on the interpreter.
     """
-    for term in terms.tolist():
+    for term in terms:
         total += term
     return total
 
@@ -114,8 +117,8 @@ def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
     for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
         beta, gamma = sub.params.beta, sub.params.gamma
         dt_i = sub.dt_sub
-        jump_V = sum(_half_forms(sub.K, _jumps(st_n.d, hist.d)))
-        jump_T = sum(_half_forms(sub.M, _jumps(st_n.a, hist.a)))
+        jump_V = _add_in_order(_half_forms(sub.K, _jumps(st_n.d, hist.d)))
+        jump_T = _add_in_order(_half_forms(sub.M, _jumps(st_n.a, hist.a)))
         system_jump_T = _kinetic(sub, hist.a[-1]) - _kinetic(sub, st_n.a)
         coeff = dt_i * dt_i * (beta - 0.5 * gamma)
         out -= 2.0 * (gamma - 0.5) * jump_V
@@ -136,7 +139,7 @@ def energy_interface(step: SystemStepResult, sys: CoupledSystem) -> float:
         lam = np.multiply.outer(1.0 - w, lam_n) + np.multiply.outer(w, lam_np1)
         lam_w = (1.0 - gamma) * lam[:-1] + gamma * lam[1:]
         jumps = _jumps(st_n.d, hist.d) @ sub.C.data.T  # rows C_i [d_i]_j
-        out = _add_in_order(out, np.einsum("ij,ij->i", lam_w, jumps))
+        out = _add_in_order(np.einsum("ij,ij->i", lam_w, jumps).tolist(), out)
     return out
 
 
@@ -151,7 +154,8 @@ def external_work(step: SystemStepResult, sys: CoupledSystem) -> float:
     for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
         gamma = sub.params.gamma
         f_w = (1.0 - gamma) * hist.f[:-1] + gamma * hist.f[1:]
-        out = _add_in_order(out, np.einsum("ij,ij->i", f_w, _jumps(st_n.d, hist.d)))
+        f_work = np.einsum("ij,ij->i", f_w, _jumps(st_n.d, hist.d))
+        out = _add_in_order(f_work.tolist(), out)
     return out
 
 
@@ -170,7 +174,7 @@ def step_energy_report(
     return EnergyBreakdown(
         kinetic=kin,
         potential=pot,
-        total=sum(kin) + sum(pot),
+        total=_add_in_order(kin) + _add_in_order(pot),
         e_algorithm=energy_algorithm(step, sys_before),
         e_interface=energy_interface(step, sys_before),
     )

@@ -149,20 +149,41 @@ class EffectiveSolver:
 
         and then does what :meth:`solve_rows` does, with the same
         arithmetic in the same order, so a swept history equals one built
-        step by step.
+        step by step, bit for bit.  The inputs ``a``, ``v``, ``d`` are
+        only read.
+
+        On a subdomain of a few DOFs, the fixed cost of each numpy call
+        outweighs its arithmetic, so the loop is written for few and cheap
+        calls without changing a single operand:
+
+        * for dense operators (the small blocks :func:`linalg.operator`
+          keeps dense) the five coefficients are arrays of the state's
+          shape, because an array-by-array product is cheaper than a
+          Python float times an array; sparse operators are large, where
+          full-length coefficient arrays cost more memory traffic than
+          they save, so they keep floats;
+        * ``K.dot`` is bound once, which skips the ``@`` operator
+          dispatch and calls the same kernel;
+        * the load row ``A[j]`` is reduced in place, and the new velocity
+          and displacement are added straight into ``V[j]`` and ``D[j]``
+          with ``out=``, so no temporary is copied into a row.
         """
         dt = self.dt
         beta, gamma = self.params.beta, self.params.gamma
         c_v, c_d = (1.0 - gamma) * dt, (0.5 - beta) * dt * dt
         c_a, c_g = beta * dt * dt, gamma * dt
-        K, solve = self.K, self._factor.solve
-        for j in range(len(A)):
+        c_t = dt
+        if isinstance(self.K, np.ndarray):
+            shape = np.shape(a)
+            c_v, c_d, c_t, c_a, c_g = (np.full(shape, c) for c in (c_v, c_d, c_t, c_a, c_g))
+        K_dot, solve, add = self.K.dot, self._factor.solve, np.add
+        for Aj, Vj, Dj in zip(A, V, D):
             rv = c_v * a + v
-            rd = c_d * a + dt * v + d
-            a = solve(A[j] - K @ rd)
-            d = rd + c_a * a
-            v = rv + c_g * a
-            A[j], V[j], D[j] = a, v, d
+            rd = c_d * a + c_t * v + d
+            Aj -= K_dot(rd)
+            Aj[...] = a = solve(Aj)
+            d = add(rd, c_a * a, out=Dj)
+            v = add(rv, c_g * a, out=Vj)
 
     def step(self, state: KinematicState, f_next: np.ndarray) -> KinematicState:
         """Advance one unconstrained step under end-of-step load ``f_next``."""

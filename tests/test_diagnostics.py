@@ -32,6 +32,14 @@ def test_total_energy_manual():
     assert e.total == pytest.approx(0.315)
 
 
+def test_add_in_order_does_not_compensate():
+    # One addition at a time from the left, as Python 3.11's sum() does;
+    # from 3.12 sum() compensates and gives 2.0 here.
+    terms = [0.1] * 10 + [1e16, 1.0, -1e16]
+    assert diagnostics._add_in_order(terms) == 0.0
+    assert diagnostics._add_in_order(terms[10:], 0.5) == 0.0
+
+
 def test_average_acceleration_no_subcycling_conserves():
     sc = build_sdof2(etas=(1, 1))
     sys = sc.system

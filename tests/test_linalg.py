@@ -224,13 +224,19 @@ def test_operator_storage_follows_dof_count():
 
 
 def test_max_generalized_eigenvalue_vs_eigh():
+    # Also: the inputs are left as they were, 1 x 1 and Fortran-order
+    # ones included, though the eigensolve overwrites its arrays.
     rng = np.random.default_rng(6)
-    for n in (2, 5, 12):
+    for n in (2, 5, 12, 1):
         M = random_spd(n, rng)
         K = random_spd(n, rng, shift=0.5)
         expected = scipy.linalg.eigh(K, M, eigvals_only=True)[-1]
-        got = linalg.max_generalized_eigenvalue(K, M)
-        assert got == pytest.approx(expected, rel=1e-6)
+        for order in ("C", "F"):
+            K_in, M_in = K.copy(order), M.copy(order)
+            got = linalg.max_generalized_eigenvalue(K_in, M_in)
+            assert got == pytest.approx(expected, rel=1e-6)
+            np.testing.assert_array_equal(K_in, K)
+            np.testing.assert_array_equal(M_in, M)
 
 
 def test_max_generalized_eigenvalue_identity_mass():

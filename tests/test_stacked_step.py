@@ -92,18 +92,31 @@ def test_forced_energy_balance_bar_eta1000():
     assert worst <= 1e-9 * max_energy
 
 
-def test_sweep_reproduces_substeps_exactly():
+@pytest.mark.parametrize(
+    "build, index",
+    [
+        (_plate, 0),
+        (_bar, 1),
+        (_sdof3, 0),
+        (lambda: problems.build_wave_2d(nx=30, ny=15).system, 1),
+    ],
+    ids=["plate", "bar_eta1000", "sdof3", "wave2d_sparse"],
+)
+def test_sweep_reproduces_substeps_exactly(build, index):
     # One sweep over stacked arrays gives the bits of apply-R-then-solve
-    # taken one sub-step at a time, for vector and stacked-column states.
-    sys = problems.build_plate_2d().system
-    sub, st = sys.subdomains[0], sys.states[0]
+    # taken one sub-step at a time, for vector and stacked-column states,
+    # and only reads its initial state.
+    sub = build().subdomains[index]
     solver = sub.solver()
     rng = np.random.default_rng(7)
     for shape in ((sub.n_dofs,), (sub.n_dofs, 3)):
         loads = rng.standard_normal((6, *shape))
         a0, v0, d0 = (rng.standard_normal(shape) for _ in range(3))
+        initial = (a0.copy(), v0.copy(), d0.copy())
         A, V, D = loads.copy(), np.empty_like(loads), np.empty_like(loads)
         solver.sweep(a0, v0, d0, A, V, D)
+        for x, x_copy in zip((a0, v0, d0), initial):
+            np.testing.assert_array_equal(x, x_copy)
         a, v, d = a0, v0, d0
         for j in range(len(loads)):
             ra, rv, rd = apply_R(sub, a, v, d)
