@@ -71,6 +71,21 @@ class SignedBooleanMatrix:
     Row r of C_i selects (with sign) the DOF of subdomain i taking part in
     interface constraint r; a zero row means the constraint does not touch
     this subdomain.
+
+    ``data`` is the dense read-only matrix.  Beside it the non-zero entries
+    are kept as ``(row, dof, sign)`` index arrays in row order, and the
+    products a system step makes are index operations on them, not
+    products against the mostly-zero dense rows:
+
+    * :meth:`product` is ``C x`` as a gather, ``out[rows] = signs x[dofs]``;
+    * :meth:`transpose_product` is ``C^T lam`` as a ``np.bincount``;
+    * :meth:`row_products` is ``X C^T`` as a column gather.
+
+    For finite operands they give the bits of the dense products, which
+    add nothing but exact zeros to the signed entries: ``C x`` and
+    ``X C^T`` always, as a row has one entry, and ``C^T lam`` whenever a
+    DOF sits in at most two rows, as in every chain glue, because a sum
+    of two terms does not depend on their order.
     """
 
     def __init__(self, data: np.ndarray):
@@ -82,7 +97,28 @@ class SignedBooleanMatrix:
         if data.size and (np.count_nonzero(data, axis=1) > 1).any():
             raise ValueError("each row may have at most one non-zero entry")
         self.data = data
-        self.data.setflags(write=False)
+        self.rows, self.dofs = np.nonzero(data)
+        self.signs = data[self.rows, self.dofs]
+        for part in (self.data, self.rows, self.dofs, self.signs):
+            part.setflags(write=False)
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """``C x`` for a vector, or a matrix of stacked columns, ``x``."""
+        out = np.zeros((self.n_constraints, *x.shape[1:]))
+        signs = self.signs.reshape(-1, *(1,) * (x.ndim - 1))
+        out[self.rows] = signs * x[self.dofs]
+        return out
+
+    def transpose_product(self, lam: np.ndarray) -> np.ndarray:
+        """``C^T lam`` for a multiplier vector ``lam``."""
+        out = np.bincount(self.dofs, self.signs * lam[self.rows], self.shape[1])
+        return out.astype(float, copy=False)  # int zeros when C has no entry
+
+    def row_products(self, X: np.ndarray) -> np.ndarray:
+        """``X C^T``: the row ``C x`` for every row ``x`` of ``X``."""
+        out = np.zeros((len(X), self.n_constraints))
+        out[:, self.rows] = self.signs * X[:, self.dofs]
+        return out
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -399,7 +435,7 @@ class CoupledSystem:
         """sum_i C_i v_i at the current system level."""
         out = np.zeros(self.n_constraints)
         for sub, st in zip(self.subdomains, self.states):
-            out += sub.C.data @ st.v
+            out += sub.C.product(st.v)
         return out
 
     def apply(self, result: SystemStepResult) -> "CoupledSystem":
@@ -532,10 +568,10 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
         f = np.array([sub.force(t_n + j * sub.dt_sub) for j in range(eta + 1)], dtype=float)
         H = np.empty((3, eta, sub.n_dofs))
         H[0] = 0.0 + f[1:]  # R_i's zero acceleration row plus the loads
-        H[0] += sub.C.data.T @ lam_n
+        H[0] += sub.C.transpose_product(lam_n)
         sub.solver().sweep(st.a, st.v, st.d, *H)
         levels.append((H, f))
-        gap += sub.C.data @ H[1, -1] if n_c else 0.0
+        gap += sub.C.product(H[1, -1])
 
     dlam = sys.plan.interface_factor().solve(-gap) if n_c else np.zeros(0)
 

@@ -138,7 +138,7 @@ def energy_interface(step: SystemStepResult, sys: CoupledSystem) -> float:
         w = np.arange(eta + 1) / eta  # lam^(n+j/eta) = (1 - w_j) lam^n + w_j lam^(n+1)
         lam = np.multiply.outer(1.0 - w, lam_n) + np.multiply.outer(w, lam_np1)
         lam_w = (1.0 - gamma) * lam[:-1] + gamma * lam[1:]
-        jumps = _jumps(st_n.d, hist.d) @ sub.C.data.T  # rows C_i [d_i]_j
+        jumps = sub.C.row_products(_jumps(st_n.d, hist.d))  # rows C_i [d_i]_j
         out = _add_in_order(np.einsum("ij,ij->i", lam_w, jumps).tolist(), out)
     return out
 
@@ -198,9 +198,9 @@ def drift_record(sys: CoupledSystem) -> DriftRecord:
     d_drift = np.zeros(n_c)
     v_res = np.zeros(n_c)
     for sub, st in zip(sys.subdomains, sys.states):
-        a_drift += sub.C.data @ st.a
-        d_drift += sub.C.data @ st.d
-        v_res += sub.C.data @ st.v
+        a_drift += sub.C.product(st.a)
+        d_drift += sub.C.product(st.d)
+        v_res += sub.C.product(st.v)
     return DriftRecord(a_drift=a_drift, d_drift=d_drift, v_residual=v_res)
 
 

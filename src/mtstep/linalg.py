@@ -9,7 +9,9 @@ in one place, :func:`operator`, from its DOF count alone: below
 the FEM operators (a handful of non-zeros per row) are stored as CSR.
 
 Factors hide the storage from their callers.  Each picks its backend
-once, when it is built, and exposes that backend's own ``solve``:
+once, when it is built, and exposes that backend's own ``solve`` (and,
+for the SPD factors, a ``solve_in_place`` that writes the solution into
+the right-hand side):
 
 * :func:`cholesky_factor` for symmetric positive definite blocks (mass
   and effective Newmark matrices): dense Cholesky, or for CSR a LAPACK
@@ -24,8 +26,6 @@ once, when it is built, and exposes that backend's own ``solve``:
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -73,14 +73,22 @@ class Factor:
     """A factorization kept for repeated solves.
 
     ``solve(b)`` takes a vector or a matrix of stacked right-hand-side
-    columns.  It is the chosen backend's own solve, bound when the factor
-    was built, so a solve makes no storage test.
+    columns and returns the solution in a new array; ``b`` is only read,
+    so it may be read-only or still in use.  ``solve_in_place(b)`` writes
+    the solution into ``b`` instead, with the same bits.  Both are the
+    chosen backend's own functions, bound when the factor was built, so a
+    solve makes no storage test.  A backend without an in-place solve
+    gets one that assigns ``solve(b)`` to ``b``.
     """
 
-    __slots__ = ("solve",)
+    __slots__ = ("solve", "solve_in_place")
 
-    def __init__(self, solve):
+    def __init__(self, solve, solve_in_place=None):
         self.solve = solve
+        if solve_in_place is None:
+            def solve_in_place(b):
+                b[...] = solve(b)
+        self.solve_in_place = solve_in_place
 
 
 def _splu(A):
@@ -116,7 +124,15 @@ def lu_factor(A) -> Factor:
         return Factor(lu.solve)
     lu, piv = scipy.linalg.lu_factor(np.asarray(A, dtype=float), check_finite=False)
     _check_pivots(np.diag(lu))
-    return Factor(partial(scipy.linalg.lu_solve, (lu, piv), check_finite=False))
+    getrs = scipy.linalg.lapack.dgetrs
+
+    def solve(b):
+        # The LAPACK routine ``scipy.linalg.lu_solve`` calls, without its
+        # argument checks, which cost several times the solve itself on
+        # a small system such as the interface complement.
+        return getrs(lu, piv, b)[0]
+
+    return Factor(solve)
 
 
 def solve_general(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,18 +220,30 @@ def _band_factor(A) -> Factor:
         raise ValueError(f"dpbtrf: illegal value in argument {-info}")
     pbtrs = scipy.linalg.lapack.dpbtrs
     if perm is None:
-        return Factor(lambda b: pbtrs(c, b)[0])
+        def solve_in_place(b):
+            x = pbtrs(c, b, overwrite_b=True)[0]
+            if x is not b:  # LAPACK worked in a copy (C-order columns)
+                b[...] = x
+
+        return Factor(lambda b: pbtrs(c, b)[0], solve_in_place)
+
+    def band_solve(b):
+        # The solution in band order: ``b`` is gathered into a private
+        # copy (Fortran layout for several columns) that ``dpbtrs``
+        # solves in place.
+        x = b[perm] if b.ndim == 1 else b.T[:, perm].T
+        return pbtrs(c, x, overwrite_b=True)[0]
 
     def solve(b):
-        # Gather into band order (Fortran layout for several columns),
-        # solve in place, scatter back.
-        x = b[perm] if b.ndim == 1 else b.T[:, perm].T
-        x = pbtrs(c, x, overwrite_b=True)[0]
+        x = band_solve(b)
         out = np.empty_like(x)
         out[perm] = x
         return out
 
-    return Factor(solve)
+    def solve_in_place(b):
+        b[perm] = band_solve(b)
+
+    return Factor(solve, solve_in_place)
 
 
 def cholesky_factor(A) -> Factor:
@@ -225,7 +253,8 @@ def cholesky_factor(A) -> Factor:
     band Cholesky factor (``dpbtrf``) in reverse Cuthill-McKee order
     (:func:`reverse_cuthill_mckee`), which gives FEM matrices a narrow
     band; a solve gathers the right-hand side into band order, calls
-    ``dpbtrs`` and scatters the result back.  When the given order has
+    ``dpbtrs`` in that copy and scatters the result back (into ``b``
+    itself for ``solve_in_place``).  When the given order has
     a band at most as wide (a grid numbered row by row along its short
     side often does), it is kept and a solve needs no gather.  Only the
     upper band is stored, built from the matrix's entries without a
@@ -244,12 +273,17 @@ def cholesky_factor(A) -> Factor:
         raise SingularMatrix(str(exc)) from exc
     potrs = scipy.linalg.lapack.dpotrs
 
+    # ``lower`` and ``overwrite_b`` are passed by position: an f2py keyword
+    # costs about a third of a microsecond, a quarter of a small solve.
     def solve(b):
-        # ``lower`` is passed by position: the f2py keyword costs about a
-        # third of a microsecond, a quarter of a small solve.
         return potrs(c, b, lower)[0]
 
-    return Factor(solve)
+    def solve_in_place(b):
+        x = potrs(c, b, lower, 1)[0]
+        if x is not b:  # LAPACK worked in a copy (C-order columns)
+            b[...] = x
+
+    return Factor(solve, solve_in_place)
 
 
 def max_generalized_eigenvalue(K, M) -> float:

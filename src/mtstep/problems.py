@@ -138,7 +138,7 @@ def build_sdof2(
         subs, dt_system, d0=[[d0], [d0]], v0=[[v0], [v0]], lambda_init=lambda_init
     )
 
-    omega = math.sqrt(sum(k) / sum(m))
+    omega = math.sqrt((k[0] + k[1]) / (m[0] + m[1]))
 
     def oracle(t: float) -> float:
         return d0 * math.cos(omega * t) + (v0 / omega) * math.sin(omega * t)
@@ -200,7 +200,11 @@ def build_sdof3(
         subs, dt_system, d0=[[d0]] * 3, v0=[[v0]] * 3, lambda_init=lambda_init
     )
 
-    m_tot, k_tot, f_tot = sum(m), sum(k), sum(f)
+    # Left to right: from Python 3.12 the built-in ``sum`` rounds float
+    # sums differently (5.11 against 5.109999999999999 here).
+    m_tot = m[0] + m[1] + m[2]
+    k_tot = k[0] + k[1] + k[2]
+    f_tot = f[0] + f[1] + f[2]
     omega = math.sqrt(k_tot / m_tot)
     d_static = f_tot / k_tot
 

@@ -74,6 +74,37 @@ def test_signed_boolean_is_read_only():
         C.data[0, 0] = -1.0
 
 
+def _bits(x):
+    """The raw bits of a float array, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def test_signed_boolean_products_match_dense_bitwise():
+    # Row 1 is a zero row and DOF 2 sits in rows 0 and 3.
+    C = SignedBooleanMatrix.from_entries(4, 5, [(0, 2, 1), (2, 0, -1), (3, 2, -1)])
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(5)
+    X = rng.standard_normal((5, 3))
+    lam = rng.standard_normal(4)
+    rows = rng.standard_normal((7, 5))
+    for got, want in (
+        (C.product(x), C.data @ x),
+        (C.product(X), C.data @ X),
+        (C.transpose_product(lam), C.data.T @ lam),
+        (C.row_products(rows), rows @ C.data.T),
+    ):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    Z = SignedBooleanMatrix.zeros(2, 3)
+    for got, want in (
+        (Z.product(x[:3]), np.zeros(2)),
+        (Z.transpose_product(lam[:2]), np.zeros(3)),
+        (Z.row_products(rows[:, :3]), np.zeros((7, 2))),
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 def test_signed_boolean_from_entries():
     C = SignedBooleanMatrix.from_entries(2, 3, [(0, 1, 1), (1, 2, -1)])
     np.testing.assert_array_equal(

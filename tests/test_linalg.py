@@ -82,6 +82,58 @@ def test_cholesky_matrix_rhs():
     np.testing.assert_allclose(A @ factor.solve(B), B, atol=1e-10)
 
 
+def tridiagonal(n):
+    return scipy.sparse.diags_array(
+        [-1.0, 2.5, -1.0], offsets=[-1, 0, 1], shape=(n, n), format="csr"
+    )
+
+
+def permuted_tridiagonal(n):
+    # A band of one in a scrambled order, so the band factor permutes.
+    p = np.random.default_rng(11).permutation(n)
+    return scipy.sparse.csr_array(tridiagonal(n)[p][:, p])
+
+
+@pytest.mark.parametrize(
+    "build, permuted",
+    [
+        (lambda: random_spd(6, np.random.default_rng(6)), False),
+        (lambda: tridiagonal(40), False),
+        (lambda: permuted_tridiagonal(40), True),
+    ],
+    ids=["dense", "band", "permuted_band"],
+)
+def test_solve_in_place_matches_solve(build, permuted):
+    A = build()
+    n = A.shape[0]
+    if scipy.sparse.issparse(A):
+        rcm = bandwidth(A, linalg.reverse_cuthill_mckee(A))
+        assert (rcm < bandwidth(A, np.arange(n))) == permuted
+    factor = linalg.cholesky_factor(A)
+    rng = np.random.default_rng(12)
+    # A vector, a row of a stacked history, and C-order columns (LAPACK
+    # solves those in a copy, which must come back into b).
+    for b in (rng.standard_normal(n), rng.standard_normal((3, n))[1], rng.standard_normal((n, 4))):
+        original = b.copy()
+        want = factor.solve(b)
+        np.testing.assert_array_equal(b, original)  # solve only reads b
+        factor.solve_in_place(b)
+        np.testing.assert_array_equal(b, want)
+        assert np.abs(A @ want - original).max() <= 1e-10 * np.abs(original).max()
+
+
+def test_lu_solve_is_lapack_getrs():
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((7, 7))
+    reference = scipy.linalg.lu_factor(A)
+    factor = linalg.lu_factor(A)
+    for b in (rng.standard_normal(7), rng.standard_normal((7, 3))):
+        want = scipy.linalg.lu_solve(reference, b)
+        np.testing.assert_array_equal(factor.solve(b), want)
+        factor.solve_in_place(b)
+        np.testing.assert_array_equal(b, want)
+
+
 def wave_block():
     """Mass and stiffness of wave2d's explicit subdomain (836 DOFs), as CSR."""
     grid = fem.quad_grid(18, 45, 0.4, 1.0)

@@ -99,13 +99,21 @@ def test_forced_energy_balance_bar_eta1000():
         (_bar, 1),
         (_sdof3, 0),
         (lambda: problems.build_wave_2d(nx=30, ny=15).system, 1),
+        (lambda: problems.build_wave_2d().system, 0),
+        (_plate, 3),
     ],
-    ids=["plate", "bar_eta1000", "sdof3", "wave2d_sparse"],
+    ids=[
+        "plate", "bar_eta1000", "sdof3", "wave2d_sparse",
+        "wave2d_explicit_sparse", "plate_implicit",
+    ],
 )
 def test_sweep_reproduces_substeps_exactly(build, index):
     # One sweep over stacked arrays gives the bits of apply-R-then-solve
     # taken one sub-step at a time, for vector and stacked-column states,
-    # and only reads its initial state.
+    # and only reads its initial state.  The cases cover explicit
+    # (beta = 0) and implicit blocks, each dense and CSR: plate and bar
+    # explicit dense, wave2d_explicit_sparse (836 DOFs) explicit CSR,
+    # sdof3 and plate_implicit implicit dense, wave2d_sparse implicit CSR.
     sub = build().subdomains[index]
     solver = sub.solver()
     rng = np.random.default_rng(7)
