@@ -23,7 +23,6 @@ from .diagnostics import (
     energy_interface,
     energy_norm,
     step_energy_report,
-    subcycling_indicator,
     total_energy,
 )
 from .errors import (
@@ -39,7 +38,6 @@ from .newmark import (
     KinematicState,
     NewmarkParams,
     critical_time_step,
-    newmark_predict,
 )
 from .problems import SCENARIOS, Scenario
 
@@ -71,8 +69,6 @@ __all__ = [
     "energy_interface",
     "energy_norm",
     "initialize_coupled_system",
-    "newmark_predict",
     "step_energy_report",
-    "subcycling_indicator",
     "total_energy",
 ]

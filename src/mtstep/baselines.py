@@ -72,7 +72,7 @@ def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
     """
     dt = sys.dt_system
     t_n = sys.t_current
-    factor = sys.plan.cached("backward_euler", lambda: _backward_euler_factor(sys))
+    factor = sys.plan.memo("backward_euler", lambda: _backward_euler_factor(sys))
     loads = [
         np.array([sub.force(t_n), sub.force(t_n + dt)], dtype=float)
         for sub in sys.subdomains

@@ -160,6 +160,16 @@ def _read_only(A):
     return A
 
 
+class _Memo(dict):
+    """Derived objects that never go stale, each built on first use."""
+
+    def __call__(self, key, build):
+        """``build()``, computed on the first call with ``key`` only."""
+        if key not in self:
+            self[key] = build()
+        return self[key]
+
+
 @dataclass(frozen=True)
 class Subdomain:
     """One physics partition: matrices, scheme, local step, load, glue rows.
@@ -168,8 +178,8 @@ class Subdomain:
     dense arrays or sparse matrices (stored as CSR); either way the
     subdomain keeps a read-only copy, so with the frozen fields nothing a
     factor or propagator is derived from can change.  The private
-    ``_cache`` therefore memoizes those derived objects for the life of
-    the subdomain without ever going stale.
+    ``_memo`` therefore keeps those derived objects for the life of the
+    subdomain without their ever going stale.
     """
 
     M: np.ndarray
@@ -178,7 +188,7 @@ class Subdomain:
     dt_sub: float
     force: Callable[[float], np.ndarray]
     C: SignedBooleanMatrix
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "M", _read_only(self.M))
@@ -212,19 +222,14 @@ class Subdomain:
 
     # -- cached derived objects ------------------------------------------
 
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
     def solver(self) -> EffectiveSolver:
         """Cached factorization of M + beta dt_sub^2 K."""
-        return self._cached(
+        return self._memo(
             "solver", lambda: EffectiveSolver(self.M, self.K, self.params, self.dt_sub)
         )
 
     def critical_dt(self) -> float:
-        return self._cached(
+        return self._memo(
             "critical_dt", lambda: critical_time_step(self.M, self.K, self.params)
         )
 
@@ -238,7 +243,7 @@ class Subdomain:
         Depends only on (M, K, params, dt_sub, C, eta), so it is computed
         once and reused for every system step.
         """
-        return self._cached(("propagators", eta), lambda: self._propagators(eta))
+        return self._memo(("propagators", eta), lambda: self._propagators(eta))
 
     def _propagators(self, eta: int):
         n, nc = self.n_dofs, self.n_constraints
@@ -264,7 +269,7 @@ class CouplingPlan:
     with Y_i^v the end-of-step velocity response of subdomain i to a unit
     dlam (:meth:`Subdomain.multiplier_propagators`).  S depends on
     nothing that changes from step to step, so one pivoted LU serves the
-    whole run.  :meth:`cached` keeps other run-constant objects, such as
+    whole run.  :attr:`memo` keeps other run-constant objects, such as
     the backward-Euler system matrix.  :meth:`CoupledSystem.apply` hands
     the same plan to every later level.
     """
@@ -303,7 +308,7 @@ class CouplingPlan:
                     f"subdomain {k}: dt_sub = {sub.dt_sub:g} exceeds the "
                     f"critical time-step {crit:g}"
                 )
-        self._cache: dict = {}
+        self.memo = _Memo()
 
     def describes(self, subdomains: tuple[Subdomain, ...], dt_system: float) -> bool:
         """Whether this plan was built for exactly these subdomains and step."""
@@ -312,12 +317,6 @@ class CouplingPlan:
             and len(subdomains) == len(self.subdomains)
             and all(a is b for a, b in zip(subdomains, self.subdomains))
         )
-
-    def cached(self, key, build):
-        """``build()``, computed on the first call with ``key`` only."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
 
     def interface_factor(self) -> linalg.Factor:
         """Pivoted LU of the interface Schur complement.
@@ -328,7 +327,7 @@ class CouplingPlan:
             If the complement is singular — typically redundant
             constraint rows.
         """
-        return self.cached("interface", self._factor_interface)
+        return self.memo("interface", self._factor_interface)
 
     def _factor_interface(self) -> linalg.Factor:
         n_c = self.n_constraints

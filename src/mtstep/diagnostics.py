@@ -217,30 +217,3 @@ def energy_norm(sys: CoupledSystem) -> float:
         A = sub.M + dt_i * dt_i * (sub.params.beta - 0.5 * sub.params.gamma) * sub.K
         out += float(st.a @ (A @ st.a)) + float(st.v @ (sub.K @ st.v))
     return out
-
-
-@dataclass(frozen=True)
-class SubcyclingIndicator:
-    """Summary of interface-work magnitudes over a run."""
-
-    max_abs: float
-    cumulative_abs: float
-
-
-def subcycling_indicator(e_interface_history: Iterable[float]) -> SubcyclingIndicator:
-    """Max and cumulative |e_interface| over a run.
-
-    Cheap on-the-fly measure of the size of the interface work, i.e. the
-    energy error of the coupling.  It is zero (to round-off) when no
-    subdomain sub-steps and every scheme is average acceleration, and it
-    shrinks as dt_system is refined at a fixed eta-set.  At a fixed
-    dt_system it is not ordered in eta: the sub-stepped solutions
-    converge as eta grows, so the interface work levels off.
-    """
-    max_abs = 0.0
-    total = 0.0
-    for value in e_interface_history:
-        mag = abs(float(value))
-        max_abs = max(max_abs, mag)
-        total += mag
-    return SubcyclingIndicator(max_abs=max_abs, cumulative_abs=total)

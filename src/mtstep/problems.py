@@ -1,9 +1,10 @@
-"""The four benchmark systems and their analytic oracles.
+"""The five benchmark systems and their analytic oracles.
 
-Each builder returns a :class:`Scenario`: a ready-to-run
-:class:`~mtstep.coupling.CoupledSystem` plus a duration, default probe
-DOFs (the quantities worth plotting) and, where available, a closed-form
-oracle for the probed displacement.
+Each builder describes its subdomains as ``(M, K, load, locations)``
+parts and hands them to one glue helper, ``_glue``, which returns a
+:class:`Scenario`: a ready-to-run :class:`~mtstep.coupling.CoupledSystem`
+plus a duration, default probe DOFs (the quantities worth plotting) and,
+where available, a closed-form oracle for the probed displacement.
 
 Benchmarks
 ----------
@@ -57,48 +58,76 @@ class Scenario:
             raise ValueError("duration must be positive and finite")
 
 
-def _constant_force(vec: np.ndarray) -> Callable[[float], np.ndarray]:
-    vec = np.asarray(vec, dtype=float)
+def _as_force(load: np.ndarray | Callable) -> Callable[[float], np.ndarray]:
+    """``load`` itself if it is a function of time, else a constant load."""
+    if callable(load):
+        return load
+    vec = np.asarray(load, dtype=float)
     return lambda t: vec
 
 
-def _zero_force(n: int) -> Callable[[float], np.ndarray]:
-    zero = np.zeros(n)
-    return lambda t: zero
-
-
-def _chain_constraints(
-    location_maps: Sequence[dict], n_dofs: Sequence[int]
-) -> list[SignedBooleanMatrix]:
+def _chain_constraints(locations: Sequence[np.ndarray]) -> list[SignedBooleanMatrix]:
     """Glue coincident DOFs across subdomains with chained +1/-1 rows.
 
-    ``location_maps[i]`` maps a hashable location key (shared across
-    subdomains for physically coincident DOFs) to the local DOF index in
-    subdomain i.  Each group of k >= 2 coincident DOFs contributes k - 1
-    constraint rows chaining consecutive copies, which avoids the rank
-    deficiency a full pairwise gluing would cause at cross points.
+    ``locations[i]`` has one row per DOF of subdomain i; DOFs whose rows
+    agree to 12 decimals coincide physically.  Each group of k >= 2
+    coincident DOFs contributes k - 1 constraint rows chaining
+    consecutive copies, which avoids the rank deficiency a full pairwise
+    gluing would cause at cross points.  Rows are ordered by location,
+    and within a group the copies by subdomain, then DOF.
     """
-    groups: dict = {}
-    for i, mapping in enumerate(location_maps):
-        for key, dof in mapping.items():
-            groups.setdefault(key, []).append((i, dof))
-
-    rows = []  # list of [(subdomain, dof, sign), ...]
-    for key in sorted(groups):
-        members = groups[key]
-        for (i_a, dof_a), (i_b, dof_b) in zip(members, members[1:]):
-            rows.append(((i_a, dof_a, +1), (i_b, dof_b, -1)))
-
-    n_c = len(rows)
+    sizes = [len(loc) for loc in locations]
+    keys = np.round(np.concatenate(locations), 12)
+    sub = np.repeat(np.arange(len(sizes)), sizes)
+    dof = np.concatenate([np.arange(n) for n in sizes])
+    order = np.lexsort((dof, sub, *keys.T[::-1]))  # last key sorts first
+    keys, sub, dof = keys[order], sub[order], dof[order]
+    # Row r links the copy at ``first[r]`` (+1) to the next one (-1).
+    first = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
     mats = []
-    for i, n in enumerate(n_dofs):
-        data = np.zeros((n_c, n))
-        for r, entries in enumerate(rows):
-            for i_sub, dof, sign in entries:
-                if i_sub == i:
-                    data[r, dof] = sign
+    for i, n in enumerate(sizes):
+        data = np.zeros((first.size, n))
+        plus, minus = sub[first] == i, sub[first + 1] == i
+        data[plus, dof[first[plus]]] = 1.0
+        data[minus, dof[first[minus] + 1]] = -1.0
         mats.append(SignedBooleanMatrix(data))
     return mats
+
+
+def _glue(
+    parts: Sequence[tuple],
+    dt_system: float,
+    etas: Sequence[int],
+    params: Sequence[NewmarkParams],
+    lambda_init: str,
+    d0: float = 0.0,
+    v0: float = 0.0,
+    **scenario,
+) -> Scenario:
+    """Glue per-subdomain ``(M, K, load, locations)`` parts into a scenario.
+
+    ``load`` is a fixed vector or a function of time.  ``locations`` has
+    one row per DOF (its coordinates, plus the component where a node
+    carries several); equal rows of different subdomains are chained by
+    velocity constraints (:func:`_chain_constraints`).  Subdomain i
+    sub-steps ``etas[i]`` times per ``dt_system`` with ``params[i]``;
+    a ``ValueError`` is raised unless both have one entry per subdomain.
+    Every DOF starts at displacement ``d0`` and velocity ``v0``.  The
+    other keywords are the :class:`Scenario` fields.
+    """
+    Cs = _chain_constraints([loc for *_, loc in parts])
+    subs = [
+        Subdomain(M=M, K=K, params=p, dt_sub=dt_system / eta, force=_as_force(f), C=C)
+        for (M, K, f, _), C, eta, p in zip(parts, Cs, etas, params, strict=True)
+    ]
+    system = initialize_coupled_system(
+        subs,
+        dt_system,
+        d0=[np.full(sub.n_dofs, d0) for sub in subs],
+        v0=[np.full(sub.n_dofs, v0) for sub in subs],
+        lambda_init=lambda_init,
+    )
+    return Scenario(system=system, **scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +151,8 @@ def build_sdof2(
     m = (0.1, 0.005)
     k = (2.5, 50.0)
     d0, v0 = 0.1, 1.0
-    C = [SignedBooleanMatrix(np.array([[1.0]])), SignedBooleanMatrix(np.array([[-1.0]]))]
-    subs = [
-        Subdomain(
-            M=np.array([[m[i]]]),
-            K=np.array([[k[i]]]),
-            params=params[i],
-            dt_sub=dt_system / etas[i],
-            force=_zero_force(1),
-            C=C[i],
-        )
-        for i in range(2)
-    ]
-    system = initialize_coupled_system(
-        subs, dt_system, d0=[[d0], [d0]], v0=[[v0], [v0]], lambda_init=lambda_init
-    )
-
+    # Both copies sit at one location: the constraint is v_A - v_B = 0.
+    parts = [([[mi]], [[ki]], [0.0], [[0.0]]) for mi, ki in zip(m, k)]
     omega = math.sqrt((k[0] + k[1]) / (m[0] + m[1]))
 
     def oracle(t: float) -> float:
@@ -148,13 +163,9 @@ def build_sdof2(
         # m_a (-omega^2 d) + k_a d = +lambda.
         return np.array([(k[0] - m[0] * omega * omega) * oracle(t)])
 
-    return Scenario(
-        name="sdof2",
-        system=system,
-        duration=duration,
-        probes=((0, 0),),
-        oracle=oracle,
-        oracle_lambda=oracle_lambda,
+    return _glue(
+        parts, dt_system, etas, params, lambda_init, d0=d0, v0=v0, name="sdof2",
+        duration=duration, probes=((0, 0),), oracle=oracle, oracle_lambda=oracle_lambda,
     )
 
 
@@ -179,26 +190,8 @@ def build_sdof3(
     k = (5.0, 2.5, 4.0)
     f = (0.0, 1.0, 0.0)
     d0, v0 = 1.0, 0.0
-    # Constraint rows: v_A - v_B = 0 and v_B - v_C = 0.
-    C = [
-        SignedBooleanMatrix(np.array([[1.0], [0.0]])),
-        SignedBooleanMatrix(np.array([[-1.0], [1.0]])),
-        SignedBooleanMatrix(np.array([[0.0], [-1.0]])),
-    ]
-    subs = [
-        Subdomain(
-            M=np.array([[m[i]]]),
-            K=np.array([[k[i]]]),
-            params=params[i],
-            dt_sub=dt_system / etas[i],
-            force=_constant_force([f[i]]),
-            C=C[i],
-        )
-        for i in range(3)
-    ]
-    system = initialize_coupled_system(
-        subs, dt_system, d0=[[d0]] * 3, v0=[[v0]] * 3, lambda_init=lambda_init
-    )
+    # One shared location: constraint rows v_A - v_B = 0 and v_B - v_C = 0.
+    parts = [([[mi]], [[ki]], [fi], [[0.0]]) for mi, ki, fi in zip(m, k, f)]
 
     # Left to right: from Python 3.12 the built-in ``sum`` rounds float
     # sums differently (5.11 against 5.109999999999999 here).
@@ -211,12 +204,9 @@ def build_sdof3(
     def oracle(t: float) -> float:
         return d_static + (d0 - d_static) * math.cos(omega * t)
 
-    return Scenario(
-        name="sdof3",
-        system=system,
-        duration=duration,
-        probes=((0, 0),),
-        oracle=oracle,
+    return _glue(
+        parts, dt_system, etas, params, lambda_init, d0=d0, v0=v0, name="sdof3",
+        duration=duration, probes=((0, 0),), oracle=oracle,
     )
 
 
@@ -263,7 +253,6 @@ def build_bar_1d(
         AVERAGE_ACCELERATION,
     ),
     duration: float = 0.025,
-    lumped: bool = False,
     lambda_init: str = "consistent",
 ) -> Scenario:
     """Axial bar in three equal subdomains: implicit / explicit / implicit.
@@ -278,54 +267,24 @@ def build_bar_1d(
         raise ValueError("each subdomain needs at least one element")
     seg = BAR_LENGTH / 3.0
 
-    meshes = [
-        fem.bar_mesh(n_a, seg, x0=0.0),
-        fem.bar_mesh(n_b, seg, x0=seg),
-        fem.bar_mesh(n_c, seg, x0=2.0 * seg),
-    ]
-    subs = []
-    loc_maps = []
-    n_dofs = []
-    for i, coords in enumerate(meshes):
-        M, K = fem.assemble_bar(coords, BAR_E, BAR_RHO, BAR_AREA, lumped=lumped)
+    parts = []
+    for i, n in enumerate(elements_per_subdomain):
+        coords = fem.bar_mesh(n, seg, x0=i * seg)
+        M, K = fem.assemble_bar(coords, BAR_E, BAR_RHO, BAR_AREA)
+        free = np.arange(coords.size)
         if i == 0:
             M, K, free = fem.eliminate_dofs(M, K, np.array([0]))
-        else:
-            free = np.arange(coords.size)
-        n = M.shape[0]
-        n_dofs.append(n)
-        # Location keys for gluing: rounded x coordinate of each kept node.
-        loc_maps.append({round(coords[g], 12): k for k, g in enumerate(free)})
+        load = np.zeros(free.size)
         if i == 2:
-            f = np.zeros(n)
-            f[-1] = BAR_TIP_LOAD
-            force = _constant_force(f)
-        else:
-            force = _zero_force(n)
-        subs.append((M, K, params[i], dt_system / etas[i], force))
-
-    C = _chain_constraints(loc_maps, n_dofs)
-    subdomains = [
-        Subdomain(M=M, K=K, params=p, dt_sub=dt, force=force, C=c)
-        for (M, K, p, dt, force), c in zip(subs, C)
-    ]
-    system = initialize_coupled_system(
-        subdomains,
-        dt_system,
-        d0=[np.zeros(n) for n in n_dofs],
-        v0=[np.zeros(n) for n in n_dofs],
-        lambda_init=lambda_init,
-    )
+            load[-1] = BAR_TIP_LOAD
+        parts.append((M, K, load, coords[free, None]))
 
     def oracle(t: float) -> float:
         return series_bar_solution(BAR_LENGTH, t)
 
-    return Scenario(
-        name="bar1d",
-        system=system,
-        duration=duration,
-        probes=((2, n_dofs[2] - 1),),  # tip DOF
-        oracle=oracle,
+    return _glue(
+        parts, dt_system, etas, params, lambda_init,
+        name="bar1d", duration=duration, probes=((2, n_c),), oracle=oracle,
     )
 
 
@@ -360,64 +319,30 @@ def build_plate_2d(
     quads.  Subdomains 1-3 use central difference, subdomain 4 average
     acceleration.  Coincident interface nodes are glued per component
     with chained constraints (three rows per component at the center
-    cross point).
+    cross point).  The loaded corner's DOFs are the default probes.
     """
     half = PLATE_SIDE / 2.0
     origins = [(0.0, 0.0), (half, 0.0), (0.0, half), (half, half)]
     n_el = elements_per_side
 
-    subdomain_data = []
-    loc_maps = []
-    n_dofs = []
-    probe = None
+    parts = []
+    probes = ()
     for i, (x0, y0) in enumerate(origins):
         grid = fem.quad_grid(n_el, n_el, half, half, x0=x0, y0=y0)
         M, K = fem.assemble_plane_strain(grid, PLATE_LAME_LAMBDA, PLATE_MU, PLATE_RHO)
-        fixed_nodes = np.nonzero(np.abs(grid.coords[:, 0]) <= 1e-12)[0]
-        fixed_dofs = np.concatenate([2 * fixed_nodes, 2 * fixed_nodes + 1])
-        M, K, free = fem.eliminate_dofs(M, K, fixed_dofs)
-        n = M.shape[0]
-        n_dofs.append(n)
+        fixed_dofs = np.repeat(np.abs(grid.coords[:, 0]) <= 1e-12, 2)  # both components
+        M, K, free = fem.eliminate_dofs(M, K, np.flatnonzero(fixed_dofs))
+        node, comp = np.divmod(free, 2)
+        x, y = grid.coords[node].T
+        corner = (np.abs(x - PLATE_SIDE) <= 1e-12) & (np.abs(y) <= 1e-12)
+        load = np.zeros(free.size)
+        load[corner] = np.take(PLATE_CORNER_FORCE, comp[corner])
+        probes += tuple((i, int(k)) for k in np.flatnonzero(corner))
+        parts.append((M, K, load, np.column_stack((x, y, comp))))
 
-        mapping = {}
-        force_vec = np.zeros(n)
-        for k_red, g in enumerate(free):
-            node, comp = divmod(int(g), 2)
-            x, y = grid.coords[node]
-            mapping[(round(x, 12), round(y, 12), comp)] = k_red
-            if (
-                abs(x - PLATE_SIDE) <= 1e-12
-                and abs(y) <= 1e-12
-            ):
-                force_vec[k_red] = PLATE_CORNER_FORCE[comp]
-                if probe is None:
-                    probe = [(i, k_red)]
-                elif probe[-1][0] == i:
-                    probe.append((i, k_red))
-        loc_maps.append(mapping)
-        has_load = np.any(force_vec)
-        subdomain_data.append(
-            (M, K, params[i], dt_system / etas[i],
-             _constant_force(force_vec) if has_load else _zero_force(n))
-        )
-
-    C = _chain_constraints(loc_maps, n_dofs)
-    subdomains = [
-        Subdomain(M=M, K=K, params=p, dt_sub=dt, force=force, C=c)
-        for (M, K, p, dt, force), c in zip(subdomain_data, C)
-    ]
-    system = initialize_coupled_system(
-        subdomains,
-        dt_system,
-        d0=[np.zeros(n) for n in n_dofs],
-        v0=[np.zeros(n) for n in n_dofs],
-        lambda_init=lambda_init,
-    )
-    return Scenario(
-        name="plate2d",
-        system=system,
-        duration=duration,
-        probes=tuple(probe),
+    return _glue(
+        parts, dt_system, etas, params, lambda_init,
+        name="plate2d", duration=duration, probes=probes,
     )
 
 
@@ -450,12 +375,14 @@ def build_wave_2d(
     fine explicit (central-difference) subdomain 1 containing the load
     and a coarse implicit (average-acceleration) subdomain 2.  ``nx``
     and ``ny`` must place nodes on the interface and on the load-segment
-    endpoints (ny a multiple of 5 works with the default interface).
+    endpoints (ny a multiple of 5); otherwise a ``ValueError`` is raised.
     """
     hx = WAVE_LX / nx
     split_cols = WAVE_INTERFACE_X / hx
     if abs(split_cols - round(split_cols)) > 1e-9:
         raise ValueError("interface x must fall on a mesh line; adjust nx")
+    if ny % 5:  # rows 2 ny / 5 and 3 ny / 5 hold the load-segment ends
+        raise ValueError("load-segment ends must fall on mesh lines; adjust ny")
     nx1 = round(split_cols)
     nx2 = nx - nx1
 
@@ -463,63 +390,32 @@ def build_wave_2d(
         fem.quad_grid(nx1, ny, WAVE_INTERFACE_X, WAVE_LY),
         fem.quad_grid(nx2, ny, WAVE_LX - WAVE_INTERFACE_X, WAVE_LY, x0=WAVE_INTERFACE_X),
     ]
-    subdomain_data = []
-    loc_maps = []
-    n_dofs = []
-    probe = None
+    parts = []
     for i, grid in enumerate(grids):
         M, K = fem.assemble_scalar_wave(grid, WAVE_C0)
         x, y = grid.coords[:, 0], grid.coords[:, 1]
         fixed = np.abs(y) <= 1e-12
         fixed |= np.abs(y - WAVE_LY) <= 1e-12
-        if i == 1:
-            fixed |= np.abs(x - WAVE_LX) <= 1e-12
-        fixed_nodes = np.nonzero(fixed)[0]
+        fixed |= np.abs(x - WAVE_LX) <= 1e-12
+        M, K, free = fem.eliminate_dofs(M, K, np.nonzero(fixed)[0])
         if i == 0:
-            load_full = WAVE_F0 * fem.edge_load_left(
-                grid, 2.0 * WAVE_LY / 5.0, 3.0 * WAVE_LY / 5.0
-            )
-        M_red, K_red, free = fem.eliminate_dofs(M, K, fixed_nodes)
-        n = M_red.shape[0]
-        n_dofs.append(n)
-        mapping = {
-            (round(grid.coords[g, 0], 12), round(grid.coords[g, 1], 12)): k
-            for k, g in enumerate(free)
-        }
-        loc_maps.append(mapping)
-        if i == 0:
-            load_red = load_full[free]
+            edge = fem.edge_load_left(grid, 0.4 * WAVE_LY, 0.6 * WAVE_LY)
+            base = WAVE_F0 * edge[free]
 
-            def force(t: float, _base=load_red) -> np.ndarray:
+            def load(t: float) -> np.ndarray:
                 if 0.0 <= t <= WAVE_TAU_LOAD:
-                    return _base * math.sin(2.0 * math.pi * t / WAVE_TAU_LOAD)
-                return np.zeros_like(_base)
+                    return base * math.sin(2.0 * math.pi * t / WAVE_TAU_LOAD)
+                return np.zeros_like(base)
 
             # Probe: the free node closest to the load-segment midpoint.
             mid = np.array([0.0, WAVE_LY / 2.0])
             dist = np.linalg.norm(grid.coords[free] - mid, axis=1)
-            probe = ((0, int(np.argmin(dist))),)
-        else:
-            force = _zero_force(n)
-        subdomain_data.append((M_red, K_red, params[i], dt_system / etas[i], force))
+            probes = ((0, int(np.argmin(dist))),)
+        parts.append((M, K, load if i == 0 else np.zeros(free.size), grid.coords[free]))
 
-    C = _chain_constraints(loc_maps, n_dofs)
-    subdomains = [
-        Subdomain(M=M, K=K, params=p, dt_sub=dt, force=force, C=c)
-        for (M, K, p, dt, force), c in zip(subdomain_data, C)
-    ]
-    system = initialize_coupled_system(
-        subdomains,
-        dt_system,
-        d0=[np.zeros(n) for n in n_dofs],
-        v0=[np.zeros(n) for n in n_dofs],
-        lambda_init=lambda_init,
-    )
-    return Scenario(
-        name="wave2d",
-        system=system,
-        duration=duration,
-        probes=probe,
+    return _glue(
+        parts, dt_system, etas, params, lambda_init,
+        name="wave2d", duration=duration, probes=probes,
     )
 
 
@@ -544,14 +440,7 @@ def free_vibration_variant(scenario: Scenario) -> Scenario:
     d_static = linalg.cholesky_factor(K_merged).solve(force_merged(sys.t_current))
 
     new_subs = [
-        Subdomain(
-            M=sub.M,
-            K=sub.K,
-            params=sub.params,
-            dt_sub=sub.dt_sub,
-            force=_zero_force(sub.n_dofs),
-            C=sub.C,
-        )
+        replace(sub, force=_as_force(np.zeros(sub.n_dofs)))
         for sub in sys.subdomains
     ]
     d0 = [d_static[mp] for mp in maps]

@@ -352,6 +352,28 @@ def test_sweep_eta_axis_colon_lists(tmp_path, monkeypatch):
     assert (tmp_path / "bar_summary.csv").exists()
 
 
+def test_sweep_summary_reports_largest_interface_work(tmp_path, monkeypatch):
+    # Each summary row's max_abs_e_interface is the largest |e_interface|
+    # of its member CSV, to the last bit (both are written with %.17g).
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(
+        tmp_path, "scenario=bar1d\nduration=0.005\noutput=bar.csv\n"
+    )
+    argv = ["sweep", str(cfg_path), "--axis", "eta", "--values", "1:10:1,1:20:1"]
+    assert cli.main(argv) == 0
+    summary = (tmp_path / "bar_summary.csv").read_text().splitlines()
+    column = summary[0].split(",").index("max_abs_e_interface")
+    for line in summary[1:]:
+        tag = line.split(",")[0]
+        member_path = tmp_path / f"bar_eta_{tag.replace(':', '-')}.csv"
+        member = member_path.read_text().splitlines()
+        e_int = member[0].split(",").index("e_interface")
+        largest = max(abs(float(row.split(",")[e_int])) for row in member[1:])
+        assert float(line.split(",")[column]) == largest
+    assert len(summary) == 3
+    assert float(summary[1].split(",")[column]) > 0.0  # sub-stepped: non-zero
+
+
 def test_sweep_eta_single_value_targets_overridden_subdomain(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg_path = write_config(

@@ -138,11 +138,3 @@ def test_energy_norm_non_increasing_when_force_free():
         cur = diagnostics.energy_norm(sys)
         assert cur <= prev * (1.0 + 1e-12)
         prev = cur
-
-
-def test_subcycling_indicator():
-    ind = diagnostics.subcycling_indicator([0.5, -2.0, 1.0])
-    assert ind.max_abs == 2.0
-    assert ind.cumulative_abs == pytest.approx(3.5)
-    empty = diagnostics.subcycling_indicator([])
-    assert empty.max_abs == 0.0 and empty.cumulative_abs == 0.0

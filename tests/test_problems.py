@@ -1,5 +1,6 @@
 import math
 
+import glue_reference
 import numpy as np
 import pytest
 
@@ -11,6 +12,27 @@ from mtstep.newmark import AVERAGE_ACCELERATION, CENTRAL_DIFFERENCE
 
 def second_derivative(f, t, h=1e-5):
     return (f(t + h) - 2.0 * f(t) + f(t - h)) / (h * h)
+
+
+def glued(name, **kwargs):
+    """A scenario from its builder, with the location rows it glued."""
+    seen = []
+    chain = problems._chain_constraints
+
+    def spy(locations):
+        seen.append(locations)
+        return chain(locations)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "_chain_constraints", spy)
+        scenario = problems.SCENARIOS[name](**kwargs)
+    (locations,) = seen
+    return scenario, locations
+
+
+def reference_constraints(locations):
+    maps = glue_reference.location_maps(locations)
+    return glue_reference.chain_constraints(maps, [len(loc) for loc in locations])
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +123,21 @@ def test_bar_scenario_structure():
     assert sc.probes == ((2, 5),)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"etas": (1, 10)},
+        {"etas": (1, 10, 1, 1)},
+        {"params": (AVERAGE_ACCELERATION, AVERAGE_ACCELERATION)},
+    ],
+)
+def test_bar_rejects_etas_or_params_of_wrong_length(kwargs):
+    # One eta and one scheme per subdomain: a short tuple must not fail
+    # with an IndexError, nor a long one be silently cut.
+    with pytest.raises(ValueError):
+        problems.build_bar_1d(**kwargs)
+
+
 def test_bar_scenario_approaches_series_solution():
     sc = problems.build_bar_1d()
     sys = sc.system
@@ -149,6 +186,19 @@ def test_plate_constraint_rows_glue_coincident_dofs():
     assert np.all(total == 2)
 
 
+def test_plate_center_cross_point_has_three_rows_per_component():
+    # The center node has one copy in each of the four subdomains; the
+    # chain glues them with three rows per component, not six pairs.
+    sc, locations = glued("plate2d")
+    for comp in (0, 1):
+        rows = set()
+        for sub, loc in zip(sc.system.subdomains, locations, strict=True):
+            at_center = np.abs(loc - (0.5, 0.5, comp)) <= 1e-12
+            (dof,) = np.flatnonzero(at_center.all(axis=1))
+            rows.update(np.flatnonzero(sub.C.data[:, dof]))
+        assert len(rows) == 3
+
+
 def test_plate_static_limit_is_symmetric_about_midline():
     # Sanity: merged static solution under the (1, 1) corner force has the
     # expected mirror relation for this symmetric-material square? Not
@@ -191,6 +241,18 @@ def test_wave_rejects_misaligned_interface():
         problems.build_wave_2d(nx=7, ny=5)
 
 
+def test_wave_rejects_load_segment_off_the_mesh():
+    # ny = 44 puts no node on y = 2Ly/5 or 3Ly/5 and would apply only
+    # 0.909 of the load; ny = 16 would apply 0.625 of it.
+    for ny in (44, 16):
+        with pytest.raises(ValueError, match="load-segment"):
+            problems.build_wave_2d(ny=ny)
+    sc = problems.build_wave_2d(nx=10, ny=15, dt_system=2e-3, etas=(2, 1))
+    # The whole traction f0 over the segment of length Ly/5, at its peak.
+    peak = sc.system.subdomains[0].force(problems.WAVE_TAU_LOAD / 4.0)
+    assert peak.sum() == pytest.approx(problems.WAVE_F0 * problems.WAVE_LY / 5.0)
+
+
 # ---------------------------------------------------------------------------
 # Variants and registry
 # ---------------------------------------------------------------------------
@@ -205,6 +267,41 @@ def test_free_vibration_variant():
     # Initial displacement solves the merged static problem f / k = 1/11.5.
     assert sys.states[0].d[0] == pytest.approx(1.0 / 11.5)
     assert sc.oracle is None
+
+
+# ---------------------------------------------------------------------------
+# Glue
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(problems.SCENARIOS))
+def test_chain_constraints_match_dict_reference(name):
+    sc, locations = glued(name)
+    expected = reference_constraints(locations)
+    for sub, ref in zip(sc.system.subdomains, expected, strict=True):
+        assert sub.C.shape == ref.shape
+        assert sub.C.data.tobytes() == ref.data.tobytes()
+
+
+def test_chain_constraints_order_rows_by_location_first():
+    # Subdomain 0 lists x = 1 before x = 0, and x = 1 has three copies
+    # (one off by less than the 12-decimal rounding).  Rows go by
+    # location first, so the x = 0 pair comes first; ordering by
+    # subdomain and DOF first would put the x = 1 rows ahead of it.
+    locations = [
+        np.array([[1.0 + 1e-14], [0.0]]),
+        np.array([[0.0], [1.0]]),
+        np.array([[1.0]]),
+    ]
+    expected = [
+        [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]],
+        [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]],
+        [[0.0], [0.0], [-1.0]],
+    ]
+    got = problems._chain_constraints(locations)
+    ref = reference_constraints(locations)
+    for C, C_ref, rows in zip(got, ref, expected, strict=True):
+        np.testing.assert_array_equal(C.data, rows)
+        assert C.data.tobytes() == C_ref.data.tobytes()
 
 
 def test_scenarios_registry():

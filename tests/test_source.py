@@ -23,3 +23,21 @@ def test_no_builtin_sum_in_package():
             ):
                 calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"built-in sum() called at {', '.join(calls)}"
+
+
+def test_scenarios_share_one_glue_path():
+    # The scenario builders describe their subdomains and hand them to one
+    # helper; only that helper builds subdomains and chains their DOFs.
+    path = SOURCE / "problems.py"
+    calls = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("Subdomain", "_chain_constraints")
+                and owner != "_glue"
+            ):
+                calls.append(f"{node.func.id}() in {owner} at line {node.lineno}")
+    assert not calls, "glue outside _glue: " + ", ".join(calls)
