@@ -38,18 +38,26 @@ Each subdomain's sub-levels of one system step are kept as stacked
 objects.  A step sweeps every subdomain once with dlam = 0
 (:meth:`mtstep.newmark.EffectiveSolver.sweep`, which applies R_i and
 solves with L_i), solves the complement for dlam and corrects all
-sub-levels of a subdomain with one product against its stacked
-multiplier propagators (:meth:`Subdomain.multiplier_propagators`).  The
-complement and the propagators do not change from step to step:
-:class:`CouplingPlan` factors the complement once per run and each
-subdomain keeps its propagators.
+sub-levels of a subdomain from its stacked multiplier propagators
+(:meth:`Subdomain.multiplier_propagators`).  The complement and the
+propagators do not change from step to step: :class:`CouplingPlan`
+factors the complement once per run and each subdomain keeps its
+propagators.
+
+The propagators come in two forms, picked by their size.  Up to
+``FULL_PROPAGATOR_MAX_BYTES`` a subdomain stores the a, v and d
+responses of every sub-level, and one product corrects the whole
+history.  Above it, only the a responses are stored (a third of the
+memory and of the bytes a step reads); the step takes
+dA = Y_a dlam and adds the dV and dD that the Newmark recurrences give
+for dA from a zero start (:func:`_add_newmark_response`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -63,6 +71,15 @@ ETA_ROUND_TOL = 1e-9
 
 #: Compatible-initial-condition tolerance, relative to the velocity scale.
 IC_COMPAT_RTOL = 1e-10
+
+#: Largest full propagator array (a, v and d responses of every
+#: sub-level, 3 eta n N_C floats) a subdomain stores; above it only the
+#: acceleration responses are kept.  Measured per step, in process, with
+#: two BLAS threads: the acceleration form's extra passes and per-row sums
+#: cost more than the bytes they save on blocks of 0.08-0.38 MB (bar
+#: eta = 1000, the plate, wave2d at nx = 30), and less from 2.6 MB on
+#: (wave2d at nx = 60 and 90).
+FULL_PROPAGATOR_MAX_BYTES = 1 << 20
 
 
 class SignedBooleanMatrix:
@@ -233,27 +250,70 @@ class Subdomain:
             "critical_dt", lambda: critical_time_step(self.M, self.K, self.params)
         )
 
-    def multiplier_propagators(self, eta: int):
+    def with_force(self, force: Callable[[float], np.ndarray]) -> "Subdomain":
+        """This subdomain under another load, keeping its derived objects.
+
+        None of them (factor, critical step, propagators) depends on the
+        load, so the new subdomain starts with a copy of this one's memo.
+        """
+        new = replace(self, force=force)
+        new._memo.update(self._memo)
+        return new
+
+    def multiplier_propagators(self, eta: int) -> "MultiplierPropagators":
         """Per-sublevel response of this subdomain to a unit dlam.
 
-        Returns one array of shape (3, eta, n_dofs, N_C): entry [k, j - 1]
-        is the acceleration (k = 0), velocity (1) or displacement (2)
-        produced at sublevel j = 1..eta by the homogeneous recurrence with
-        interface loading (j/eta) C^T dlam and zero initial state.
-        Depends only on (M, K, params, dt_sub, C, eta), so it is computed
-        once and reused for every system step.
+        The response at sublevel j = 1..eta is the state the homogeneous
+        recurrence reaches with interface loading (j/eta) C^T dlam and
+        zero initial state.  While the full responses take at most
+        ``FULL_PROPAGATOR_MAX_BYTES``, ``Y`` has shape (3, eta, n_dofs,
+        N_C) and entry [k, j - 1] is the acceleration (k = 0), velocity
+        (1) or displacement (2).  Above that, ``Y`` holds only the
+        accelerations, shape (eta, n_dofs, N_C): the velocities and
+        displacements follow from them through the Newmark recurrences.
+        ``v_end`` is the velocity response at j = eta in both forms.
+        One sweep computes either; in the acceleration form it writes
+        the velocities and displacements into two alternating rows, so
+        the full array is never built.  Depends only on (M, K, params,
+        dt_sub, C, eta), so it is computed once and reused for every
+        system step.
         """
         return self._memo(("propagators", eta), lambda: self._propagators(eta))
 
-    def _propagators(self, eta: int):
+    def _propagators(self, eta: int) -> "MultiplierPropagators":
         n, nc = self.n_dofs, self.n_constraints
         Ct = self.C.data.T  # (n, nc)
-        Y = np.empty((3, eta, n, nc))
+        full = 3 * eta * n * nc * 8 <= FULL_PROPAGATOR_MAX_BYTES
+        Y = np.empty((3, eta, n, nc) if full else (eta, n, nc))
+        A = Y[0] if full else Y
         for j in range(eta):
-            Y[0, j] = 0.0 + ((j + 1) / eta) * Ct
+            A[j] = 0.0 + ((j + 1) / eta) * Ct
+        if full:
+            V, D = Y[1], Y[2]
+        else:  # two alternating rows each: a sub-step reads only the one before
+            V_rows, D_rows = np.empty((2, 2, n, nc))
+            V = [V_rows[j % 2] for j in range(eta)]
+            D = [D_rows[j % 2] for j in range(eta)]
         zero = np.zeros((n, nc))
-        self.solver().sweep(zero, zero, zero, *Y)
-        return Y
+        self.solver().sweep(zero, zero, zero, A, V, D)
+        return MultiplierPropagators(Y, V[-1].copy())
+
+
+class MultiplierPropagators(NamedTuple):
+    """A subdomain's stacked response to a unit dlam, in one of two forms.
+
+    ``Y`` is (3, eta, n, N_C) in the full form and (eta, n, N_C), the
+    accelerations only, in the acceleration form; ``v_end`` (n, N_C) is
+    the velocity response at the last sub-level, the subdomain's term of
+    the interface complement.  See :meth:`Subdomain.multiplier_propagators`.
+    """
+
+    Y: np.ndarray
+    v_end: np.ndarray
+
+    @property
+    def full(self) -> bool:
+        return self.Y.ndim == 4
 
 
 class CouplingPlan:
@@ -333,8 +393,7 @@ class CouplingPlan:
         n_c = self.n_constraints
         schur = np.zeros((n_c, n_c))
         for sub, eta in zip(self.subdomains, self.eta):
-            Y = sub.multiplier_propagators(eta)
-            schur += sub.C.data @ Y[1, -1]  # velocity response at j = eta
+            schur += sub.C.data @ sub.multiplier_propagators(eta).v_end
         try:
             return linalg.lu_factor(schur)
         except linalg.SingularMatrix as exc:
@@ -535,6 +594,43 @@ def require_finite(result: SystemStepResult) -> None:
         raise NonFiniteState("non-finite multiplier or state at the new system level")
 
 
+def _add_newmark_response(
+    H: np.ndarray, dA: np.ndarray, params: NewmarkParams, dt: float
+) -> None:
+    """Add the sub-level accelerations dA (eta, n) and the velocities and
+    displacements they imply from a zero start to the history H, in place.
+
+    The Newmark recurrences
+
+        dV_j = dV_{j-1} + (1 - gamma) dt dA_{j-1} + gamma dt dA_j
+        dD_j = dD_{j-1} + (1/2 - beta) dt^2 dA_{j-1} + dt dV_{j-1} + beta dt^2 dA_j
+
+    with dA_0 = dV_0 = dD_0 = 0 sum, with S_j = dA_1 + ... + dA_j, to
+
+        dV_j = dt (S_j - (1 - gamma) dA_j)
+        dD_j = dt^2 (S_j / 2 - (1/2 - beta) dA_j) + dt (dV_1 + ... + dV_{j-1})
+
+    so two running sums over the rows and a few whole-array passes give
+    them all.  The running sums add whole rows: ``np.cumsum(axis=0)``
+    accumulates column by column, which took 5-8 ns per entry on the
+    wave2d blocks against about 1.5 us per row here.
+    """
+    S = dA.copy()  # S_j
+    for prev, row in zip(S, S[1:]):
+        row += prev
+    dV = S - (1.0 - params.gamma) * dA
+    dV *= dt
+    W = np.zeros_like(dV)  # dV_1 + ... + dV_{j-1}
+    for prev, dv, row in zip(W, dV, W[1:]):
+        np.add(prev, dv, out=row)
+    dD = 0.5 * S - (0.5 - params.beta) * dA
+    dD *= dt * dt
+    dD += dt * W
+    H[0] += dA
+    H[1] += dV
+    H[2] += dD
+
+
 def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     """Advance the whole coupled system over one system time-step.
 
@@ -543,7 +639,9 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     preallocated (eta, n) arrays; the N_C x N_C interface complement,
     factored once per run by the system's plan, gives dlam; and one
     product with the stacked multiplier propagators corrects every
-    sub-level of a subdomain at once.
+    sub-level of a subdomain at once (in the acceleration form, the
+    product gives the accelerations and the Newmark recurrences the
+    rest).
 
     Raises
     ------
@@ -576,8 +674,12 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
 
     if n_c:
         for sub, eta, (H, _) in zip(sys.subdomains, sys.eta, levels):
-            Y = sub.multiplier_propagators(eta)
-            if sub.n_dofs > 1:
+            props = sub.multiplier_propagators(eta)
+            Y = props.Y
+            if not props.full:
+                dA = (Y.reshape(-1, n_c) @ dlam).reshape(H[0].shape)
+                _add_newmark_response(H, dA, sub.params, sub.dt_sub)
+            elif sub.n_dofs > 1:
                 # One (3 eta n, N_C) matrix-vector product in place of
                 # the 3 eta small ones a stacked matmul makes.
                 H += (Y.reshape(-1, n_c) @ dlam).reshape(H.shape)

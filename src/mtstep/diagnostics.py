@@ -112,18 +112,29 @@ def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
 
     ``sys`` must be the system value the step was computed *from* (level
     n); the sub-level histories come from ``step``.
+
+    A term whose coefficient is exactly zero is not computed: the
+    V- and T-jump sums when gamma = 1/2, every kinetic term when
+    beta = gamma/2.  For finite terms that gives the same bits, as
+    ``out - 0.0 * x`` is ``out`` (``out`` is never -0.0: it starts at
+    +0.0, and a difference of equal values is +0.0).
     """
     out = 0.0
     for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
         beta, gamma = sub.params.beta, sub.params.gamma
         dt_i = sub.dt_sub
-        jump_V = _add_in_order(_half_forms(sub.K, _jumps(st_n.d, hist.d)))
-        jump_T = _add_in_order(_half_forms(sub.M, _jumps(st_n.a, hist.a)))
-        system_jump_T = _kinetic(sub, hist.a[-1]) - _kinetic(sub, st_n.a)
+        coeff_V = 2.0 * (gamma - 0.5)
         coeff = dt_i * dt_i * (beta - 0.5 * gamma)
-        out -= 2.0 * (gamma - 0.5) * jump_V
-        out -= coeff * system_jump_T
-        out -= coeff * (2.0 * gamma - 1.0) * jump_T
+        coeff_T = coeff * (2.0 * gamma - 1.0)
+        if coeff_V:
+            jump_V = _add_in_order(_half_forms(sub.K, _jumps(st_n.d, hist.d)))
+            out -= coeff_V * jump_V
+        if coeff:
+            system_jump_T = _kinetic(sub, hist.a[-1]) - _kinetic(sub, st_n.a)
+            out -= coeff * system_jump_T
+        if coeff_T:
+            jump_T = _add_in_order(_half_forms(sub.M, _jumps(st_n.a, hist.a)))
+            out -= coeff_T * jump_T
     return out
 
 

@@ -439,10 +439,7 @@ def free_vibration_variant(scenario: Scenario) -> Scenario:
     _, K_merged, force_merged, maps = merge_system_matrices(sys)
     d_static = linalg.cholesky_factor(K_merged).solve(force_merged(sys.t_current))
 
-    new_subs = [
-        replace(sub, force=_as_force(np.zeros(sub.n_dofs)))
-        for sub in sys.subdomains
-    ]
+    new_subs = [sub.with_force(_as_force(np.zeros(sub.n_dofs))) for sub in sys.subdomains]
     d0 = [d_static[mp] for mp in maps]
     v0 = [np.zeros(sub.n_dofs) for sub in sys.subdomains]
     system = initialize_coupled_system(new_subs, sys.dt_system, d0=d0, v0=v0)

@@ -5,6 +5,7 @@ from mtstep import diagnostics
 from mtstep.coupling import advance_system_step
 from mtstep.newmark import AVERAGE_ACCELERATION, NewmarkParams
 from mtstep.problems import (
+    build_bar_1d,
     build_sdof2,
     build_sdof3,
     free_vibration_variant,
@@ -51,6 +52,40 @@ def test_average_acceleration_no_subcycling_conserves():
         assert abs(report.e_interface) <= 1e-14
         sys = sys.apply(result)
         assert abs(diagnostics.total_energy(sys).total - e0) <= 1e-12 * e0
+
+
+@pytest.mark.parametrize(
+    "build, forms_per_step",
+    [
+        (build_sdof2, 0),
+        (lambda: build_bar_1d(etas=(1, 10, 1)), 0),
+        (
+            lambda: build_sdof2(
+                params=(AVERAGE_ACCELERATION, NewmarkParams(beta=0.25, gamma=0.6))
+            ),
+            2,
+        ),
+    ],
+    ids=["sdof2", "bar1d", "sdof2_gamma_0.6"],
+)
+def test_zero_coefficient_energy_terms_are_skipped(build, forms_per_step, monkeypatch):
+    # With gamma = 1/2 the V- and T-jump sums have a zero coefficient, and
+    # so do the kinetic terms with beta = gamma/2: none of their quadratic
+    # forms is computed.  The gamma = 0.6 block (beta = 1/4) needs both.
+    calls = []
+    half_forms = diagnostics._half_forms
+
+    def counting(A, X):
+        calls.append(A)
+        return half_forms(A, X)
+
+    monkeypatch.setattr(diagnostics, "_half_forms", counting)
+    sys = build().system
+    for _ in range(3):
+        result = advance_system_step(sys)
+        diagnostics.energy_algorithm(result, sys)
+        sys = sys.apply(result)
+    assert len(calls) == 3 * forms_per_step
 
 
 def test_energy_balance_free_vibration():

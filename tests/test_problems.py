@@ -4,7 +4,7 @@ import glue_reference
 import numpy as np
 import pytest
 
-from mtstep import linalg, problems
+from mtstep import coupling, linalg, problems
 from mtstep.baselines import merge_system_matrices
 from mtstep.coupling import advance_system_step
 from mtstep.newmark import AVERAGE_ACCELERATION, CENTRAL_DIFFERENCE
@@ -267,6 +267,27 @@ def test_free_vibration_variant():
     # Initial displacement solves the merged static problem f / k = 1/11.5.
     assert sys.states[0].d[0] == pytest.approx(1.0 / 11.5)
     assert sc.oracle is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [problems.build_bar_1d, lambda: problems.build_wave_2d(nx=30, ny=15)],
+    ids=["bar1d", "wave2d_small"],
+)
+def test_free_vibration_variant_keeps_derived_objects(build, monkeypatch):
+    # Only the loads change, so the variant computes no critical step
+    # again and shares the factors of the original subdomains.
+    sc = build()
+    solvers = [sub.solver() for sub in sc.system.subdomains]
+    calls = []
+    monkeypatch.setattr(
+        coupling, "critical_time_step", lambda *args: calls.append(args) or 0.0
+    )
+    variant = problems.free_vibration_variant(sc)
+    assert calls == []
+    for sub, solver, new in zip(sc.system.subdomains, solvers, variant.system.subdomains):
+        assert new.solver() is solver
+        assert new.critical_dt() == sub.critical_dt()
 
 
 # ---------------------------------------------------------------------------

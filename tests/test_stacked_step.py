@@ -11,8 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mtstep import diagnostics, problems
+from mtstep import coupling, diagnostics, problems
 from mtstep.coupling import advance_system_step
+from mtstep.newmark import AVERAGE_ACCELERATION, NewmarkParams
 from saddle_oracle import apply_R
 import step_reference
 
@@ -35,15 +36,9 @@ def _close(x, ref, rtol):
     assert np.abs(np.asarray(x) - ref).max(initial=0.0) <= rtol * scale
 
 
-@pytest.mark.parametrize(
-    "build, n_steps",
-    [(_bar, 5), (_plate, 5), (_sdof3, 20)],
-    ids=["bar_eta1000", "plate", "forced_sdof3"],
-)
-def test_stacked_step_matches_per_level_reference(build, n_steps):
+def _check_against_reference(sys, n_steps):
     # From the same system value each step: sub-level states and dlam to
     # 1e-13 of their scale, and the energy split to 1e-12 of the energy.
-    sys = build()
     for _ in range(n_steps):
         result = advance_system_step(sys)
         ref = step_reference.reference_step(sys)
@@ -69,6 +64,36 @@ def test_stacked_step_matches_per_level_reference(build, n_steps):
         ):
             assert abs(stacked(result, sys) - reference(ref, sys)) <= 1e-12 * scale
         sys = sys_next
+
+
+@pytest.mark.parametrize(
+    "build, n_steps",
+    [(_bar, 5), (_plate, 5), (_sdof3, 20)],
+    ids=["bar_eta1000", "plate", "forced_sdof3"],
+)
+def test_stacked_step_matches_per_level_reference(build, n_steps):
+    _check_against_reference(build(), n_steps)
+
+
+def _bar_dissipative():
+    # gamma = 0.6 on an explicit and an implicit block.
+    params = (NewmarkParams(0.3025, 0.6), NewmarkParams(0.0, 0.6), AVERAGE_ACCELERATION)
+    return problems.build_bar_1d(etas=(1, 100, 1), params=params).system
+
+
+@pytest.mark.parametrize(
+    "build, n_steps",
+    [(_bar, 5), (_plate, 5), (_bar_dissipative, 5)],
+    ids=["bar_eta1000", "plate", "bar_gamma_0.6"],
+)
+def test_acceleration_form_matches_per_level_reference(build, n_steps, monkeypatch):
+    # Every block forced onto the acceleration-only propagators: the
+    # Newmark recurrences rebuild v and d within the same bounds.
+    monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
+    sys = build()
+    for sub, eta in zip(sys.subdomains, sys.eta):
+        assert not sub.multiplier_propagators(eta).full
+    _check_against_reference(sys, n_steps)
 
 
 def test_forced_energy_balance_bar_eta1000():
@@ -138,11 +163,71 @@ def test_propagators_stored_once_as_stacked_arrays():
     sys = _plate()
     for sub, eta in zip(sys.subdomains, sys.eta):
         stacked = sub.multiplier_propagators(eta)
-        assert stacked.shape == (3, eta, sub.n_dofs, sub.n_constraints)
+        assert stacked.Y.shape == (3, eta, sub.n_dofs, sub.n_constraints)
         assert sub.multiplier_propagators(eta) is stacked
         reference = step_reference.propagators(sub, eta)
-        for k, Y in enumerate(stacked):
+        for k, Y in enumerate(stacked.Y):
             np.testing.assert_array_equal(Y, np.array([level[k] for level in reference]))
+        np.testing.assert_array_equal(stacked.v_end, reference[-1][1])
+
+
+def test_acceleration_form_keeps_the_bits_of_the_full_form(monkeypatch):
+    # The alternating velocity and displacement rows change no bit of the
+    # stored accelerations or of the end velocity the complement reads.
+    sys = _plate()
+    full = [sub.multiplier_propagators(eta) for sub, eta in zip(sys.subdomains, sys.eta)]
+    monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
+    sys = _plate()
+    for sub, eta, ref in zip(sys.subdomains, sys.eta, full):
+        props = sub.multiplier_propagators(eta)
+        assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
+        np.testing.assert_array_equal(props.Y, ref.Y[0])
+        np.testing.assert_array_equal(props.v_end, ref.Y[1, -1])
+
+
+def test_propagator_form_follows_the_size_rule():
+    # Only blocks whose full propagators exceed the size bound store the
+    # accelerations alone: both default wave2d blocks (8.8 and 3.3 MB),
+    # none of bar eta = 1000, the plate or the sdof chains.
+    for name, build in (
+        ("bar", _bar),
+        ("plate", _plate),
+        ("sdof2", lambda: problems.build_sdof2().system),
+        ("sdof3", _sdof3),
+    ):
+        sys = build()
+        for sub, eta in zip(sys.subdomains, sys.eta):
+            props = sub.multiplier_propagators(eta)
+            assert props.Y.shape == (3, eta, sub.n_dofs, sub.n_constraints), name
+    sys = problems.build_wave_2d().system
+    for sub, eta in zip(sys.subdomains, sys.eta):
+        props = sub.multiplier_propagators(eta)
+        assert 3 * props.Y.size * 8 > coupling.FULL_PROPAGATOR_MAX_BYTES
+        assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
+        assert props.v_end.shape == (sub.n_dofs, sub.n_constraints)
+
+
+def test_acceleration_form_on_wave2d_keeps_the_invariants():
+    # The default wave2d (both blocks in the acceleration form) under its
+    # load burst: |sum C v| <= 1e-8 and dE = e_alg + e_int + W_ext to
+    # 1e-9 of the largest energy over a few steps.
+    sys = problems.build_wave_2d().system
+    energy = max_energy = diagnostics.total_energy(sys).total
+    worst = 0.0
+    for _ in range(5):
+        result = advance_system_step(sys)
+        report = diagnostics.step_energy_report(result, sys)
+        work = diagnostics.external_work(result, sys)
+        worst = max(
+            worst,
+            abs(report.total - energy - report.e_algorithm - report.e_interface - work),
+        )
+        sys = sys.apply(result)
+        assert np.abs(sys.velocity_residual()).max() <= 1e-8
+        energy = report.total
+        max_energy = max(max_energy, energy)
+    assert max_energy > 0.0
+    assert worst <= 1e-9 * max_energy
 
 
 def test_step_carries_its_loads():
