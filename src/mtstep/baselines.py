@@ -73,10 +73,7 @@ def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
     dt = sys.dt_system
     t_n = sys.t_current
     factor = sys.plan.memo("backward_euler", lambda: _backward_euler_factor(sys))
-    loads = [
-        np.array([sub.force(t_n), sub.force(t_n + dt)], dtype=float)
-        for sub in sys.subdomains
-    ]
+    loads = [sub.loads(t_n, 1, dt) for sub in sys.subdomains]
     rhs = [
         f[1] + sub.M @ st.v / dt - sub.K @ st.d
         for sub, st, f in zip(sys.subdomains, sys.states, loads)
@@ -155,10 +152,11 @@ def merge_dof_map(sys: CoupledSystem) -> tuple[list[np.ndarray], int]:
 
 
 def merge_system_matrices(sys: CoupledSystem):
-    """Assemble the undecomposed (M, K, force, dof maps) of a coupled model.
+    """Assemble the undecomposed (M, K, load, dof maps) of a coupled model.
 
     M and K get the storage :func:`mtstep.linalg.operator` picks for the
-    merged size; shared entries are summed in subdomain order.
+    merged size; shared entries are summed in subdomain order.  ``load``
+    maps a time to the merged load vector, summed the same way.
     """
     maps, size = merge_dof_map(sys)
     subs = sys.subdomains
@@ -170,13 +168,13 @@ def merge_system_matrices(sys: CoupledSystem):
         data = np.concatenate([p.data for p in parts])
         return linalg.operator(scipy.sparse.coo_array((data, (rows, cols)), shape=(size, size)))
 
-    def force(t: float) -> np.ndarray:
+    def load(t: float) -> np.ndarray:
         f = np.zeros(size)
         for sub, mp in zip(subs, maps):
-            np.add.at(f, mp, np.asarray(sub.force(t), dtype=float))
+            np.add.at(f, mp, sub.loads(t)[0])
         return f
 
-    return merged("M"), merged("K"), force, maps
+    return merged("M"), merged("K"), load, maps
 
 
 def merged_newmark_reference(
@@ -190,20 +188,20 @@ def merged_newmark_reference(
     """
     from .newmark import EffectiveSolver, consistent_initial_acceleration
 
-    M, K, force, maps = merge_system_matrices(sys)
+    M, K, load, maps = merge_system_matrices(sys)
     size = M.shape[0]
     d0 = np.zeros(size)
     v0 = np.zeros(size)
     for sub, st, mp in zip(sys.subdomains, sys.states, maps):
         d0[mp] = st.d
         v0[mp] = st.v
-    a0 = consistent_initial_acceleration(M, K, force(sys.t_current), d0)
+    a0 = consistent_initial_acceleration(M, K, load(sys.t_current), d0)
     state = KinematicState(d=d0, v=v0, a=a0)
     solver = EffectiveSolver(M, K, params, sys.dt_system)
     out = [state]
     t = sys.t_current
     for _ in range(n_steps):
         t += sys.dt_system
-        state = solver.step(state, force(t))
+        state = solver.step(state, load(t))
         out.append(state)
     return out

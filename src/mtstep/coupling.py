@@ -35,7 +35,11 @@ solves it densely as a check.
 
 Each subdomain's sub-levels of one system step are kept as stacked
 (eta_i, n_i) arrays (:class:`SubstepHistory`), not as eta_i state
-objects.  A step sweeps every subdomain once with dlam = 0
+objects.  Loads are data, f_i(t) = g_i(t) f0_i with a fixed vector f0_i
+and an optional scalar time function g_i, so a step forms all eta_i + 1
+sub-level loads of a subdomain at once (:meth:`Subdomain.loads`): a
+read-only broadcast of f0_i when the load is constant, one g_i call per
+sub-level otherwise.  A step sweeps every subdomain once with dlam = 0
 (:meth:`mtstep.newmark.EffectiveSolver.sweep`, which applies R_i and
 solves with L_i), solves the complement for dlam and corrects all
 sub-levels of a subdomain from its stacked multiplier propagators
@@ -145,20 +149,6 @@ class SignedBooleanMatrix:
     def n_constraints(self) -> int:
         return self.data.shape[0]
 
-    @classmethod
-    def zeros(cls, n_constraints: int, n_dofs: int) -> "SignedBooleanMatrix":
-        return cls(np.zeros((n_constraints, n_dofs)))
-
-    @classmethod
-    def from_entries(
-        cls, n_constraints: int, n_dofs: int, entries: Sequence[tuple[int, int, int]]
-    ) -> "SignedBooleanMatrix":
-        """Build from (row, dof, sign) triplets."""
-        data = np.zeros((n_constraints, n_dofs))
-        for row, col, sign in entries:
-            data[row, col] = sign
-        return cls(data)
-
     def __repr__(self):
         return f"SignedBooleanMatrix(shape={self.shape})"
 
@@ -191,30 +181,37 @@ class _Memo(dict):
 class Subdomain:
     """One physics partition: matrices, scheme, local step, load, glue rows.
 
-    ``force`` maps a time to the load vector f_i(t).  ``M`` and ``K`` are
-    dense arrays or sparse matrices (stored as CSR); either way the
-    subdomain keeps a read-only copy, so with the frozen fields nothing a
-    factor or propagator is derived from can change.  The private
-    ``_memo`` therefore keeps those derived objects for the life of the
-    subdomain without their ever going stale.
+    The load is data: f_i(t) = g(t) f0, a fixed vector ``f0`` times an
+    optional scalar function of time ``g`` (``None`` for a constant load,
+    f_i(t) = f0).  :meth:`loads` evaluates it at the sub-levels of a step.
+    ``M`` and ``K`` are dense arrays or sparse matrices (stored as CSR);
+    either way the subdomain keeps a read-only copy of them and of
+    ``f0``, so with the frozen fields nothing a factor or propagator is
+    derived from can change.  The private ``_memo`` therefore keeps those
+    derived objects for the life of the subdomain without their ever
+    going stale.
     """
 
     M: np.ndarray
     K: np.ndarray
     params: NewmarkParams
     dt_sub: float
-    force: Callable[[float], np.ndarray]
+    f0: np.ndarray
     C: SignedBooleanMatrix
+    g: Optional[Callable[[float], float]] = None
     _memo: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "M", _read_only(self.M))
         object.__setattr__(self, "K", _read_only(self.K))
+        object.__setattr__(self, "f0", _read_only(self.f0))
         n = self.M.shape[0]
         if self.M.shape != (n, n) or self.K.shape != (n, n):
             raise DimensionMismatch(
                 f"M is {self.M.shape}, K is {self.K.shape}; need matching squares"
             )
+        if self.f0.shape != (n,):
+            raise DimensionMismatch(f"f0 has shape {self.f0.shape} for {n} DOFs")
         scale_m = abs(self.M).max() or 1.0
         scale_k = abs(self.K).max() or 1.0
         if abs(self.M - self.M.T).max() > 1e-12 * scale_m:
@@ -250,13 +247,31 @@ class Subdomain:
             "critical_dt", lambda: critical_time_step(self.M, self.K, self.params)
         )
 
-    def with_force(self, force: Callable[[float], np.ndarray]) -> "Subdomain":
+    def loads(self, t0: float, steps: int = 0, dt: Optional[float] = None) -> np.ndarray:
+        """The loads f_i(t0 + j dt) for j = 0..steps, shape (steps + 1, n).
+
+        ``dt`` defaults to ``dt_sub``, so ``loads(t_n, eta)`` are the
+        loads at the sub-levels of the system step from t_n, and
+        ``loads(t)[0]`` is the load at t.  A constant load (``g`` is
+        ``None``) is ``f0`` broadcast to that shape, read-only, with no
+        call and no copy.  Otherwise row j is ``g(t_j) f0``, with ``g``
+        called once per time ``t_j = t0 + j dt``.
+        """
+        if self.g is None:
+            return np.broadcast_to(self.f0, (steps + 1, self.n_dofs))
+        dt = self.dt_sub if dt is None else dt
+        scales = np.array([self.g(t0 + j * dt) for j in range(steps + 1)], dtype=float)
+        return scales[:, None] * self.f0
+
+    def with_load(
+        self, f0: np.ndarray, g: Optional[Callable[[float], float]] = None
+    ) -> "Subdomain":
         """This subdomain under another load, keeping its derived objects.
 
         None of them (factor, critical step, propagators) depends on the
         load, so the new subdomain starts with a copy of this one's memo.
         """
-        new = replace(self, force=force)
+        new = replace(self, f0=f0, g=g)
         new._memo.update(self._memo)
         return new
 
@@ -409,7 +424,8 @@ class SubstepHistory:
     ``a``, ``v`` and ``d`` have shape (eta, n): row j - 1 is the state at
     sub-level j = 1..eta, so the last row is the state at the new system
     level.  ``f`` has shape (eta + 1, n): the loads at sub-levels 0..eta,
-    as the step evaluated them.
+    as :meth:`Subdomain.loads` gives them (read-only for a constant
+    load).
     """
 
     a: np.ndarray
@@ -541,7 +557,7 @@ def initialize_coupled_system(
 
     m_factors = [linalg.cholesky_factor(sub.M) for sub in subs]
     free_acc = [
-        fac.solve(sub.force(t0) - sub.K @ d)
+        fac.solve(sub.loads(t0)[0] - sub.K @ d)
         for sub, fac, d in zip(subs, m_factors, d0)
     ]
 
@@ -662,7 +678,7 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     levels = []
     gap = np.zeros(n_c)
     for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
-        f = np.array([sub.force(t_n + j * sub.dt_sub) for j in range(eta + 1)], dtype=float)
+        f = sub.loads(t_n, eta)
         H = np.empty((3, eta, sub.n_dofs))
         H[0] = 0.0 + f[1:]  # R_i's zero acceleration row plus the loads
         H[0] += sub.C.transpose_product(lam_n)

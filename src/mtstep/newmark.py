@@ -100,6 +100,13 @@ def newmark_predict(
     return d_pred, v_pred
 
 
+def _full(shape, value: float) -> np.ndarray:
+    """``np.full(shape, value)`` at a fraction of its fixed cost."""
+    out = np.empty(shape)
+    out.fill(value)
+    return out
+
+
 class EffectiveSolver:
     """Cached factorization of the effective matrix ``M + beta dt^2 K``.
 
@@ -153,23 +160,35 @@ class EffectiveSolver:
         only read.
 
         On a subdomain of a few DOFs, the fixed cost of each numpy call
-        outweighs its arithmetic, so the loop is written for few and cheap
-        calls without changing a single operand: 11 per explicit step and
-        13 per implicit one.
+        outweighs its arithmetic, so the loops are written for few and
+        cheap calls without changing a single operand.  Dense operators
+        (the small blocks :func:`linalg.operator` keeps dense) and sparse
+        ones take separate loops:
 
-        * for dense operators (the small blocks :func:`linalg.operator`
-          keeps dense) the five coefficients are arrays of the state's
-          shape, because an array-by-array product is cheaper than a
-          Python float times an array; sparse operators are large, where
-          full-length coefficient arrays cost more memory traffic than
-          they save, so they keep floats;
+        * dense: 10 calls per explicit step and 12 per implicit one when
+          gamma = 1/2, one more each otherwise.  The five coefficients
+          are arrays of the state's shape, because an array-by-array
+          product is cheaper than a Python float times an array.  The
+          step's temporaries are allocated once per sweep, every product
+          and sum writes into one of them or into a row, and outputs are
+          passed by position, which is cheaper than ``out=``.  Only
+          ``K.dot`` returns a fresh array (``np.dot`` with an output is
+          slower).  When (1 - gamma) dt equals gamma dt, a step's
+          gamma dt a is the next step's (1 - gamma) dt a and is formed
+          once;
+        * sparse: 11 calls per explicit step and 13 per implicit one,
+          with float coefficients and fresh temporaries.  Sparse blocks
+          are large: there full-length coefficient arrays and buffers
+          cost more memory traffic than the calls they save (the dense
+          loop took 1.13x as long on wave2d's 836 x 44 propagator sweep
+          and 1.5x on the 3168 x 44 one, one BLAS thread), and buffers
+          kept for the whole sweep add to the peak memory;
         * ``K.dot`` is bound once, which skips the ``@`` operator
           dispatch and calls the same kernel;
         * the predictor ``rd`` is added straight into ``D[j]``, the load
           row ``A[j]`` is reduced and then solved in place
           (:attr:`linalg.Factor.solve_in_place`), and the new velocity is
-          added into ``V[j]`` with ``out=``, so no temporary is copied
-          into a row;
+          added into ``V[j]``, so no temporary is copied into a row;
         * ``d = rd + beta dt^2 a`` is formed only when beta != 0.  For an
           explicit scheme (beta = 0, the sub-stepped subdomains of the
           paper) ``rd + 0 a`` is ``rd`` bit for bit, with one IEEE
@@ -185,8 +204,8 @@ class EffectiveSolver:
         c_a, c_g = beta * dt * dt, gamma * dt
         c_t = dt
         if isinstance(self.K, np.ndarray):
-            shape = np.shape(a)
-            c_v, c_d, c_t, c_a, c_g = (np.full(shape, c) for c in (c_v, c_d, c_t, c_a, c_g))
+            self._sweep_dense(a, v, d, A, V, D, c_v, c_d, c_t, c_a, c_g)
+            return
         K_dot, solve, add = self.K.dot, self._factor.solve_in_place, np.add
         for Aj, Vj, Dj in zip(A, V, D):
             rv = c_v * a + v
@@ -197,6 +216,36 @@ class EffectiveSolver:
             if beta:
                 add(d, c_a * a, out=Dj)
             v = add(rv, c_g * a, out=Vj)
+
+    def _sweep_dense(self, a, v, d, A, V, D, c_v, c_d, c_t, c_a, c_g) -> None:
+        """:meth:`sweep`'s loop for dense operators, on preallocated rows."""
+        beta = self.params.beta
+        reuse = c_v == c_g  # gamma = 1/2: c_g a of step j is c_v a of step j + 1
+        shape = a.shape
+        c_v, c_d, c_t, c_a, c_g = (_full(shape, c) for c in (c_v, c_d, c_t, c_a, c_g))
+        rv, rd, tmp, ga = (np.empty(shape) for _ in range(4))
+        K_dot, solve = self.K.dot, self._factor.solve_in_place
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        if reuse:
+            multiply(c_g, a, ga)
+        for Aj, Vj, Dj in zip(A, V, D):
+            if reuse:
+                add(ga, v, rv)
+            else:
+                multiply(c_v, a, rv)
+                add(rv, v, rv)
+            multiply(c_d, a, rd)
+            multiply(c_t, v, tmp)
+            add(rd, tmp, rd)
+            d = add(rd, d, Dj)
+            subtract(Aj, K_dot(d), Aj)
+            solve(Aj)
+            a = Aj
+            if beta:
+                multiply(c_a, a, tmp)
+                add(d, tmp, Dj)
+            multiply(c_g, a, ga)
+            v = add(rv, ga, Vj)
 
     def step(self, state: KinematicState, f_next: np.ndarray) -> KinematicState:
         """Advance one unconstrained step under end-of-step load ``f_next``."""

@@ -1,10 +1,13 @@
 """The five benchmark systems and their analytic oracles.
 
-Each builder describes its subdomains as ``(M, K, load, locations)``
+Each builder describes its subdomains as ``(M, K, f0, g, locations)``
 parts and hands them to one glue helper, ``_glue``, which returns a
 :class:`Scenario`: a ready-to-run :class:`~mtstep.coupling.CoupledSystem`
 plus a duration, default probe DOFs (the quantities worth plotting) and,
 where available, a closed-form oracle for the probed displacement.
+Every load is data, ``g(t) f0``: a fixed vector, constant (``g`` is
+``None``) in all scenarios but wave2d, whose burst is the time factor
+:func:`wave_burst`.
 
 Benchmarks
 ----------
@@ -58,14 +61,6 @@ class Scenario:
             raise ValueError("duration must be positive and finite")
 
 
-def _as_force(load: np.ndarray | Callable) -> Callable[[float], np.ndarray]:
-    """``load`` itself if it is a function of time, else a constant load."""
-    if callable(load):
-        return load
-    vec = np.asarray(load, dtype=float)
-    return lambda t: vec
-
-
 def _chain_constraints(locations: Sequence[np.ndarray]) -> list[SignedBooleanMatrix]:
     """Glue coincident DOFs across subdomains with chained +1/-1 rows.
 
@@ -104,9 +99,10 @@ def _glue(
     v0: float = 0.0,
     **scenario,
 ) -> Scenario:
-    """Glue per-subdomain ``(M, K, load, locations)`` parts into a scenario.
+    """Glue per-subdomain ``(M, K, f0, g, locations)`` parts into a scenario.
 
-    ``load`` is a fixed vector or a function of time.  ``locations`` has
+    The load is ``g(t) f0``, or the constant ``f0`` where ``g`` is ``None``
+    (see :class:`~mtstep.coupling.Subdomain`).  ``locations`` has
     one row per DOF (its coordinates, plus the component where a node
     carries several); equal rows of different subdomains are chained by
     velocity constraints (:func:`_chain_constraints`).  Subdomain i
@@ -117,8 +113,8 @@ def _glue(
     """
     Cs = _chain_constraints([loc for *_, loc in parts])
     subs = [
-        Subdomain(M=M, K=K, params=p, dt_sub=dt_system / eta, force=_as_force(f), C=C)
-        for (M, K, f, _), C, eta, p in zip(parts, Cs, etas, params, strict=True)
+        Subdomain(M=M, K=K, params=p, dt_sub=dt_system / eta, f0=f0, C=C, g=g)
+        for (M, K, f0, g, _), C, eta, p in zip(parts, Cs, etas, params, strict=True)
     ]
     system = initialize_coupled_system(
         subs,
@@ -152,7 +148,7 @@ def build_sdof2(
     k = (2.5, 50.0)
     d0, v0 = 0.1, 1.0
     # Both copies sit at one location: the constraint is v_A - v_B = 0.
-    parts = [([[mi]], [[ki]], [0.0], [[0.0]]) for mi, ki in zip(m, k)]
+    parts = [([[mi]], [[ki]], [0.0], None, [[0.0]]) for mi, ki in zip(m, k)]
     omega = math.sqrt((k[0] + k[1]) / (m[0] + m[1]))
 
     def oracle(t: float) -> float:
@@ -191,7 +187,7 @@ def build_sdof3(
     f = (0.0, 1.0, 0.0)
     d0, v0 = 1.0, 0.0
     # One shared location: constraint rows v_A - v_B = 0 and v_B - v_C = 0.
-    parts = [([[mi]], [[ki]], [fi], [[0.0]]) for mi, ki, fi in zip(m, k, f)]
+    parts = [([[mi]], [[ki]], [fi], None, [[0.0]]) for mi, ki, fi in zip(m, k, f)]
 
     # Left to right: from Python 3.12 the built-in ``sum`` rounds float
     # sums differently (5.11 against 5.109999999999999 here).
@@ -277,7 +273,7 @@ def build_bar_1d(
         load = np.zeros(free.size)
         if i == 2:
             load[-1] = BAR_TIP_LOAD
-        parts.append((M, K, load, coords[free, None]))
+        parts.append((M, K, load, None, coords[free, None]))
 
     def oracle(t: float) -> float:
         return series_bar_solution(BAR_LENGTH, t)
@@ -338,7 +334,7 @@ def build_plate_2d(
         load = np.zeros(free.size)
         load[corner] = np.take(PLATE_CORNER_FORCE, comp[corner])
         probes += tuple((i, int(k)) for k in np.flatnonzero(corner))
-        parts.append((M, K, load, np.column_stack((x, y, comp))))
+        parts.append((M, K, load, None, np.column_stack((x, y, comp))))
 
     return _glue(
         parts, dt_system, etas, params, lambda_init,
@@ -356,6 +352,13 @@ WAVE_C0 = 1.0
 WAVE_F0 = 5.0
 WAVE_TAU_LOAD = 0.1
 WAVE_INTERFACE_X = 0.4
+
+
+def wave_burst(t: float) -> float:
+    """Time factor of the wave2d load: sin(2 pi t / tau) on [0, tau], else 0."""
+    if 0.0 <= t <= WAVE_TAU_LOAD:
+        return math.sin(2.0 * math.pi * t / WAVE_TAU_LOAD)
+    return 0.0
 
 
 def build_wave_2d(
@@ -400,18 +403,14 @@ def build_wave_2d(
         M, K, free = fem.eliminate_dofs(M, K, np.nonzero(fixed)[0])
         if i == 0:
             edge = fem.edge_load_left(grid, 0.4 * WAVE_LY, 0.6 * WAVE_LY)
-            base = WAVE_F0 * edge[free]
-
-            def load(t: float) -> np.ndarray:
-                if 0.0 <= t <= WAVE_TAU_LOAD:
-                    return base * math.sin(2.0 * math.pi * t / WAVE_TAU_LOAD)
-                return np.zeros_like(base)
-
+            # f0 >= 0, so the zero load outside the burst is +0.0.
+            parts.append((M, K, WAVE_F0 * edge[free], wave_burst, grid.coords[free]))
             # Probe: the free node closest to the load-segment midpoint.
             mid = np.array([0.0, WAVE_LY / 2.0])
             dist = np.linalg.norm(grid.coords[free] - mid, axis=1)
             probes = ((0, int(np.argmin(dist))),)
-        parts.append((M, K, load if i == 0 else np.zeros(free.size), grid.coords[free]))
+        else:
+            parts.append((M, K, np.zeros(free.size), None, grid.coords[free]))
 
     return _glue(
         parts, dt_system, etas, params, lambda_init,
@@ -436,10 +435,10 @@ def free_vibration_variant(scenario: Scenario) -> Scenario:
     from .baselines import merge_system_matrices
 
     sys = scenario.system
-    _, K_merged, force_merged, maps = merge_system_matrices(sys)
-    d_static = linalg.cholesky_factor(K_merged).solve(force_merged(sys.t_current))
+    _, K_merged, load_merged, maps = merge_system_matrices(sys)
+    d_static = linalg.cholesky_factor(K_merged).solve(load_merged(sys.t_current))
 
-    new_subs = [sub.with_force(_as_force(np.zeros(sub.n_dofs))) for sub in sys.subdomains]
+    new_subs = [sub.with_load(np.zeros(sub.n_dofs)) for sub in sys.subdomains]
     d0 = [d_static[mp] for mp in maps]
     v0 = [np.zeros(sub.n_dofs) for sub in sys.subdomains]
     system = initialize_coupled_system(new_subs, sys.dt_system, d0=d0, v0=v0)

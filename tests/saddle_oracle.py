@@ -143,9 +143,9 @@ def assemble_rhs(sys: CoupledSystem) -> np.ndarray:
     for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
         Ct_lam = sub.C.data.T @ lam_n
         ra0, rv0, rd0 = apply_R(sub, st.a, st.v, st.d)
+        f = sub.loads(sys.t_current, eta)
         for j in range(1, eta + 1):
-            ra = np.asarray(sub.force(sys.t_current + j * sub.dt_sub), dtype=float)
-            ra = ra + Ct_lam
+            ra = f[j] + Ct_lam
             rv = np.zeros(sub.n_dofs)
             rd = np.zeros(sub.n_dofs)
             if j == 1:
@@ -190,10 +190,7 @@ def advance_monolithic(sys: CoupledSystem) -> SystemStepResult:
     for sub, eta in zip(sys.subdomains, sys.eta):
         n = sub.n_dofs
         levels = X[offset:offset + 3 * n * eta].reshape(eta, 3, n)  # (a, v, d) blocks
-        f = np.array(
-            [sub.force(sys.t_current + j * sub.dt_sub) for j in range(eta + 1)],
-            dtype=float,
-        )
+        f = sub.loads(sys.t_current, eta)
         histories.append(
             SubstepHistory(a=levels[:, 0], v=levels[:, 1], d=levels[:, 2], f=f)
         )

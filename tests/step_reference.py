@@ -58,11 +58,11 @@ def reference_step(sys: CoupledSystem) -> ReferenceStep:
         solver = sub.solver()
         Ct_lam = sub.C.data.T @ lam_n
         a, v, d = st.a, st.v, st.d
+        f = sub.loads(sys.t_current, eta)
         hist = []
         for j in range(1, eta + 1):
-            f = np.asarray(sub.force(sys.t_current + j * sub.dt_sub), dtype=float)
             ra, rv, rd = apply_R(sub, a, v, d)
-            a, v, d = solver.solve_rows(ra + f + Ct_lam, rv, rd)
+            a, v, d = solver.solve_rows(ra + f[j] + Ct_lam, rv, rd)
             hist.append((a, v, d))
         base.append(hist)
         gap += sub.C.data @ hist[-1][1]
@@ -122,16 +122,15 @@ def energy_interface(step: ReferenceStep, sys: CoupledSystem) -> float:
 
 
 def external_work(step: ReferenceStep, sys: CoupledSystem) -> float:
-    """gamma-weighted load work, calling each load function at each sub-level."""
+    """gamma-weighted load work, evaluating the loads at each sub-level."""
     out = 0.0
     for sub, eta, st_n, hist in zip(
         sys.subdomains, sys.eta, sys.states, step.new_states
     ):
         gamma = sub.params.gamma
         chain = [st_n, *hist]
+        f = sub.loads(sys.t_current, eta)
         for j in range(eta):
-            f_lo = np.asarray(sub.force(sys.t_current + j * sub.dt_sub), dtype=float)
-            f_hi = np.asarray(sub.force(sys.t_current + (j + 1) * sub.dt_sub), dtype=float)
-            f_w = (1.0 - gamma) * f_lo + gamma * f_hi
+            f_w = (1.0 - gamma) * f[j] + gamma * f[j + 1]
             out += float(f_w @ (chain[j + 1].d - chain[j].d))
     return out

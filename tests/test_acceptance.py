@@ -355,16 +355,14 @@ def test_criterion_12_brute_force_oracle_equivalence():
             C1[k, r1] = 1.0
             C2[k, r2] = -1.0
         f1, f2 = rng.standard_normal(n1), rng.standard_normal(n2)
-        forces = [
-            lambda t, f=f1: f * math.cos(3 * t),
-            lambda t, f=f2: f * math.sin(2 * t),
-        ]
+        g1, g2 = (lambda t: math.cos(3 * t)), (lambda t: math.sin(2 * t))
+        forces = [lambda t: g1(t) * f1, lambda t: g2(t) * f2]  # for the reference
         dt = 0.05
         subs = [
-            Subdomain(M=M1, K=K1, params=params, dt_sub=dt,
-                      force=forces[0], C=SignedBooleanMatrix(C1)),
-            Subdomain(M=M2, K=K2, params=params, dt_sub=dt,
-                      force=forces[1], C=SignedBooleanMatrix(C2)),
+            Subdomain(M=M1, K=K1, params=params, dt_sub=dt, f0=f1,
+                      C=SignedBooleanMatrix(C1), g=g1),
+            Subdomain(M=M2, K=K2, params=params, dt_sub=dt, f0=f2,
+                      C=SignedBooleanMatrix(C2), g=g2),
         ]
         sys = initialize_coupled_system(
             subs, dt,

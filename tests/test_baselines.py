@@ -33,7 +33,7 @@ def test_backward_euler_satisfies_its_equations():
             np.testing.assert_allclose(new.d, st.d + dt * new.v, atol=1e-13)
             np.testing.assert_allclose(new.a, (new.v - st.v) / dt, atol=1e-10)
             # momentum balance at the new level
-            f = sub.force(sys.t_current + dt)
+            f = sub.loads(sys.t_current + dt)[0]
             residual = sub.M @ new.a + sub.K @ new.d - f - sub.C.data.T @ lam
             np.testing.assert_allclose(residual, 0.0, atol=1e-11)
             v_residual += sub.C.data @ new.v

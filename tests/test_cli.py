@@ -222,11 +222,12 @@ def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys, method):
         sys0 = sc.system
         t_nan = 2.25 * sys0.dt_system
 
-        def force(t, base=sys0.subdomains[1].force):
-            return base(t) * (math.nan if t > t_nan else 1.0)
+        def g(t):
+            return math.nan if t > t_nan else 1.0
 
         subs = list(sys0.subdomains)
-        subs[1] = replace(subs[1], force=force)
+        assert subs[1].g is None  # constant f0; g makes it NaN after t_nan
+        subs[1] = replace(subs[1], g=g)
         return replace(sc, system=replace(sys0, subdomains=tuple(subs), plan=None))
 
     monkeypatch.setitem(problems.SCENARIOS, "sdof3", nan_from_third_step)

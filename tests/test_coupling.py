@@ -32,9 +32,12 @@ from saddle_oracle import (
 from step_reference import sublevel_states
 
 
-def zero_force(n):
-    z = np.zeros(n)
-    return lambda t: z
+def signed_boolean_from_entries(n_constraints, n_dofs, entries):
+    """A SignedBooleanMatrix from (row, dof, sign) triplets."""
+    data = np.zeros((n_constraints, n_dofs))
+    for row, col, sign in entries:
+        data[row, col] = sign
+    return SignedBooleanMatrix(data)
 
 
 def make_pair(dt_a=0.02, dt_b=0.02, sign=(+1, -1), params=AVERAGE_ACCELERATION):
@@ -42,12 +45,12 @@ def make_pair(dt_a=0.02, dt_b=0.02, sign=(+1, -1), params=AVERAGE_ACCELERATION):
     subs = [
         Subdomain(
             M=np.array([[0.1]]), K=np.array([[2.5]]), params=params,
-            dt_sub=dt_a, force=zero_force(1),
+            dt_sub=dt_a, f0=np.zeros(1),
             C=SignedBooleanMatrix(np.array([[float(sign[0])]])),
         ),
         Subdomain(
             M=np.array([[0.005]]), K=np.array([[50.0]]), params=params,
-            dt_sub=dt_b, force=zero_force(1),
+            dt_sub=dt_b, f0=np.zeros(1),
             C=SignedBooleanMatrix(np.array([[float(sign[1])]])),
         ),
     ]
@@ -81,7 +84,7 @@ def _bits(x):
 
 def test_signed_boolean_products_match_dense_bitwise():
     # Row 1 is a zero row and DOF 2 sits in rows 0 and 3.
-    C = SignedBooleanMatrix.from_entries(4, 5, [(0, 2, 1), (2, 0, -1), (3, 2, -1)])
+    C = signed_boolean_from_entries(4, 5, [(0, 2, 1), (2, 0, -1), (3, 2, -1)])
     rng = np.random.default_rng(3)
     x = rng.standard_normal(5)
     X = rng.standard_normal((5, 3))
@@ -95,7 +98,7 @@ def test_signed_boolean_products_match_dense_bitwise():
     ):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(_bits(got), _bits(want))
-    Z = SignedBooleanMatrix.zeros(2, 3)
+    Z = SignedBooleanMatrix(np.zeros((2, 3)))
     for got, want in (
         (Z.product(x[:3]), np.zeros(2)),
         (Z.transpose_product(lam[:2]), np.zeros(3)),
@@ -103,14 +106,6 @@ def test_signed_boolean_products_match_dense_bitwise():
     ):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(_bits(got), _bits(want))
-
-
-def test_signed_boolean_from_entries():
-    C = SignedBooleanMatrix.from_entries(2, 3, [(0, 1, 1), (1, 2, -1)])
-    np.testing.assert_array_equal(
-        C.data, [[0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]
-    )
-    assert SignedBooleanMatrix.zeros(2, 3).n_constraints == 2
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +144,7 @@ def test_critical_step_guard_is_exact():
     def system(dt):
         single = Subdomain(
             M=sub.M, K=sub.K, params=CENTRAL_DIFFERENCE, dt_sub=dt,
-            force=zero_force(n), C=SignedBooleanMatrix.zeros(0, n),
+            f0=np.zeros(n), C=SignedBooleanMatrix(np.zeros((0, n))),
         )
         return initialize_coupled_system(
             [single], dt, d0=[np.zeros(n)], v0=[np.zeros(n)]
@@ -170,7 +165,7 @@ def test_mismatched_constraint_counts_rejected():
     subs = make_pair()
     bad = Subdomain(
         M=subs[1].M, K=subs[1].K, params=subs[1].params, dt_sub=subs[1].dt_sub,
-        force=zero_force(1), C=SignedBooleanMatrix(np.array([[-1.0], [0.0]])),
+        f0=np.zeros(1), C=SignedBooleanMatrix(np.array([[-1.0], [0.0]])),
     )
     st = KinematicState(d=[0.0], v=[0.0], a=[0.0])
     with pytest.raises(DimensionMismatch):
@@ -239,8 +234,9 @@ def test_step_histories_satisfy_substep_equations():
             sys.subdomains, sys.eta, sys.states, sublevel_states(result)
         ):
             prev = st
+            f = sub.loads(sys.t_current, eta)
             for j in range(1, eta + 1):
-                f_next = sub.force(sys.t_current + j * sub.dt_sub)
+                f_next = f[j]
                 redo = subdomain_substep(
                     sub, prev, sys.lambda_current, result.lambda_next, j, eta, f_next
                 )
@@ -257,12 +253,12 @@ def test_sublevel_states_obey_equations_of_motion():
     result = advance_system_step(sys)
     for sub, eta, hist in zip(sys.subdomains, sys.eta, sublevel_states(result)):
         assert len(hist) == eta
+        f = sub.loads(sys.t_current, eta)
         for j, st in enumerate(hist, start=1):
             lam_j = interpolate_lambda(
                 sys.lambda_current, result.lambda_next, j, eta
             )
-            f = sub.force(sys.t_current + j * sub.dt_sub)
-            residual = sub.M @ st.a + sub.K @ st.d - f - sub.C.data.T @ lam_j
+            residual = sub.M @ st.a + sub.K @ st.d - f[j] - sub.C.data.T @ lam_j
             np.testing.assert_allclose(residual, 0.0, atol=1e-12)
 
 
@@ -349,7 +345,7 @@ def test_subdomain_is_immutable():
     dense_sub = make_pair()[0]
     sparse_sub = Subdomain(
         M=scipy.sparse.csr_array(np.array([[0.1]])), K=np.array([[2.5]]),
-        params=AVERAGE_ACCELERATION, dt_sub=0.02, force=zero_force(1),
+        params=AVERAGE_ACCELERATION, dt_sub=0.02, f0=np.zeros(1),
         C=SignedBooleanMatrix(np.array([[1.0]])),
     )
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -362,12 +358,15 @@ def test_subdomain_is_immutable():
         dense_sub.K[0, 0] = 0.2
     with pytest.raises(ValueError):
         sparse_sub.M.data[0] = 0.2
-    # The subdomain holds its own copy: the caller's array stays writable
-    # and later writes to it do not reach the subdomain.
-    M = np.array([[0.1]])
-    sub = replace(dense_sub, M=M)
+    with pytest.raises(ValueError):
+        dense_sub.f0[0] = 1.0
+    # The subdomain holds its own copies: the caller's arrays stay
+    # writable and later writes to them do not reach the subdomain.
+    M, f0 = np.array([[0.1]]), np.array([1.0])
+    sub = replace(dense_sub, M=M, f0=f0)
     M[0, 0] = 0.2
-    assert sub.M[0, 0] == 0.1
+    f0[0] = 2.0
+    assert sub.M[0, 0] == 0.1 and sub.f0[0] == 1.0
 
 
 def test_interface_factor_built_once_per_run(monkeypatch):
@@ -395,7 +394,7 @@ def test_redundant_rows_fail_on_every_advance():
     subs = [
         Subdomain(
             M=np.array([[m]]), K=np.array([[k]]), params=AVERAGE_ACCELERATION,
-            dt_sub=0.02, force=zero_force(1),
+            dt_sub=0.02, f0=np.zeros(1),
             C=SignedBooleanMatrix(np.array([[sign], [sign]])),
         )
         for m, k, sign in ((0.1, 2.5, 1.0), (0.005, 50.0, -1.0))

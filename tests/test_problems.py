@@ -66,8 +66,8 @@ def test_sdof3_oracle_and_load():
     for t in (0.5, 2.0):
         residual = 5.11 * second_derivative(sc.oracle, t) + 11.5 * sc.oracle(t) - 1.0
         assert abs(residual) <= 1e-5
-    forces = [sub.force(0.0) for sub in sc.system.subdomains]
-    np.testing.assert_allclose(np.concatenate(forces), [0.0, 1.0, 0.0])
+    loads = [sub.loads(0.0)[0] for sub in sc.system.subdomains]
+    np.testing.assert_allclose(np.concatenate(loads), [0.0, 1.0, 0.0])
 
 
 def test_sdof3_coupled_run_tracks_oracle():
@@ -116,10 +116,10 @@ def test_bar_scenario_structure():
     assert sys.n_constraints == 2
     assert sys.eta == (1, 10, 1)
     # Tip load on the last DOF of subdomain C only.
-    f_c = sys.subdomains[2].force(0.0)
+    f_c = sys.subdomains[2].loads(0.0)[0]
     assert f_c[-1] == pytest.approx(problems.BAR_TIP_LOAD)
     assert np.count_nonzero(f_c) == 1
-    assert not np.any(sys.subdomains[0].force(0.0))
+    assert not np.any(sys.subdomains[0].loads(0.0)[0])
     assert sc.probes == ((2, 5),)
 
 
@@ -165,7 +165,7 @@ def test_plate_scenario_structure():
     assert sys.eta == (5, 5, 5, 1)
     # The corner force acts on the two components of one node of the
     # bottom-right subdomain, which is also the default probe.
-    f = sys.subdomains[1].force(0.0)
+    f = sys.subdomains[1].loads(0.0)[0]
     assert np.count_nonzero(f) == 2
     assert sorted(sc.probes) == sorted((1, dof) for dof in np.nonzero(f)[0])
 
@@ -205,11 +205,11 @@ def test_plate_static_limit_is_symmetric_about_midline():
     # true in general (the load itself is not symmetric), so check instead
     # that the merged stiffness is SPD on the constrained space.
     sc = problems.build_plate_2d()
-    _, K, force, _ = merge_system_matrices(sc.system)
+    _, K, load, _ = merge_system_matrices(sc.system)
     K = linalg.dense(K)  # 220 merged DOFs: stored sparse
     w = np.linalg.eigvalsh(K)
     assert w.min() > 0.0
-    d = np.linalg.solve(K, force(0.0))
+    d = np.linalg.solve(K, load(0.0))
     assert np.abs(d).max() > 0.0
 
 
@@ -225,15 +225,34 @@ def test_wave_scenario_structure_small_mesh():
     assert sys.n_constraints == 4
     assert sys.eta == (2, 1)
     # The load lives on subdomain 1 only, switches off after tau.
-    f_on = sys.subdomains[0].force(0.025)
+    f_on = sys.subdomains[0].loads(0.025)[0]
     assert np.abs(f_on).max() > 0.0
-    assert not np.any(sys.subdomains[0].force(0.15))
-    assert not np.any(sys.subdomains[1].force(0.025))
+    assert not np.any(sys.subdomains[0].loads(0.15)[0])
+    assert not np.any(sys.subdomains[1].loads(0.025)[0])
     # Load vanishes exactly at t = 0 and t = tau (full sine periods).
-    np.testing.assert_allclose(sys.subdomains[0].force(0.0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(sys.subdomains[0].loads(0.0)[0], 0.0, atol=1e-12)
     np.testing.assert_allclose(
-        sys.subdomains[0].force(problems.WAVE_TAU_LOAD), 0.0, atol=1e-12
+        sys.subdomains[0].loads(problems.WAVE_TAU_LOAD)[0], 0.0, atol=1e-12
     )
+
+
+def test_wave_burst_keeps_the_bits_of_the_load_closure():
+    # The load g(t) f0 gives, bit for bit, what the builder's closure
+    # ``base * sin(2 pi t / tau)`` on [0, tau] and zeros elsewhere gave,
+    # with +0.0 (not -0.0) off the window.
+    sub = problems.build_wave_2d(nx=30, ny=15).system.subdomains[0]
+    base = sub.f0
+    assert base.min() >= 0.0 and base.max() > 0.0
+
+    def closure(t):
+        if 0.0 <= t <= problems.WAVE_TAU_LOAD:
+            return base * math.sin(2.0 * math.pi * t / problems.WAVE_TAU_LOAD)
+        return np.zeros_like(base)
+
+    for t in (0.0, 0.025, 0.05, 0.1, problems.WAVE_TAU_LOAD, 0.15):
+        got = sub.loads(t)[0]
+        np.testing.assert_array_equal(got.view(np.int64), closure(t).view(np.int64))
+    assert not np.signbit(sub.loads(0.15)).any()
 
 
 def test_wave_rejects_misaligned_interface():
@@ -249,7 +268,7 @@ def test_wave_rejects_load_segment_off_the_mesh():
             problems.build_wave_2d(ny=ny)
     sc = problems.build_wave_2d(nx=10, ny=15, dt_system=2e-3, etas=(2, 1))
     # The whole traction f0 over the segment of length Ly/5, at its peak.
-    peak = sc.system.subdomains[0].force(problems.WAVE_TAU_LOAD / 4.0)
+    peak = sc.system.subdomains[0].loads(problems.WAVE_TAU_LOAD / 4.0)[0]
     assert peak.sum() == pytest.approx(problems.WAVE_F0 * problems.WAVE_LY / 5.0)
 
 
@@ -261,7 +280,7 @@ def test_free_vibration_variant():
     sc = problems.free_vibration_variant(problems.build_sdof3())
     sys = sc.system
     for sub in sys.subdomains:
-        assert not np.any(sub.force(0.0))
+        assert not np.any(sub.loads(0.0)[0])
     for st in sys.states:
         np.testing.assert_allclose(st.v, 0.0)
     # Initial displacement solves the merged static problem f / k = 1/11.5.

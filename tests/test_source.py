@@ -1,6 +1,7 @@
 """Rules the package source keeps, checked on its syntax tree."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import mtstep
@@ -41,3 +42,45 @@ def test_scenarios_share_one_glue_path():
             ):
                 calls.append(f"{node.func.id}() in {owner} at line {node.lineno}")
     assert not calls, "glue outside _glue: " + ", ".join(calls)
+
+
+def _harness_names(*names):
+    """The module-level constants ``names`` of the harness's child.py, unimported."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    values = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in names:
+                    values[target.id] = ast.literal_eval(node.value)
+    assert set(values) == set(names), f"child.py lacks {set(names) - set(values)}"
+    return [values[name] for name in names]
+
+
+def test_harness_hooks_resolve():
+    # Every span the harness traces and its step clock wrap a callable
+    # that exists: a hook that no longer resolves leaves its per-layer
+    # figures empty.  Targets follow child.py's rules: ``Class.method``
+    # paths, and a trailing ``*`` that must match at least one function.
+    hooks, step = _harness_names("HOOKS", "STEP_FUNCTION")
+    missing = []
+    for name, module_name, attr in [*hooks, ("step", *step)]:
+        module = importlib.import_module(module_name)
+        if attr.endswith("*"):
+            found = [
+                value for key, value in vars(module).items()
+                if key.startswith(attr[:-1]) and callable(value)
+                and not isinstance(value, type)
+            ]
+        else:
+            owner_path, _, leaf = attr.rpartition(".")
+            owner = module
+            for part in filter(None, owner_path.split(".")):
+                owner = getattr(owner, part, None)
+            found = [
+                vars(owner).get(leaf) if isinstance(owner, type)
+                else getattr(owner, leaf, None)
+            ]
+        if not any(callable(value) for value in found):
+            missing.append(f"{name} ({module_name}.{attr})")
+    assert not missing, "unresolved harness hooks: " + ", ".join(missing)

@@ -6,6 +6,7 @@ These tests hold both to the straightforward per-sub-level form kept in
 ``tests/step_reference.py``.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -117,28 +118,42 @@ def test_forced_energy_balance_bar_eta1000():
     assert worst <= 1e-9 * max_energy
 
 
+def _plate_dissipative():
+    # gamma = 0.6 on every block (beta = 0.3025 keeps them unconditionally stable).
+    return problems.build_plate_2d(params=(NewmarkParams(0.3025, 0.6),) * 4).system
+
+
 @pytest.mark.parametrize(
-    "build, index",
+    "build, index, rows",
     [
-        (_plate, 0),
-        (_bar, 1),
-        (_sdof3, 0),
-        (lambda: problems.build_wave_2d(nx=30, ny=15).system, 1),
-        (lambda: problems.build_wave_2d().system, 0),
-        (_plate, 3),
+        (_plate, 0, "full"),
+        (_bar, 1, "full"),
+        (_sdof3, 0, "full"),
+        (lambda: problems.build_wave_2d(nx=30, ny=15).system, 1, "full"),
+        (lambda: problems.build_wave_2d().system, 0, "full"),
+        (_plate, 3, "full"),
+        (_plate_dissipative, 0, "full"),
+        (_bar, 1, "alternating"),
     ],
     ids=[
         "plate", "bar_eta1000", "sdof3", "wave2d_sparse",
-        "wave2d_explicit_sparse", "plate_implicit",
+        "wave2d_explicit_sparse", "plate_implicit", "plate_gamma_0.6",
+        "bar_eta1000_alternating_rows",
     ],
 )
-def test_sweep_reproduces_substeps_exactly(build, index):
+def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
     # One sweep over stacked arrays gives the bits of apply-R-then-solve
     # taken one sub-step at a time, for vector and stacked-column states,
-    # and only reads its initial state.  The cases cover explicit
-    # (beta = 0) and implicit blocks, each dense and CSR: plate and bar
-    # explicit dense, wave2d_explicit_sparse (836 DOFs) explicit CSR,
-    # sdof3 and plate_implicit implicit dense, wave2d_sparse implicit CSR.
+    # and only reads its initial state.  The cases cover both loops of
+    # the sweep: explicit (beta = 0) and implicit blocks, each dense and
+    # CSR (plate and bar explicit dense, wave2d_explicit_sparse (836 DOFs)
+    # explicit CSR, sdof3 and plate_implicit implicit dense, wave2d_sparse
+    # implicit CSR), and a dense gamma != 1/2 block, which the dense loop
+    # takes without reusing gamma dt a as the next (1 - gamma) dt a.
+    # With alternating rows, V and D are the two rows each that the
+    # acceleration-form propagators write (only the last two levels
+    # survive), and the propagators built that way keep the reference's
+    # bits too.
     sub = build().subdomains[index]
     solver = sub.solver()
     rng = np.random.default_rng(7)
@@ -147,6 +162,10 @@ def test_sweep_reproduces_substeps_exactly(build, index):
         a0, v0, d0 = (rng.standard_normal(shape) for _ in range(3))
         initial = (a0.copy(), v0.copy(), d0.copy())
         A, V, D = loads.copy(), np.empty_like(loads), np.empty_like(loads)
+        if rows == "alternating":
+            V_rows, D_rows = np.empty((2, 2, *shape))
+            V = [V_rows[j % 2] for j in range(len(loads))]
+            D = [D_rows[j % 2] for j in range(len(loads))]
         solver.sweep(a0, v0, d0, A, V, D)
         for x, x_copy in zip((a0, v0, d0), initial):
             np.testing.assert_array_equal(x, x_copy)
@@ -155,8 +174,16 @@ def test_sweep_reproduces_substeps_exactly(build, index):
             ra, rv, rd = apply_R(sub, a, v, d)
             a, v, d = solver.solve_rows(ra + loads[j], rv, rd)
             np.testing.assert_array_equal(A[j], a)
-            np.testing.assert_array_equal(V[j], v)
-            np.testing.assert_array_equal(D[j], d)
+            if rows == "full" or j >= len(loads) - 2:
+                np.testing.assert_array_equal(V[j], v)
+                np.testing.assert_array_equal(D[j], d)
+    if rows == "alternating":
+        monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
+        props = sub.multiplier_propagators(6)
+        assert not props.full
+        reference = step_reference.propagators(sub, 6)
+        np.testing.assert_array_equal(props.Y, np.array([level[0] for level in reference]))
+        np.testing.assert_array_equal(props.v_end, reference[-1][1])
 
 
 def test_propagators_stored_once_as_stacked_arrays():
@@ -231,23 +258,33 @@ def test_acceleration_form_on_wave2d_keeps_the_invariants():
 
 
 def test_step_carries_its_loads():
-    # The loads at sub-levels 0..eta are evaluated by the step, and
-    # external_work reads them instead of calling the load functions.
+    # A constant load (sdof3) is f0 broadcast over the eta + 1 sub-levels,
+    # read-only and with no load function to call.  A time-varying one
+    # calls g once per sub-level, and hist.f holds g(t_j) f0 at
+    # t_j = t_n + j dt_sub; external_work reads hist.f and calls nothing.
+    sys = _sdof3().apply(advance_system_step(_sdof3()))
+    result = advance_system_step(sys)
+    for sub, eta, hist in zip(sys.subdomains, sys.eta, result.histories):
+        assert sub.g is None
+        assert hist.f.shape == (eta + 1, sub.n_dofs)
+        assert np.shares_memory(hist.f, sub.f0) and not hist.f.flags.writeable
+        np.testing.assert_array_equal(hist.f, np.broadcast_to(sub.f0, hist.f.shape))
+
     calls = []
 
-    def counting(force):
-        def wrapped(t):
-            calls.append(t)
-            return force(t)
-        return wrapped
+    def g(t):
+        calls.append(t)
+        return math.cos(7.0 * t) - 0.5
 
-    sys = _sdof3()
-    subs = tuple(replace(sub, force=counting(sub.force)) for sub in sys.subdomains)
+    subs = tuple(replace(sub, g=g) for sub in sys.subdomains)
     sys = replace(sys, subdomains=subs, plan=None)
     result = advance_system_step(sys)
     assert len(calls) == sum(eta + 1 for eta in sys.eta)
     for sub, eta, hist in zip(sys.subdomains, sys.eta, result.histories):
+        times = [sys.t_current + j * sub.dt_sub for j in range(eta + 1)]
         assert hist.f.shape == (eta + 1, sub.n_dofs)
+        want = np.array([g(t) * sub.f0 for t in times])
+        np.testing.assert_array_equal(hist.f.view(np.int64), want.view(np.int64))
     calls.clear()
     diagnostics.external_work(result, sys)
     assert calls == []
