@@ -20,13 +20,21 @@ Two reference integrators:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .coupling import CoupledSystem, SubstepHistory, SystemStepResult, require_finite
-from .errors import SingularSaddleSystem
-from .newmark import KinematicState, NewmarkParams
+from .coupling import (
+    CoupledSystem,
+    SignedBooleanMatrix,
+    SubstepHistory,
+    SystemStepResult,
+    require_finite,
+)
+from .errors import NonFiniteState, SingularSaddleSystem
+from .newmark import EffectiveSolver, KinematicState, NewmarkParams, critical_time_step
 
 
 def _backward_euler_factor(sys: CoupledSystem) -> linalg.Factor:
@@ -41,10 +49,13 @@ def _backward_euler_factor(sys: CoupledSystem) -> linalg.Factor:
     n_subs = len(sys.subdomains)
     blocks = [[None] * (n_subs + 1) for _ in range(n_subs + 1)]
     for i, sub in enumerate(sys.subdomains):
+        C = scipy.sparse.coo_array(
+            (sub.C.signs, (sub.C.rows, sub.C.dofs)), shape=sub.C.shape
+        )
         # Substituting d^(n+1) = d^n + dt v^(n+1) into the momentum row:
         blocks[i][i] = scipy.sparse.coo_array(sub.M / dt + dt * sub.K)
-        blocks[i][n_subs] = scipy.sparse.coo_array(-sub.C.data.T)
-        blocks[n_subs][i] = scipy.sparse.coo_array(sub.C.data)
+        blocks[i][n_subs] = -C.T
+        blocks[n_subs][i] = C
     n_c = sys.n_constraints
     blocks[n_subs][n_subs] = scipy.sparse.coo_array((n_c, n_c))
     try:
@@ -110,17 +121,18 @@ def backward_euler_decay(result: SystemStepResult, sys: CoupledSystem) -> float:
     return decay
 
 
-def merge_dof_map(sys: CoupledSystem) -> tuple[list[np.ndarray], int]:
+def merge_dof_map(
+    constraints: Sequence[SignedBooleanMatrix],
+) -> tuple[list[np.ndarray], int]:
     """Identify constrained DOF pairs across subdomains (primal gluing).
 
-    Every constraint row links (at most) two DOFs with opposite signs;
-    union-find over those links yields the undecomposed DOF set.  Returns
-    one index map per subdomain (local DOF -> merged DOF) and the merged
-    size.
+    ``constraints[i]`` is C_i of subdomain i.  Each row links the DOFs it
+    selects, in subdomain order; union-find over those links yields the
+    undecomposed DOF set, numbered in the order of the sets' roots.  Returns
+    one index map per subdomain (local DOF -> merged DOF) and the size.
     """
-    offsets = np.cumsum([0] + [sub.n_dofs for sub in sys.subdomains])
-    total = int(offsets[-1])
-    parent = list(range(total))
+    offsets = np.cumsum([0] + [C.shape[1] for C in constraints])
+    parent = list(range(offsets[-1]))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -128,27 +140,19 @@ def merge_dof_map(sys: CoupledSystem) -> tuple[list[np.ndarray], int]:
             x = parent[x]
         return x
 
-    for row in range(sys.n_constraints):
-        linked = []
-        for i, sub in enumerate(sys.subdomains):
-            cols = np.nonzero(sub.C.data[row])[0]
-            for col in cols:
-                linked.append(int(offsets[i]) + int(col))
-        for a, b in zip(linked, linked[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
+    # Every entry as (row, merged-numbering DOF), by row, then subdomain.
+    rows = np.concatenate([C.rows for C in constraints])
+    dofs = np.concatenate([C.dofs + off for C, off in zip(constraints, offsets)])
+    order = np.argsort(rows, kind="stable")
+    rows, dofs = rows[order], dofs[order]
+    same_row = rows[1:] == rows[:-1]
+    for a, b in zip(dofs[:-1][same_row].tolist(), dofs[1:][same_row].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
 
-    roots = sorted({find(x) for x in range(total)})
-    root_index = {r: k for k, r in enumerate(roots)}
-    maps = []
-    for i, sub in enumerate(sys.subdomains):
-        local = np.array(
-            [root_index[find(int(offsets[i]) + k)] for k in range(sub.n_dofs)],
-            dtype=int,
-        )
-        maps.append(local)
-    return maps, len(roots)
+    roots, merged = np.unique([find(x) for x in range(offsets[-1])], return_inverse=True)
+    return np.split(merged, offsets[1:-1]), len(roots)
 
 
 def merge_system_matrices(sys: CoupledSystem):
@@ -158,8 +162,8 @@ def merge_system_matrices(sys: CoupledSystem):
     merged size; shared entries are summed in subdomain order.  ``load``
     maps a time to the merged load vector, summed the same way.
     """
-    maps, size = merge_dof_map(sys)
     subs = sys.subdomains
+    maps, size = merge_dof_map([sub.C for sub in subs])
 
     def merged(attr: str):
         parts = [scipy.sparse.coo_array(getattr(sub, attr)) for sub in subs]
@@ -183,25 +187,40 @@ def merged_newmark_reference(
     """Integrate the undecomposed system with one Newmark scheme.
 
     Initial conditions are taken from the coupled system's current
-    states (interface copies must agree; the first owner wins).  Returns
-    the merged-DOF trajectory including the initial state.
-    """
-    from .newmark import EffectiveSolver, consistent_initial_acceleration
+    states (interface copies must agree; the first owner wins), and the
+    initial acceleration from the equation of motion,
+    ``M a0 = f(t0) - K d0``.  Each step solves the predictor rows
 
+        d_pred = d + dt v + dt^2/2 (1 - 2 beta) a
+        v_pred = v + dt (1 - gamma) a
+
+    with the end-of-step load (:meth:`EffectiveSolver.solve_rows`).
+    Returns the merged-DOF trajectory including the initial state.
+    Raises ``ValueError`` unless ``dt_system`` is below the merged
+    system's critical time-step, and :class:`NonFiniteState` at the
+    first step that gives a non-finite state.
+    """
     M, K, load, maps = merge_system_matrices(sys)
-    size = M.shape[0]
-    d0 = np.zeros(size)
-    v0 = np.zeros(size)
-    for sub, st, mp in zip(sys.subdomains, sys.states, maps):
-        d0[mp] = st.d
-        v0[mp] = st.v
-    a0 = consistent_initial_acceleration(M, K, load(sys.t_current), d0)
-    state = KinematicState(d=d0, v=v0, a=a0)
-    solver = EffectiveSolver(M, K, params, sys.dt_system)
-    out = [state]
+    dt = sys.dt_system
+    crit = critical_time_step(M, K, params)
+    if not dt < crit:
+        raise ValueError(
+            f"dt_system = {dt:g} exceeds the merged critical time-step {crit:g}"
+        )
+    d, v = np.zeros((2, M.shape[0]))
+    for st, mp in zip(sys.states, maps):
+        d[mp] = st.d
+        v[mp] = st.v
     t = sys.t_current
-    for _ in range(n_steps):
-        t += sys.dt_system
-        state = solver.step(state, load(t))
-        out.append(state)
+    a = linalg.cholesky_factor(M).solve(load(t) - K @ d)
+    solver = EffectiveSolver(M, K, params, dt)
+    c_d = 0.5 * dt * dt * (1.0 - 2.0 * params.beta)
+    c_v = dt * (1.0 - params.gamma)
+    out = [KinematicState(d=d, v=v, a=a)]
+    for step in range(n_steps):
+        t += dt
+        a, v, d = solver.solve_rows(load(t), v + c_v * a, d + dt * v + c_d * a)
+        if not all(np.isfinite(x).all() for x in (a, v, d)):
+            raise NonFiniteState(f"non-finite merged state at step {step}")
+        out.append(KinematicState(d=d, v=v, a=a))
     return out

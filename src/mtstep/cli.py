@@ -304,7 +304,7 @@ def execute(config: RunConfig) -> RunResult:
         try:
             result = step_fn(sys_state)
         except (SingularSaddleSystem, SingularMatrix, NonFiniteState) as exc:
-            raise SolverFailure(step_index, exc) from exc
+            raise SolverFailure(f"solver failure at step {step_index}: {exc}") from exc
         sys_next = sys_state.apply(result)
         if config.method == "backward_euler":
             # Interface forces do no net work under this baseline (the
@@ -324,8 +324,9 @@ def execute(config: RunConfig) -> RunResult:
 def _execute_monolithic(scenario: problems.Scenario) -> RunResult:
     """Undecomposed single-scheme Newmark reference run.
 
-    Requires uniform (beta, gamma) across subdomains.  The drift columns
-    and e_interface are zero by construction and there are no multiplier
+    Requires uniform (beta, gamma) across subdomains and a system step
+    below the merged system's critical step.  The drift columns and
+    e_interface are zero by construction and there are no multiplier
     columns; e_algorithm is the energy change over each step.
     """
     sys0 = scenario.system
@@ -334,7 +335,12 @@ def _execute_monolithic(scenario: problems.Scenario) -> RunResult:
         raise ConfigError("monolithic_newmark requires uniform Newmark parameters")
     dt = sys0.dt_system
     n_steps = math.ceil(scenario.duration / dt - 1e-9)
-    states = merged_newmark_reference(sys0, params, n_steps)
+    try:
+        states = merged_newmark_reference(sys0, params, n_steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    except NonFiniteState as exc:
+        raise SolverFailure(f"solver failure: {exc}") from exc
     M, K, _, maps = merge_system_matrices(sys0)
     times = itertools.accumulate(itertools.repeat(dt, n_steps), initial=sys0.t_current)
 
@@ -357,36 +363,34 @@ def _execute_monolithic(scenario: problems.Scenario) -> RunResult:
 
 
 class SolverFailure(Exception):
-    """Wraps a solver error with the system step index where it occurred."""
-
-    def __init__(self, step_index: int, cause: Exception):
-        super().__init__(f"solver failure at step {step_index}: {cause}")
-        self.step_index = step_index
+    """A solver error, with a message that names the failing step."""
 
 
 # ---------------------------------------------------------------------------
 # Output
 # ---------------------------------------------------------------------------
 
-def _resolve_output(path: str) -> Path:
-    out = Path(path)
-    if not out.is_absolute():
-        base = os.environ.get("MTS_OUTPUT_DIR")
-        if base:
-            out = Path(base) / out
-    return out
-
-
 def _format_value(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_csv(result: RunResult, path: str | Path) -> None:
-    out = _resolve_output(str(path))
+def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
+    """Write ``lines``, each ended by ``\\n``, creating parent directories.
+
+    A relative ``path`` is taken under ``$MTS_OUTPUT_DIR`` when that is set.
+    """
+    out = Path(path)
+    base = os.environ.get("MTS_OUTPUT_DIR")
+    if base and not out.is_absolute():
+        out = Path(base) / out
     out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def write_csv(result: RunResult, path: str | Path) -> None:
     lines = [",".join(result.header)]
     lines.extend(",".join(_format_value(v) for v in row) for row in result.rows)
-    out.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_lines(path, lines)
 
 
 def run(config: RunConfig) -> int:
@@ -439,7 +443,9 @@ def sweep(base: RunConfig, axis: str, values: Sequence[str]) -> int:
         return EXIT_CONFIG
 
     base_output = Path(base.output_path or f"{base.scenario}.csv")
-    summary_rows = []
+    summary = [
+        f"{axis},final_oracle_error,max_abs_e_interface,max_norm_d_drift,max_norm_a_drift"
+    ]
     for raw in values:
         try:
             result = execute(_sweep_member(base, axis, raw))
@@ -454,29 +460,12 @@ def sweep(base: RunConfig, axis: str, values: Sequence[str]) -> int:
             f"{base_output.stem}_{axis}_{tag}{base_output.suffix or '.csv'}"
         )
         write_csv(result, member)
-        summary_rows.append(
-            (
-                raw,
-                result.final_oracle_error,
-                result.max_abs_e_interface,
-                result.max_norm_d_drift,
-                result.max_norm_a_drift,
-            )
+        err = result.final_oracle_error
+        maxima = (result.max_abs_e_interface, result.max_norm_d_drift, result.max_norm_a_drift)
+        summary.append(
+            ",".join([raw, "" if err is None else _format_value(err), *map(_format_value, maxima)])
         )
-
-    summary = base_output.with_name(f"{base_output.stem}_summary.csv")
-    out = _resolve_output(str(summary))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"{axis},final_oracle_error,max_abs_e_interface,max_norm_d_drift,max_norm_a_drift"
-    ]
-    for raw, err, e_int, d_drift, a_drift in summary_rows:
-        err_s = "" if err is None else _format_value(err)
-        lines.append(
-            f"{raw},{err_s},{_format_value(e_int)},"
-            f"{_format_value(d_drift)},{_format_value(a_drift)}"
-        )
-    out.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_lines(base_output.with_name(f"{base_output.stem}_summary.csv"), summary)
     return EXIT_OK
 
 

@@ -263,15 +263,13 @@ class Subdomain:
         scales = np.array([self.g(t0 + j * dt) for j in range(steps + 1)], dtype=float)
         return scales[:, None] * self.f0
 
-    def with_load(
-        self, f0: np.ndarray, g: Optional[Callable[[float], float]] = None
-    ) -> "Subdomain":
-        """This subdomain under another load, keeping its derived objects.
+    def with_load(self, f0: np.ndarray) -> "Subdomain":
+        """This subdomain under the constant load ``f0``, keeping its derived objects.
 
         None of them (factor, critical step, propagators) depends on the
         load, so the new subdomain starts with a copy of this one's memo.
         """
-        new = replace(self, f0=f0, g=g)
+        new = replace(self, f0=f0, g=None)
         new._memo.update(self._memo)
         return new
 
@@ -534,21 +532,15 @@ def initialize_coupled_system(
     dt_system: float,
     d0: Sequence[np.ndarray],
     v0: Sequence[np.ndarray],
-    t0: float = 0.0,
-    lambda_init: str = "consistent",
 ) -> CoupledSystem:
-    """Build a CoupledSystem with consistent initial accelerations.
+    """Build a CoupledSystem at t = 0 with consistent initial accelerations.
 
-    Initial accelerations come from the equations of motion at t0.  With
-    ``lambda_init="consistent"`` (the default) the initial multiplier is
-    chosen so the accelerations also satisfy the differentiated constraint
-    sum_i C_i a_i = 0, by solving the interface Schur complement
+    Initial accelerations come from the equations of motion at t = 0, and
+    the initial multiplier is chosen so they also satisfy the
+    differentiated constraint sum_i C_i a_i = 0, by solving the interface
+    Schur complement
 
-        (sum_i C_i M_i^{-1} C_i^T) lam0 = -sum_i C_i M_i^{-1} (f_i(t0) - K_i d_i)
-
-    ``lambda_init="zero"`` starts from lam0 = 0 instead (each subdomain's
-    a0 then ignores the interface force), which generally leaves a
-    non-zero initial acceleration drift.
+        (sum_i C_i M_i^{-1} C_i^T) lam0 = -sum_i C_i M_i^{-1} (f_i(0) - K_i d_i)
     """
     subs = tuple(subdomains)
     n_c = subs[0].n_constraints
@@ -557,11 +549,12 @@ def initialize_coupled_system(
 
     m_factors = [linalg.cholesky_factor(sub.M) for sub in subs]
     free_acc = [
-        fac.solve(sub.loads(t0)[0] - sub.K @ d)
+        fac.solve(sub.loads(0.0)[0] - sub.K @ d)
         for sub, fac, d in zip(subs, m_factors, d0)
     ]
 
-    if lambda_init == "consistent" and n_c > 0:
+    lam0 = np.zeros(n_c)
+    if n_c > 0:
         schur = np.zeros((n_c, n_c))
         rhs = np.zeros(n_c)
         for sub, fac, acc in zip(subs, m_factors, free_acc):
@@ -574,10 +567,6 @@ def initialize_coupled_system(
             raise SingularSaddleSystem(
                 f"consistent multiplier init failed: {exc}"
             ) from exc
-    elif lambda_init in ("consistent", "zero"):
-        lam0 = np.zeros(n_c)
-    else:
-        raise ValueError(f"unknown lambda_init {lambda_init!r}")
 
     states = []
     for sub, fac, acc, d, v in zip(subs, m_factors, free_acc, d0, v0):
@@ -589,7 +578,6 @@ def initialize_coupled_system(
         dt_system=dt_system,
         states=tuple(states),
         lambda_current=lam0,
-        t_current=t0,
     )
 
 

@@ -1,10 +1,10 @@
 """Small finite-element assembly kit for the benchmark problems.
 
 Covers exactly what the benchmarks need: 2-node linear bar elements with
-consistent (or optionally lumped) mass, and 4-node bilinear quadrilaterals
-with 2x2 Gauss quadrature for plane-strain elasticity and for the scalar
-wave equation.  Dirichlet conditions are applied by DOF elimination so the
-reduced mass matrix stays SPD and the stiffness PSD.
+consistent mass, and 4-node bilinear quadrilaterals with 2x2 Gauss
+quadrature for plane-strain elasticity and for the scalar wave equation.
+Dirichlet conditions are applied by DOF elimination so the reduced mass
+matrix stays SPD and the stiffness PSD.
 
 Assembly is vectorised over elements: the element matrices of all
 elements are computed at once and summed as one COO matrix.  Every
@@ -50,26 +50,20 @@ def bar_mesh(n_elems: int, length: float, x0: float = 0.0) -> np.ndarray:
     return x0 + np.linspace(0.0, length, n_elems + 1)
 
 
-def assemble_bar(
-    coords: np.ndarray, E: float, rho: float, A: float, lumped: bool = False
-):
+def assemble_bar(coords: np.ndarray, E: float, rho: float, A: float):
     """Mass and stiffness of an axial bar on a 1-D mesh.
 
-    Element matrices (length h):
+    Element matrices (length h), with consistent mass:
 
         k_e = EA/h [[1, -1], [-1, 1]]
-        m_e = rho A h / 6 [[2, 1], [1, 2]]     (consistent, default)
-        m_e = rho A h / 2 [[1, 0], [0, 1]]     (lumped)
+        m_e = rho A h / 6 [[2, 1], [1, 2]]
     """
     coords = np.asarray(coords, dtype=float)
     h = np.diff(coords)
     if (h <= 0.0).any():
         raise ValueError("node coordinates must be strictly increasing")
     ke = (E * A / h)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    if lumped:
-        me = (rho * A * h / 2.0)[:, None, None] * np.eye(2)
-    else:
-        me = (rho * A * h / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+    me = (rho * A * h / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
     nodes = np.arange(coords.size)
     dofs = np.column_stack([nodes[:-1], nodes[1:]])
     return _assemble(dofs, me, coords.size), _assemble(dofs, ke, coords.size)
@@ -192,14 +186,15 @@ def assemble_scalar_wave(grid: QuadGrid, c0: float):
     return _assemble(grid.conn, me, grid.n_nodes), _assemble(grid.conn, ke, grid.n_nodes)
 
 
-def edge_load_left(grid: QuadGrid, y_lo: float, y_hi: float, tol: float = 1e-12) -> np.ndarray:
+def edge_load_left(grid: QuadGrid, y_lo: float, y_hi: float) -> np.ndarray:
     """Consistent nodal load for unit line traction on x = min(x) edge.
 
     Integrates linear shape functions over the edge segments of the left
     boundary lying inside [y_lo, y_hi] (segment ends must coincide with
-    mesh nodes).  Returns one value per node; scale by the traction
-    magnitude and time factor at call time.
+    mesh nodes, to 1e-12).  Returns one value per node; scale by the
+    traction magnitude and time factor at call time.
     """
+    tol = 1e-12
     x_min = grid.coords[:, 0].min()
     on_edge = np.abs(grid.coords[:, 0] - x_min) <= tol
     idx = np.nonzero(on_edge)[0]

@@ -82,24 +82,6 @@ class KinematicState:
         return self.d.shape[0]
 
 
-def newmark_predict(
-    state: KinematicState, params: NewmarkParams, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predictor: the parts of (d^(n+1), v^(n+1)) independent of a^(n+1).
-
-    Returns
-    -------
-    (d_pred, v_pred)
-        ``d_pred = d + dt v + dt^2/2 (1 - 2 beta) a`` and
-        ``v_pred = v + dt (1 - gamma) a``.
-    """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    d_pred = state.d + dt * state.v + 0.5 * dt * dt * (1.0 - 2.0 * params.beta) * state.a
-    v_pred = state.v + dt * (1.0 - params.gamma) * state.a
-    return d_pred, v_pred
-
-
 def _full(shape, value: float) -> np.ndarray:
     """``np.full(shape, value)`` at a fraction of its fixed cost."""
     out = np.empty(shape)
@@ -246,22 +228,6 @@ class EffectiveSolver:
                 add(d, tmp, Dj)
             multiply(c_g, a, ga)
             v = add(rv, ga, Vj)
-
-    def step(self, state: KinematicState, f_next: np.ndarray) -> KinematicState:
-        """Advance one unconstrained step under end-of-step load ``f_next``."""
-        d_pred, v_pred = newmark_predict(state, self.params, self.dt)
-        a, v, d = self.solve_rows(np.asarray(f_next, dtype=float), v_pred, d_pred)
-        return KinematicState(d=d, v=v, a=a)
-
-
-def consistent_initial_acceleration(M, K, f0: np.ndarray, d0: np.ndarray) -> np.ndarray:
-    """Initial acceleration from the equation of motion: ``M a0 = f(0) - K d0``.
-
-    The standard choice; it makes static equilibrium an exact fixed point
-    of the integrator.
-    """
-    factor = linalg.cholesky_factor(M)
-    return factor.solve(np.asarray(f0, float) - K @ np.asarray(d0, float))
 
 
 def critical_time_step(M, K, params: NewmarkParams) -> float:

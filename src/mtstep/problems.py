@@ -94,7 +94,6 @@ def _glue(
     dt_system: float,
     etas: Sequence[int],
     params: Sequence[NewmarkParams],
-    lambda_init: str,
     d0: float = 0.0,
     v0: float = 0.0,
     **scenario,
@@ -121,7 +120,6 @@ def _glue(
         dt_system,
         d0=[np.full(sub.n_dofs, d0) for sub in subs],
         v0=[np.full(sub.n_dofs, v0) for sub in subs],
-        lambda_init=lambda_init,
     )
     return Scenario(system=system, **scenario)
 
@@ -135,7 +133,6 @@ def build_sdof2(
     etas: Sequence[int] = (1, 4),
     params: Sequence[NewmarkParams] = (AVERAGE_ACCELERATION, AVERAGE_ACCELERATION),
     duration: float = 0.5,
-    lambda_init: str = "consistent",
 ) -> Scenario:
     """Single DOF split into two subdomains (m, k) = (0.1, 2.5) / (0.005, 50).
 
@@ -160,7 +157,7 @@ def build_sdof2(
         return np.array([(k[0] - m[0] * omega * omega) * oracle(t)])
 
     return _glue(
-        parts, dt_system, etas, params, lambda_init, d0=d0, v0=v0, name="sdof2",
+        parts, dt_system, etas, params, d0=d0, v0=v0, name="sdof2",
         duration=duration, probes=((0, 0),), oracle=oracle, oracle_lambda=oracle_lambda,
     )
 
@@ -174,7 +171,6 @@ def build_sdof3(
         AVERAGE_ACCELERATION,
     ),
     duration: float = 5.0,
-    lambda_init: str = "consistent",
 ) -> Scenario:
     """Single DOF split into three subdomains with a load on the middle one.
 
@@ -201,7 +197,7 @@ def build_sdof3(
         return d_static + (d0 - d_static) * math.cos(omega * t)
 
     return _glue(
-        parts, dt_system, etas, params, lambda_init, d0=d0, v0=v0, name="sdof3",
+        parts, dt_system, etas, params, d0=d0, v0=v0, name="sdof3",
         duration=duration, probes=((0, 0),), oracle=oracle,
     )
 
@@ -215,20 +211,20 @@ BAR_RHO = 0.1
 BAR_AREA = 1.0
 BAR_LENGTH = 1.0
 BAR_TIP_LOAD = 10.0
+BAR_SERIES_TERMS = 400
 
 
-def series_bar_solution(x: float, t: float, terms: int = 400) -> float:
+def series_bar_solution(x: float, t: float) -> float:
     """Series solution of the fixed-free bar under a step tip load.
 
         u(x, t) = P x / EA
                   + (8 P L / pi^2 EA) sum_{n odd} (-1)^((n+1)/2) n^-2
                         sin(beta_n x) cos(omega_n t)
 
-    with beta_n = n pi / 2L and omega_n = beta_n sqrt(E/rho).
+    with beta_n = n pi / 2L and omega_n = beta_n sqrt(E/rho), summed over
+    the first ``BAR_SERIES_TERMS`` odd n.
     """
-    if terms < 1:
-        raise ValueError("need at least one series term")
-    n = np.arange(1, 2 * terms, 2, dtype=float)  # odd n
+    n = np.arange(1, 2 * BAR_SERIES_TERMS, 2, dtype=float)  # odd n
     beta = n * math.pi / (2.0 * BAR_LENGTH)
     omega = beta * math.sqrt(BAR_E / BAR_RHO)
     signs = (-1.0) ** ((n + 1.0) / 2.0)
@@ -249,7 +245,6 @@ def build_bar_1d(
         AVERAGE_ACCELERATION,
     ),
     duration: float = 0.025,
-    lambda_init: str = "consistent",
 ) -> Scenario:
     """Axial bar in three equal subdomains: implicit / explicit / implicit.
 
@@ -279,7 +274,7 @@ def build_bar_1d(
         return series_bar_solution(BAR_LENGTH, t)
 
     return _glue(
-        parts, dt_system, etas, params, lambda_init,
+        parts, dt_system, etas, params,
         name="bar1d", duration=duration, probes=((2, n_c),), oracle=oracle,
     )
 
@@ -293,6 +288,7 @@ PLATE_MU = 100.0
 PLATE_RHO = 100.0
 PLATE_SIDE = 1.0
 PLATE_CORNER_FORCE = (1.0, 1.0)
+PLATE_ELEMENTS_PER_SIDE = 5
 
 
 def build_plate_2d(
@@ -304,22 +300,20 @@ def build_plate_2d(
         CENTRAL_DIFFERENCE,
         AVERAGE_ACCELERATION,
     ),
-    elements_per_side: int = 5,
     duration: float = 2.0,
-    lambda_init: str = "consistent",
 ) -> Scenario:
     """Square plate, fixed left edge, constant corner force at bottom right.
 
     Four square subdomains (numbered bottom-left, bottom-right, top-left,
-    top-right), each meshed with ``elements_per_side`` squared bilinear
-    quads.  Subdomains 1-3 use central difference, subdomain 4 average
-    acceleration.  Coincident interface nodes are glued per component
-    with chained constraints (three rows per component at the center
-    cross point).  The loaded corner's DOFs are the default probes.
+    top-right), each meshed with ``PLATE_ELEMENTS_PER_SIDE`` squared
+    bilinear quads.  Subdomains 1-3 use central difference, subdomain 4
+    average acceleration.  Coincident interface nodes are glued per
+    component with chained constraints (three rows per component at the
+    center cross point).  The loaded corner's DOFs are the default probes.
     """
     half = PLATE_SIDE / 2.0
     origins = [(0.0, 0.0), (half, 0.0), (0.0, half), (half, half)]
-    n_el = elements_per_side
+    n_el = PLATE_ELEMENTS_PER_SIDE
 
     parts = []
     probes = ()
@@ -337,8 +331,7 @@ def build_plate_2d(
         parts.append((M, K, load, None, np.column_stack((x, y, comp))))
 
     return _glue(
-        parts, dt_system, etas, params, lambda_init,
-        name="plate2d", duration=duration, probes=probes,
+        parts, dt_system, etas, params, name="plate2d", duration=duration, probes=probes,
     )
 
 
@@ -368,7 +361,6 @@ def build_wave_2d(
     etas: Sequence[int] = (10, 1),
     params: Sequence[NewmarkParams] = (CENTRAL_DIFFERENCE, AVERAGE_ACCELERATION),
     duration: float = 0.25,
-    lambda_init: str = "consistent",
 ) -> Scenario:
     """Scalar wave on a 2 x 1 rectangle, burst load on part of the left edge.
 
@@ -413,8 +405,7 @@ def build_wave_2d(
             parts.append((M, K, np.zeros(free.size), None, grid.coords[free]))
 
     return _glue(
-        parts, dt_system, etas, params, lambda_init,
-        name="wave2d", duration=duration, probes=probes,
+        parts, dt_system, etas, params, name="wave2d", duration=duration, probes=probes,
     )
 
 

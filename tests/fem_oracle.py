@@ -10,17 +10,14 @@ import numpy as np
 from mtstep.fem import _GAUSS_2D, QuadGrid, _shape_functions
 
 
-def assemble_bar(coords, E, rho, A, lumped=False):
+def assemble_bar(coords, E, rho, A):
     n = coords.size
     M = np.zeros((n, n))
     K = np.zeros((n, n))
     for e in range(n - 1):
         h = coords[e + 1] - coords[e]
         ke = (E * A / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        if lumped:
-            me = (rho * A * h / 2.0) * np.eye(2)
-        else:
-            me = (rho * A * h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        me = (rho * A * h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
         idx = (e, e + 1)
         K[np.ix_(idx, idx)] += ke
         M[np.ix_(idx, idx)] += me

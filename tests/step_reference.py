@@ -7,13 +7,15 @@ form of the same algorithm as an independent reference: one
 ``KinematicState`` per sub-level, a list of per-level multiplier
 propagators, and diagnostics that walk the sub-levels one by one.  It
 also turns a step result's histories into per-level states for tests
-that read individual sub-levels.
+that read individual sub-levels, and starts a system with a zero
+multiplier for tests that need a non-zero initial acceleration drift.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from mtstep import linalg
 from mtstep.coupling import CoupledSystem, Subdomain, SystemStepResult
 from mtstep.newmark import KinematicState
 from saddle_oracle import apply_R, interpolate_lambda
@@ -24,6 +26,34 @@ def sublevel_states(result: SystemStepResult) -> tuple[tuple[KinematicState, ...
     return tuple(
         tuple(KinematicState(d=d, v=v, a=a) for a, v, d in zip(h.a, h.v, h.d))
         for h in result.histories
+    )
+
+
+def zero_multiplier_system(subdomains, dt_system, d0, v0) -> CoupledSystem:
+    """A system at t = 0 with lam0 = 0 and a0 = M^{-1} (f(0) - K d0) per subdomain.
+
+    Unlike ``initialize_coupled_system``, the initial accelerations ignore
+    the interface force, so sum_i C_i a_i is generally not zero, and the
+    interface complement is never formed (redundant rows pass).
+    """
+    states = []
+    for sub, d, v in zip(subdomains, d0, v0):
+        d = np.atleast_1d(np.asarray(d, dtype=float))
+        a = linalg.cholesky_factor(sub.M).solve(sub.loads(0.0)[0] - sub.K @ d)
+        states.append(KinematicState(d=d, v=v, a=a))
+    return CoupledSystem(
+        subdomains=tuple(subdomains),
+        dt_system=dt_system,
+        states=tuple(states),
+        lambda_current=np.zeros(subdomains[0].n_constraints),
+    )
+
+
+def zero_multiplier_start(system: CoupledSystem) -> CoupledSystem:
+    """:func:`zero_multiplier_system` on ``system``'s subdomains and initial d, v."""
+    return zero_multiplier_system(
+        system.subdomains, system.dt_system,
+        [st.d for st in system.states], [st.v for st in system.states],
     )
 
 

@@ -23,6 +23,7 @@ from mtstep.coupling import (
     initialize_coupled_system,
 )
 from mtstep.newmark import AVERAGE_ACCELERATION, CENTRAL_DIFFERENCE, NewmarkParams
+from step_reference import zero_multiplier_start
 
 
 def report(num, ok, detail):
@@ -213,10 +214,8 @@ def test_criterion_05_energy_norm_monotone_force_free():
 
 def test_criterion_06_drift_recurrences():
     params = (CENTRAL_DIFFERENCE,) * 4
-    sc = problems.build_plate_2d(
-        dt_system=0.01, etas=(1, 1, 1, 1), params=params, lambda_init="zero"
-    )
-    sys = sc.system
+    sc = problems.build_plate_2d(dt_system=0.01, etas=(1, 1, 1, 1), params=params)
+    sys = zero_multiplier_start(sc.system)
     dt = sys.dt_system
     beta, gamma = 0.0, 0.5
     rec = diagnostics.drift_record(sys)

@@ -109,12 +109,12 @@ def test_backward_euler_first_order_accuracy():
 
 def test_merge_dof_map_sdof():
     sc = build_sdof2()
-    maps, size = merge_dof_map(sc.system)
+    maps, size = merge_dof_map([sub.C for sub in sc.system.subdomains])
     assert size == 1
     assert all(mp.tolist() == [0] for mp in maps)
 
     sc3 = build_sdof3()
-    _, size3 = merge_dof_map(sc3.system)
+    _, size3 = merge_dof_map([sub.C for sub in sc3.system.subdomains])
     assert size3 == 1
 
 

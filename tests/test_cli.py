@@ -209,7 +209,7 @@ def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("method", ["coupled", "backward_euler"])
+@pytest.mark.parametrize("method", ["coupled", "backward_euler", "monolithic_newmark"])
 def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys, method):
     # The middle subdomain's load turns NaN during the third system step
     # (index 2): the run stops with a solver failure naming that step and
@@ -275,6 +275,25 @@ def test_monolithic_method_requires_uniform_scheme(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "scenario=bar1d\nmethod=monolithic_newmark\n")
     assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
     assert "uniform" in capsys.readouterr().err
+
+
+def test_monolithic_method_rejects_step_above_merged_critical_step(
+    tmp_path, monkeypatch, capsys
+):
+    # Central difference everywhere: each sub-step is below its critical
+    # step, but the merged system steps at dt_system = 1e-3, about 8x its
+    # limit.  A configuration error naming the step, and no CSV.
+    cfg_path = write_config(
+        tmp_path,
+        "scenario=bar1d\nmethod=monolithic_newmark\nduration=0.3\noutput=x.csv\n"
+        "subdomain.1.beta=0\nsubdomain.3.beta=0\n"
+        "subdomain.1.eta=10\nsubdomain.3.eta=10\n",
+    )
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "dt_system = 0.001" in err and "critical time-step" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_each_run_builds_its_scenario_once(tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ from saddle_oracle import (
     interpolate_lambda,
     subdomain_substep,
 )
-from step_reference import sublevel_states
+from step_reference import sublevel_states, zero_multiplier_start, zero_multiplier_system
 
 
 def signed_boolean_from_entries(n_constraints, n_dofs, entries):
@@ -184,11 +184,9 @@ def test_consistent_lambda_init_zeroes_acceleration_drift():
 
 
 def test_zero_lambda_init_leaves_acceleration_drift():
-    sc = build_sdof2(etas=(1, 1), lambda_init="zero")
-    assert np.all(sc.system.lambda_current == 0.0)
-    a_drift = sum(
-        sub.C.data @ st.a for sub, st in zip(sc.system.subdomains, sc.system.states)
-    )
+    sys = zero_multiplier_start(build_sdof2(etas=(1, 1)).system)
+    assert np.all(sys.lambda_current == 0.0)
+    a_drift = sum(sub.C.data @ st.a for sub, st in zip(sys.subdomains, sys.states))
     assert np.abs(a_drift).max() > 1.0  # 0.1 * (k_a/m_a - k_b/m_b) sized
 
 
@@ -399,9 +397,7 @@ def test_redundant_rows_fail_on_every_advance():
         )
         for m, k, sign in ((0.1, 2.5, 1.0), (0.005, 50.0, -1.0))
     ]
-    sys = initialize_coupled_system(
-        subs, 0.02, d0=[[0.1], [0.1]], v0=[[1.0], [1.0]], lambda_init="zero"
-    )
+    sys = zero_multiplier_system(subs, 0.02, d0=[[0.1], [0.1]], v0=[[1.0], [1.0]])
     for _ in range(2):
         with pytest.raises(SingularSaddleSystem):
             advance_system_step(sys)

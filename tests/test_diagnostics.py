@@ -10,6 +10,7 @@ from mtstep.problems import (
     build_sdof3,
     free_vibration_variant,
 )
+from step_reference import zero_multiplier_start
 
 
 def run_steps(sys, n, collect=None):
@@ -142,8 +143,7 @@ def test_drift_recurrences_without_subcycling():
     # Uniform scheme, eta = 1, lambda started at zero so the acceleration
     # drift is non-trivial; the two recurrences must hold exactly.
     params = NewmarkParams(beta=0.3025, gamma=0.6)
-    sc = build_sdof2(etas=(1, 1), params=(params, params), lambda_init="zero")
-    sys = sc.system
+    sys = zero_multiplier_start(build_sdof2(etas=(1, 1), params=(params, params)).system)
     dt = sys.dt_system
     beta, gamma = params.beta, params.gamma
     rec = diagnostics.drift_record(sys)

@@ -22,8 +22,6 @@ def test_bar_single_element_matrices():
     M, K = fem.assemble_bar(np.array([0.0, h]), E, rho, A)
     np.testing.assert_allclose(K, (E * A / h) * np.array([[1, -1], [-1, 1]]))
     np.testing.assert_allclose(M, (rho * A * h / 6) * np.array([[2, 1], [1, 2]]))
-    M_l, _ = fem.assemble_bar(np.array([0.0, h]), E, rho, A, lumped=True)
-    np.testing.assert_allclose(M_l, (rho * A * h / 2) * np.eye(2))
 
 
 def test_bar_mass_and_rigid_body():
@@ -145,11 +143,10 @@ def _assert_matches_oracle(got, want):
 
 
 @pytest.mark.parametrize("n_elems", [7, 300])
-@pytest.mark.parametrize("lumped", [False, True])
-def test_bar_assembly_matches_element_loop(n_elems, lumped):
+def test_bar_assembly_matches_element_loop(n_elems):
     coords = fem.bar_mesh(n_elems, 1.3, x0=0.2)
-    got = fem.assemble_bar(coords, 1e4, 0.1, 2.0, lumped=lumped)
-    _assert_matches_oracle(got, fem_oracle.assemble_bar(coords, 1e4, 0.1, 2.0, lumped))
+    got = fem.assemble_bar(coords, 1e4, 0.1, 2.0)
+    _assert_matches_oracle(got, fem_oracle.assemble_bar(coords, 1e4, 0.1, 2.0))
     assert scipy.sparse.issparse(got[0]) == (n_elems + 1 >= linalg.SPARSE_MIN_DOFS)
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mtstep import linalg
+from mtstep.baselines import merged_newmark_reference
+from mtstep.coupling import SignedBooleanMatrix, Subdomain, initialize_coupled_system
 from mtstep.errors import SingularMatrix
 from mtstep.newmark import (
     AVERAGE_ACCELERATION,
@@ -11,10 +13,19 @@ from mtstep.newmark import (
     EffectiveSolver,
     KinematicState,
     NewmarkParams,
-    consistent_initial_acceleration,
     critical_time_step,
-    newmark_predict,
 )
+
+
+def sweep_states(solver, st, loads):
+    """The states after each unconstrained step of ``solver.sweep`` from ``st``.
+
+    ``loads`` holds one end-of-step load row per step.
+    """
+    A = np.array(loads, dtype=float)
+    V, D = np.empty_like(A), np.empty_like(A)
+    solver.sweep(st.a, st.v, st.d, A, V, D)
+    return [KinematicState(d=d, v=v, a=a) for a, v, d in zip(A, V, D)]
 
 
 def test_params_reject_low_gamma():
@@ -43,16 +54,19 @@ def test_kinematic_state_promotes_scalars_and_checks_shapes():
 
 
 def test_predict_formulas():
+    # With K = 0 and no load a step's acceleration is zero, so the swept
+    # displacement and velocity are the predictor rows.
     st = KinematicState(d=[1.0, 0.0], v=[0.5, -1.0], a=[2.0, 4.0])
     params = NewmarkParams(beta=0.3, gamma=0.7)
     dt = 0.1
-    d_pred, v_pred = newmark_predict(st, params, dt)
+    M, K = np.eye(2), np.zeros((2, 2))
+    (new,) = sweep_states(EffectiveSolver(M, K, params, dt), st, np.zeros((1, 2)))
     np.testing.assert_allclose(
-        d_pred, st.d + dt * st.v + 0.5 * dt**2 * (1 - 2 * 0.3) * st.a
+        new.d, st.d + dt * st.v + 0.5 * dt**2 * (1 - 2 * 0.3) * st.a
     )
-    np.testing.assert_allclose(v_pred, st.v + dt * (1 - 0.7) * st.a)
+    np.testing.assert_allclose(new.v, st.v + dt * (1 - 0.7) * st.a)
     with pytest.raises(ValueError):
-        newmark_predict(st, params, 0.0)
+        EffectiveSolver(M, K, params, 0.0)
 
 
 def test_step_against_direct_linear_solve():
@@ -77,11 +91,12 @@ def test_step_against_direct_linear_solve():
         [-params.gamma * dt * I, I, Z],
         [-params.beta * dt * dt * I, Z, I],
     ])
-    d_pred, v_pred = newmark_predict(st, params, dt)
+    d_pred = st.d + dt * st.v + 0.5 * dt * dt * (1.0 - 2.0 * params.beta) * st.a
+    v_pred = st.v + dt * (1.0 - params.gamma) * st.a
     rhs = np.concatenate([f, v_pred, d_pred])
     sol = np.linalg.solve(big, rhs)
 
-    new = EffectiveSolver(M, K, params, dt).step(st, f)
+    (new,) = sweep_states(EffectiveSolver(M, K, params, dt), st, [f])
     np.testing.assert_allclose(new.a, sol[:n], atol=1e-11)
     np.testing.assert_allclose(new.v, sol[n:2 * n], atol=1e-11)
     np.testing.assert_allclose(new.d, sol[2 * n:], atol=1e-11)
@@ -94,8 +109,7 @@ def test_static_equilibrium_is_fixed_point():
     d0 = np.linalg.solve(K, f)
     st = KinematicState(d=d0, v=np.zeros(2), a=np.zeros(2))
     solver = EffectiveSolver(M, K, AVERAGE_ACCELERATION, 0.1)
-    for _ in range(10):
-        st = solver.step(st, f)
+    st = sweep_states(solver, st, np.tile(f, (10, 1)))[-1]
     np.testing.assert_allclose(st.d, d0, atol=1e-13)
     np.testing.assert_allclose(st.v, 0.0, atol=1e-13)
     np.testing.assert_allclose(st.a, 0.0, atol=1e-13)
@@ -107,8 +121,7 @@ def test_average_acceleration_conserves_energy():
     st = KinematicState(d=[0.3], v=[1.5], a=[-k * 0.3 / m])
     solver = EffectiveSolver(M, K, AVERAGE_ACCELERATION, 0.02)
     e0 = 0.5 * m * st.v[0] ** 2 + 0.5 * k * st.d[0] ** 2
-    for _ in range(500):
-        st = solver.step(st, np.zeros(1))
+    for st in sweep_states(solver, st, np.zeros((500, 1))):
         e = 0.5 * m * st.v[0] ** 2 + 0.5 * k * st.d[0] ** 2
         assert abs(e - e0) <= 1e-12 * e0
 
@@ -124,8 +137,7 @@ def test_second_order_convergence_on_oscillator():
         st = KinematicState(d=[1.0], v=[0.0], a=[-omega**2])
         solver = EffectiveSolver(M, K, AVERAGE_ACCELERATION, dt)
         n = round(0.3 / dt)
-        for _ in range(n):
-            st = solver.step(st, np.zeros(1))
+        st = sweep_states(solver, st, np.zeros((n, 1)))[-1]
         return abs(st.d[0] - math.cos(omega * n * dt))
 
     e1, e2 = run(0.01), run(0.005)
@@ -133,14 +145,21 @@ def test_second_order_convergence_on_oscillator():
 
 
 def test_consistent_initial_acceleration():
+    # The merged Newmark reference starts from M a0 = f(0) - K d0.
     rng = np.random.default_rng(8)
     A = rng.standard_normal((3, 3))
     M = A @ A.T + 3 * np.eye(3)
     K = np.eye(3) * 2.0
     f0 = rng.standard_normal(3)
     d0 = rng.standard_normal(3)
-    a0 = consistent_initial_acceleration(M, K, f0, d0)
-    np.testing.assert_allclose(M @ a0 + K @ d0, f0, atol=1e-12)
+    sub = Subdomain(
+        M=M, K=K, params=AVERAGE_ACCELERATION, dt_sub=0.1, f0=f0,
+        C=SignedBooleanMatrix(np.zeros((0, 3))),
+    )
+    sys = initialize_coupled_system([sub], 0.1, d0=[d0], v0=[np.zeros(3)])
+    (start,) = merged_newmark_reference(sys, AVERAGE_ACCELERATION, 0)
+    np.testing.assert_allclose(start.d, d0)
+    np.testing.assert_allclose(M @ start.a + K @ d0, f0, atol=1e-12)
 
 
 def test_critical_time_step_closed_form():
@@ -167,8 +186,7 @@ def test_critical_time_step_marks_stability_boundary():
         st = KinematicState(d=[1.0], v=[0.0], a=[-k / m])
         solver = EffectiveSolver(M, K, CENTRAL_DIFFERENCE, dt)
         peak = 1.0
-        for _ in range(n):
-            st = solver.step(st, np.zeros(1))
+        for st in sweep_states(solver, st, np.zeros((n, 1))):
             peak = max(peak, abs(st.d[0]))
         return peak
 

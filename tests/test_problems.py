@@ -95,8 +95,6 @@ def test_series_bar_solution_boundary_and_initial_conditions():
         assert problems.series_bar_solution(x, t + period) == pytest.approx(
             problems.series_bar_solution(x, t), abs=1e-12
         )
-    with pytest.raises(ValueError):
-        problems.series_bar_solution(1.0, 0.0, terms=0)
 
 
 def test_series_bar_time_average_is_static_solution():
