@@ -21,7 +21,6 @@ from .diagnostics import (
     drift_record,
     energy_algorithm,
     energy_interface,
-    energy_norm,
     step_energy_report,
     total_energy,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "drift_record",
     "energy_algorithm",
     "energy_interface",
-    "energy_norm",
     "initialize_coupled_system",
     "step_energy_report",
     "total_energy",

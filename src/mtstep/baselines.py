@@ -127,32 +127,24 @@ def merge_dof_map(
     """Identify constrained DOF pairs across subdomains (primal gluing).
 
     ``constraints[i]`` is C_i of subdomain i.  Each row links the DOFs it
-    selects, in subdomain order; union-find over those links yields the
-    undecomposed DOF set, numbered in the order of the sets' roots.  Returns
-    one index map per subdomain (local DOF -> merged DOF) and the size.
+    selects, in subdomain order; the connected components of those links
+    are the undecomposed DOFs, numbered by their lowest stacked DOF.
+    Returns one index map per subdomain (local -> merged DOF) and the size.
     """
+    # Imported on first use: coupled runs never load csgraph.
+    from scipy.sparse.csgraph import connected_components
+
     offsets = np.cumsum([0] + [C.shape[1] for C in constraints])
-    parent = list(range(offsets[-1]))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     # Every entry as (row, merged-numbering DOF), by row, then subdomain.
     rows = np.concatenate([C.rows for C in constraints])
     dofs = np.concatenate([C.dofs + off for C, off in zip(constraints, offsets)])
     order = np.argsort(rows, kind="stable")
     rows, dofs = rows[order], dofs[order]
     same_row = rows[1:] == rows[:-1]
-    for a, b in zip(dofs[:-1][same_row].tolist(), dofs[1:][same_row].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    roots, merged = np.unique([find(x) for x in range(offsets[-1])], return_inverse=True)
-    return np.split(merged, offsets[1:-1]), len(roots)
+    pairs = dofs[:-1][same_row], dofs[1:][same_row]
+    links = scipy.sparse.coo_array((np.ones(same_row.sum()), pairs), shape=(offsets[-1],) * 2)
+    size, labels = connected_components(links, directed=False)
+    return np.split(labels.astype(np.intp), offsets[1:-1]), size
 
 
 def merge_system_matrices(sys: CoupledSystem):
@@ -183,7 +175,7 @@ def merge_system_matrices(sys: CoupledSystem):
 
 def merged_newmark_reference(
     sys: CoupledSystem, params: NewmarkParams, n_steps: int
-) -> list[KinematicState]:
+) -> tuple:
     """Integrate the undecomposed system with one Newmark scheme.
 
     Initial conditions are taken from the coupled system's current
@@ -195,7 +187,8 @@ def merged_newmark_reference(
         v_pred = v + dt (1 - gamma) a
 
     with the end-of-step load (:meth:`EffectiveSolver.solve_rows`).
-    Returns the merged-DOF trajectory including the initial state.
+    Returns ``(states, M, K, maps)``: the merged-DOF trajectory including
+    the initial state, and the :func:`merge_system_matrices` it integrated.
     Raises ``ValueError`` unless ``dt_system`` is below the merged
     system's critical time-step, and :class:`NonFiniteState` at the
     first step that gives a non-finite state.
@@ -223,4 +216,4 @@ def merged_newmark_reference(
         if not all(np.isfinite(x).all() for x in (a, v, d)):
             raise NonFiniteState(f"non-finite merged state at step {step}")
         out.append(KinematicState(d=d, v=v, a=a))
-    return out
+    return out, M, K, maps

@@ -21,13 +21,14 @@ with the fixed column order::
     lambda_0..lambda_{N_C-1}, probe values...
 
 Floats are printed with 17 significant digits; identical configs produce
-identical bytes.  Exit codes: 0 success, 2 configuration error, 3 solver
-failure (the failing step index is reported on stderr).
+identical bytes.  Exit codes: 0 success, 2 configuration error (or an
+unwritable output), 3 solver failure (the failing step index is
+reported on stderr).
 
 ``sweep`` repeats a base configuration along one axis (``dt_system`` or
 ``eta``) and writes a per-run CSV plus a summary CSV with the final-time
-oracle error (when the scenario has an oracle), max |e_interface| and max
-drift norms for each value.
+oracle error (when the scenario has an oracle and the first probe is the
+one it describes), max |e_interface| and max drift norms for each value.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from . import diagnostics, problems
 from .baselines import (
     backward_euler_decay,
     backward_euler_step,
-    merge_system_matrices,
     merged_newmark_reference,
 )
 from .coupling import CoupledSystem, advance_system_step
@@ -59,7 +59,7 @@ from .errors import (
     SingularMatrix,
     SingularSaddleSystem,
 )
-from .newmark import NewmarkParams
+from .newmark import AVERAGE_ACCELERATION, NewmarkParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -163,8 +163,9 @@ def _scenario_defaults(name: str) -> tuple[tuple[int, ...], tuple[NewmarkParams,
 def build_scenario(config: RunConfig) -> problems.Scenario:
     """Instantiate the configured scenario with all overrides applied.
 
-    ``method=backward_euler`` has no subcycling: once the overrides are
-    validated, every subdomain is put on the system time-step.
+    ``method=backward_euler`` reads no eta, beta or gamma: once validated,
+    they become 1 and average acceleration, which has no critical step.
+    The oracle stays only while the first probe is the builder's.
     """
     default_etas, default_params = _scenario_defaults(config.scenario)
     n_subs = len(default_etas)
@@ -180,8 +181,6 @@ def build_scenario(config: RunConfig) -> problems.Scenario:
         if eta < 1:
             raise ConfigError(f"subdomain.{idx + 1}.eta must be >= 1, got {eta}")
         etas[idx] = eta
-    if config.method == "backward_euler":
-        etas = [1] * n_subs
 
     params = list(default_params)
     for idx in sorted(config.newmark_overrides):
@@ -193,6 +192,8 @@ def build_scenario(config: RunConfig) -> problems.Scenario:
             )
         except ValueError as exc:
             raise ConfigError(f"subdomain.{idx + 1}: {exc}") from exc
+    if config.method == "backward_euler":
+        etas, params = [1] * n_subs, [AVERAGE_ACCELERATION] * n_subs
 
     kwargs: dict = {"etas": tuple(etas), "params": tuple(params)}
     if config.dt_system is not None:
@@ -209,7 +210,8 @@ def build_scenario(config: RunConfig) -> problems.Scenario:
                 raise ConfigError(f"probe subdomain index {i + 1} out of range")
             if not 0 <= dof < scenario.system.subdomains[i].n_dofs:
                 raise ConfigError(f"probe DOF {dof} out of range in subdomain {i + 1}")
-        scenario = replace(scenario, probes=config.probes)
+        oracle = scenario.oracle if config.probes[0] == scenario.probes[0] else None
+        scenario = replace(scenario, probes=config.probes, oracle=oracle)
     return scenario
 
 
@@ -336,12 +338,11 @@ def _execute_monolithic(scenario: problems.Scenario) -> RunResult:
     dt = sys0.dt_system
     n_steps = math.ceil(scenario.duration / dt - 1e-9)
     try:
-        states = merged_newmark_reference(sys0, params, n_steps)
+        states, M, K, maps = merged_newmark_reference(sys0, params, n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except NonFiniteState as exc:
         raise SolverFailure(f"solver failure: {exc}") from exc
-    M, K, _, maps = merge_system_matrices(sys0)
     times = itertools.accumulate(itertools.repeat(dt, n_steps), initial=sys0.t_current)
 
     no_drift = diagnostics.DriftRecord(*(np.zeros(0),) * 3)
@@ -378,13 +379,17 @@ def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
     """Write ``lines``, each ended by ``\\n``, creating parent directories.
 
     A relative ``path`` is taken under ``$MTS_OUTPUT_DIR`` when that is set.
+    Raises :class:`ConfigError` when the file cannot be written.
     """
     out = Path(path)
     base = os.environ.get("MTS_OUTPUT_DIR")
     if base and not out.is_absolute():
         out = Path(base) / out
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", newline="\n")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text("\n".join(lines) + "\n", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def write_csv(result: RunResult, path: str | Path) -> None:
@@ -396,15 +401,13 @@ def write_csv(result: RunResult, path: str | Path) -> None:
 def run(config: RunConfig) -> int:
     """Execute one run and write its CSV; returns a process exit code."""
     try:
-        result = execute(config)
+        write_csv(execute(config), config.output_path or f"{config.scenario}.csv")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    output = config.output_path or f"{config.scenario}.csv"
-    write_csv(result, output)
     return EXIT_OK
 
 
@@ -447,25 +450,29 @@ def sweep(base: RunConfig, axis: str, values: Sequence[str]) -> int:
         f"{axis},final_oracle_error,max_abs_e_interface,max_norm_d_drift,max_norm_a_drift"
     ]
     for raw in values:
+        tag = raw.replace(":", "-")
+        member = base_output.with_name(
+            f"{base_output.stem}_{axis}_{tag}{base_output.suffix or '.csv'}"
+        )
         try:
             result = execute(_sweep_member(base, axis, raw))
+            write_csv(result, member)
         except ConfigError as exc:
             print(f"configuration error ({axis}={raw}): {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except SolverFailure as exc:
             print(f"error ({axis}={raw}): {exc}", file=sys.stderr)
             return EXIT_SOLVER
-        tag = raw.replace(":", "-")
-        member = base_output.with_name(
-            f"{base_output.stem}_{axis}_{tag}{base_output.suffix or '.csv'}"
-        )
-        write_csv(result, member)
         err = result.final_oracle_error
         maxima = (result.max_abs_e_interface, result.max_norm_d_drift, result.max_norm_a_drift)
         summary.append(
             ",".join([raw, "" if err is None else _format_value(err), *map(_format_value, maxima)])
         )
-    _write_lines(base_output.with_name(f"{base_output.stem}_summary.csv"), summary)
+    try:
+        _write_lines(base_output.with_name(f"{base_output.stem}_summary.csv"), summary)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -263,16 +263,6 @@ class Subdomain:
         scales = np.array([self.g(t0 + j * dt) for j in range(steps + 1)], dtype=float)
         return scales[:, None] * self.f0
 
-    def with_load(self, f0: np.ndarray) -> "Subdomain":
-        """This subdomain under the constant load ``f0``, keeping its derived objects.
-
-        None of them (factor, critical step, propagators) depends on the
-        load, so the new subdomain starts with a copy of this one's memo.
-        """
-        new = replace(self, f0=f0, g=None)
-        new._memo.update(self._memo)
-        return new
-
     def multiplier_propagators(self, eta: int) -> "MultiplierPropagators":
         """Per-sublevel response of this subdomain to a unit dlam.
 

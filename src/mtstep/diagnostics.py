@@ -214,17 +214,3 @@ def drift_record(sys: CoupledSystem) -> DriftRecord:
         v_res += sub.C.product(st.v)
     return DriftRecord(a_drift=a_drift, d_drift=d_drift, v_residual=v_res)
 
-
-def energy_norm(sys: CoupledSystem) -> float:
-    """Stability functional sum_i (a^T A_i a + v^T K_i v).
-
-    A_i = M_i + dt_i^2 (beta_i - gamma_i/2) K_i is positive definite when
-    dt_i is below the critical step, and the functional is non-increasing
-    along force-free trajectories — the discrete stability statement.
-    """
-    out = 0.0
-    for sub, st in zip(sys.subdomains, sys.states):
-        dt_i = sub.dt_sub
-        A = sub.M + dt_i * dt_i * (sub.params.beta - 0.5 * sub.params.gamma) * sub.K
-        out += float(st.a @ (A @ st.a)) + float(st.v @ (sub.K @ st.v))
-    return out

@@ -30,12 +30,12 @@ Benchmarks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import fem, linalg
+from . import fem
 from .coupling import (
     CoupledSystem,
     SignedBooleanMatrix,
@@ -54,7 +54,6 @@ class Scenario:
     duration: float
     probes: tuple[tuple[int, int], ...]
     oracle: Optional[Callable[[float], float]] = None
-    oracle_lambda: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
         if not 0.0 < self.duration < math.inf:
@@ -139,7 +138,7 @@ def build_sdof2(
     Initial conditions d0 = 0.1, v0 = 1 on both copies.  The merged
     oracle is the oscillator m = 0.105, k = 52.5 (omega = sqrt(500)):
     d(t) = 0.1 cos(omega t) + (1/omega) sin(omega t), with constant
-    energy 0.315 and multiplier lambda(t) = (k_a - m_a omega^2) d(t).
+    energy 0.315.
     """
     m = (0.1, 0.005)
     k = (2.5, 50.0)
@@ -151,14 +150,9 @@ def build_sdof2(
     def oracle(t: float) -> float:
         return d0 * math.cos(omega * t) + (v0 / omega) * math.sin(omega * t)
 
-    def oracle_lambda(t: float) -> np.ndarray:
-        # From subdomain A's equation of motion with the merged trajectory:
-        # m_a (-omega^2 d) + k_a d = +lambda.
-        return np.array([(k[0] - m[0] * omega * omega) * oracle(t)])
-
     return _glue(
         parts, dt_system, etas, params, d0=d0, v0=v0, name="sdof2",
-        duration=duration, probes=((0, 0),), oracle=oracle, oracle_lambda=oracle_lambda,
+        duration=duration, probes=((0, 0),), oracle=oracle,
     )
 
 
@@ -410,31 +404,8 @@ def build_wave_2d(
 
 
 # ---------------------------------------------------------------------------
-# Variants and registry
+# Registry
 # ---------------------------------------------------------------------------
-
-def free_vibration_variant(scenario: Scenario) -> Scenario:
-    """Same model, zero forces, started from the static deflection.
-
-    Replaces every load with zero and sets the initial displacement to
-    the static solution of the original load (solved on the merged,
-    undecomposed system so the interface copies agree exactly), with zero
-    initial velocity.  The result has genuinely force-free dynamics with
-    non-trivial motion — the hypothesis of the stability and conservation
-    statements.
-    """
-    from .baselines import merge_system_matrices
-
-    sys = scenario.system
-    _, K_merged, load_merged, maps = merge_system_matrices(sys)
-    d_static = linalg.cholesky_factor(K_merged).solve(load_merged(sys.t_current))
-
-    new_subs = [sub.with_load(np.zeros(sub.n_dofs)) for sub in sys.subdomains]
-    d0 = [d_static[mp] for mp in maps]
-    v0 = [np.zeros(sub.n_dofs) for sub in sys.subdomains]
-    system = initialize_coupled_system(new_subs, sys.dt_system, d0=d0, v0=v0)
-    return replace(scenario, system=system, oracle=None, oracle_lambda=None)
-
 
 SCENARIOS: dict[str, Callable[..., Scenario]] = {
     "sdof2": build_sdof2,

@@ -9,15 +9,27 @@ propagators, and diagnostics that walk the sub-levels one by one.  It
 also turns a step result's histories into per-level states for tests
 that read individual sub-levels, and starts a system with a zero
 multiplier for tests that need a non-zero initial acceleration drift.
+
+For the stability statements it keeps the energy method's functional
+(:func:`energy_norm`) and a force-free variant of a scenario that still
+moves (:func:`free_vibration_variant`).
 """
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from mtstep import linalg
-from mtstep.coupling import CoupledSystem, Subdomain, SystemStepResult
+from mtstep.baselines import merge_system_matrices
+from mtstep.coupling import (
+    CoupledSystem,
+    Subdomain,
+    SystemStepResult,
+    initialize_coupled_system,
+)
 from mtstep.newmark import KinematicState
+from mtstep.problems import Scenario
 from saddle_oracle import apply_R, interpolate_lambda
 
 
@@ -164,3 +176,45 @@ def external_work(step: ReferenceStep, sys: CoupledSystem) -> float:
             f_w = (1.0 - gamma) * f[j] + gamma * f[j + 1]
             out += float(f_w @ (chain[j + 1].d - chain[j].d))
     return out
+
+
+def stability_weights(sub: Subdomain):
+    """(A_i, K_i) of the functional, A_i = M_i + dt_i^2 (beta_i - gamma_i/2) K_i."""
+    dt_i = sub.dt_sub
+    return sub.M + dt_i * dt_i * (sub.params.beta - 0.5 * sub.params.gamma) * sub.K, sub.K
+
+
+def energy_norm(sys: CoupledSystem) -> float:
+    """Stability functional sum_i (a^T A_i a + v^T K_i v).
+
+    A_i (:func:`stability_weights`) is positive definite when dt_i is
+    below the critical step, and the functional is non-increasing along
+    force-free trajectories: the discrete stability statement.
+    """
+    out = 0.0
+    for sub, st in zip(sys.subdomains, sys.states):
+        A, K = stability_weights(sub)
+        out += float(st.a @ (A @ st.a)) + float(st.v @ (K @ st.v))
+    return out
+
+
+def free_vibration_variant(scenario: Scenario) -> Scenario:
+    """Same model, zero forces, started from the static deflection.
+
+    Replaces every load with zero and sets the initial displacement to
+    the static solution of the original load (solved on the merged,
+    undecomposed system so the interface copies agree exactly), with zero
+    initial velocity: force-free dynamics with non-trivial motion, the
+    hypothesis of the stability and conservation statements.
+    """
+    sys = scenario.system
+    _, K, load, maps = merge_system_matrices(sys)
+    d_static = linalg.cholesky_factor(K).solve(load(sys.t_current))
+    subs = [replace(sub, f0=np.zeros(sub.n_dofs), g=None) for sub in sys.subdomains]
+    system = initialize_coupled_system(
+        subs,
+        sys.dt_system,
+        d0=[d_static[mp] for mp in maps],
+        v0=[np.zeros(sub.n_dofs) for sub in subs],
+    )
+    return replace(scenario, system=system, oracle=None)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from mtstep import cli, fem, problems
+from mtstep import baselines, cli, fem, problems
 from mtstep.errors import ConfigError, SingularMatrix, SingularSaddleSystem
 
 
@@ -254,6 +254,40 @@ def test_backward_euler_method_forces_no_subcycling(tmp_path, monkeypatch):
     assert max(abs(r[5]) for r in rows) == 0.0
 
 
+@pytest.mark.parametrize("scenario", ["bar1d", "plate2d"])
+def test_backward_euler_method_runs_past_explicit_critical_steps(
+    tmp_path, monkeypatch, scenario
+):
+    # Both scenarios have central-difference subdomains whose critical
+    # step is below dt_system; the baseline reads no (beta, gamma), so
+    # their limit does not apply to it.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(
+        tmp_path, f"scenario={scenario}\nmethod=backward_euler\noutput=be.csv\n"
+    )
+    assert cli.main(["run", str(cfg_path)]) == 0
+    _, rows = read_csv(tmp_path / "be.csv")
+    assert len(rows) > 2
+    assert np.isfinite(rows).all()
+
+
+def test_monolithic_method_merges_the_system_once(tmp_path, monkeypatch):
+    # Every merge_system_matrices call numbers the merged DOFs once, and
+    # the count does not depend on the module a caller imported it from.
+    calls = []
+    merge_dof_map = baselines.merge_dof_map
+
+    def counted(constraints):
+        calls.append(constraints)
+        return merge_dof_map(constraints)
+
+    monkeypatch.setattr(baselines, "merge_dof_map", counted)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, "scenario=sdof2\nmethod=monolithic_newmark\n")
+    assert cli.main(["run", str(cfg_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_monolithic_method_matches_coupled_without_subcycling(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path, "scenario=sdof2\nsubdomain.2.eta=1\noutput=c.csv\n")
@@ -314,6 +348,21 @@ def test_each_run_builds_its_scenario_once(tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, "scenario=sdof2\nduration=0.1\n" + extra)
         cli.execute(cli.parse_config(cfg_path))
         assert len(calls) == 1, extra
+
+
+def test_unwritable_output_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    # A file where the output's parent directory should be: exit 2 with
+    # a message, for a run and for a sweep, and no traceback.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    cfg_path = write_config(
+        tmp_path, "scenario=sdof2\nduration=0.1\noutput=taken/x.csv\n"
+    )
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert "configuration error: cannot write" in capsys.readouterr().err
+    argv = ["sweep", str(cfg_path), "--axis", "dt_system", "--values", "0.02"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "cannot write" in capsys.readouterr().err
 
 
 # Byte-exact CSVs of one run per method plus a Newmark override.  All
@@ -405,6 +454,22 @@ def test_sweep_eta_single_value_targets_overridden_subdomain(tmp_path, monkeypat
     ) == 0
     assert (tmp_path / "b_eta_10.csv").exists()
     assert (tmp_path / "b_eta_100.csv").exists()
+
+
+def test_sweep_scores_only_the_oracle_probe(tmp_path, monkeypatch):
+    # bar1d's oracle is the tip displacement, the builder's probe 3:5.  A
+    # sweep that probes another DOF first leaves the error column empty.
+    monkeypatch.chdir(tmp_path)
+    base = "scenario=bar1d\nduration=0.005\nsubdomain.2.eta=10\n"
+    argv = ["--axis", "eta", "--values", "10,100"]
+    errors = {}
+    for name, probes in (("tip", "probe=3:5\n"), ("inner", "probe=1:2\nprobe=3:5\n")):
+        cfg_path = write_config(tmp_path, f"{base}{probes}output={name}.csv\n", f"{name}.cfg")
+        assert cli.main(["sweep", str(cfg_path), *argv]) == 0
+        lines = (tmp_path / f"{name}_summary.csv").read_text().splitlines()
+        errors[name] = [line.split(",")[1] for line in lines[1:]]
+    assert all(float(err) > 0.0 for err in errors["tip"])
+    assert errors["inner"] == ["", ""]
 
 
 def test_sweep_rejects_bad_axis_and_values(tmp_path):

@@ -4,13 +4,8 @@ import pytest
 from mtstep import diagnostics
 from mtstep.coupling import advance_system_step
 from mtstep.newmark import AVERAGE_ACCELERATION, NewmarkParams
-from mtstep.problems import (
-    build_bar_1d,
-    build_sdof2,
-    build_sdof3,
-    free_vibration_variant,
-)
-from step_reference import zero_multiplier_start
+from mtstep.problems import build_bar_1d, build_sdof2, build_sdof3
+from step_reference import energy_norm, free_vibration_variant, zero_multiplier_start
 
 
 def run_steps(sys, n, collect=None):
@@ -166,10 +161,10 @@ def test_drift_recurrences_without_subcycling():
 def test_energy_norm_non_increasing_when_force_free():
     sc = free_vibration_variant(build_sdof3(etas=(1, 2, 4)))
     sys = sc.system
-    prev = diagnostics.energy_norm(sys)
+    prev = energy_norm(sys)
     assert prev > 0.0
     for _ in range(100):
         sys = sys.apply(advance_system_step(sys))
-        cur = diagnostics.energy_norm(sys)
+        cur = energy_norm(sys)
         assert cur <= prev * (1.0 + 1e-12)
         prev = cur

