@@ -289,8 +289,8 @@ class Subdomain:
         full = 3 * eta * n * nc * 8 <= FULL_PROPAGATOR_MAX_BYTES
         Y = np.empty((3, eta, n, nc) if full else (eta, n, nc))
         A = Y[0] if full else Y
-        for j in range(eta):
-            A[j] = 0.0 + ((j + 1) / eta) * Ct
+        np.multiply((np.arange(1, eta + 1) / eta)[:, None, None], Ct, out=A)
+        A += 0.0  # the ramp loads (j/eta) C^T; a -0.0 entry of C becomes +0.0
         if full:
             V, D = Y[1], Y[2]
         else:  # two alternating rows each: a sub-step reads only the one before

@@ -62,7 +62,7 @@ def assemble_L_R(sub: Subdomain) -> tuple[np.ndarray, np.ndarray]:
     I = np.eye(n)
     Z = np.zeros((n, n))
     L = np.block([
-        [sub.M, Z, sub.K],
+        [linalg.dense(sub.M), Z, linalg.dense(sub.K)],  # dense or CSR storage
         [-gamma * dt * I, I, Z],
         [-beta * dt * dt * I, Z, I],
     ])

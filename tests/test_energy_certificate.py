@@ -89,9 +89,8 @@ def gram(subdomains, levels) -> np.ndarray:
     return 0.5 * (Q + Q.T)
 
 
-def certificate(scenario):
-    """Stepped basis of ``scenario``'s force-free levels: (scaled Q0, scaled Q1)."""
-    sys = free_vibration_variant(scenario).system
+def certificate(sys):
+    """Stepped basis of the force-free ``sys``'s levels: (scaled Q0, scaled Q1)."""
     basis = committed_levels(sys)
     stepped = []
     for states, lam in basis:
@@ -103,6 +102,25 @@ def certificate(scenario):
     Q1 = gram(sys.subdomains, stepped)
     scale = 1.0 / np.sqrt(np.diag(Q0))  # every basis level at E = 1
     return scale[:, None] * Q0 * scale, scale[:, None] * Q1 * scale
+
+
+def check_certificate(name, Q0, Q1, n_constraints):
+    """Assert Q1 <= Q0 up to the round-off bounds, printing the worst figures."""
+    bound = absolute_bound(len(Q0))
+    w, U = np.linalg.eigh(Q0)
+    held, null = U[:, w > bound], U[:, w <= bound]
+    excess = np.linalg.eigvalsh(held.T @ (Q1 - (1.0 + RELATIVE) * Q0) @ held)[-1]
+    whitened = held / np.sqrt(w[w > bound])
+    growth = np.linalg.eigvalsh(whitened.T @ Q1 @ whitened)[-1]
+    gained = np.abs(np.linalg.eigvalsh(null.T @ Q1 @ null)).max(initial=0.0)
+    print(
+        f"{name}: {len(Q0)} levels, {null.shape[1]} hold no energy; worst growth "
+        f"1 + {growth - 1:.2e}, excess {excess:.2e}, gained {gained:.2e} "
+        f"(bound {bound:.2e})"
+    )
+    assert null.shape[1] >= n_constraints
+    assert excess <= bound
+    assert gained <= bound
 
 
 CASES = {
@@ -122,19 +140,5 @@ def test_force_free_step_never_increases_the_energy_functional(name, monkeypatch
     if name.endswith("_acceleration"):
         monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     scenario = CASES[name]()
-    Q0, Q1 = certificate(scenario)
-    bound = absolute_bound(len(Q0))
-    w, U = np.linalg.eigh(Q0)
-    held, null = U[:, w > bound], U[:, w <= bound]
-    excess = np.linalg.eigvalsh(held.T @ (Q1 - (1.0 + RELATIVE) * Q0) @ held)[-1]
-    whitened = held / np.sqrt(w[w > bound])
-    growth = np.linalg.eigvalsh(whitened.T @ Q1 @ whitened)[-1]
-    gained = np.abs(np.linalg.eigvalsh(null.T @ Q1 @ null)).max(initial=0.0)
-    print(
-        f"{name}: {len(Q0)} levels, {null.shape[1]} hold no energy; worst growth "
-        f"1 + {growth - 1:.2e}, excess {excess:.2e}, gained {gained:.2e} "
-        f"(bound {bound:.2e})"
-    )
-    assert null.shape[1] >= scenario.system.n_constraints
-    assert excess <= bound
-    assert gained <= bound
+    Q0, Q1 = certificate(free_vibration_variant(scenario).system)
+    check_certificate(name, Q0, Q1, scenario.system.n_constraints)

@@ -288,3 +288,42 @@ def test_step_carries_its_loads():
     calls.clear()
     diagnostics.external_work(result, sys)
     assert calls == []
+
+
+def _with_negative_zeros(sys):
+    # sdof3 with every zero of every C stored as -0.0, which the ramp
+    # loads must turn into +0.0 as the reference's 0.0 + (j/eta) C^T does.
+    subs = tuple(
+        replace(sub, C=coupling.SignedBooleanMatrix(np.where(sub.C.data == 0.0, -0.0, sub.C.data)))
+        for sub in sys.subdomains
+    )
+    return replace(sys, subdomains=subs, plan=None)
+
+
+@pytest.mark.parametrize(
+    "build, acceleration_form",
+    [
+        (_bar, False),
+        (_plate, False),
+        (_sdof3, False),
+        (lambda: _with_negative_zeros(_sdof3()), False),
+        (lambda: problems.build_wave_2d(nx=20, ny=10).system, True),
+    ],
+    ids=["bar_eta1000", "plate", "sdof3", "sdof3_negative_zeros", "wave2d_20x10_acceleration"],
+)
+def test_propagators_keep_the_bits_of_the_reference(build, acceleration_form, monkeypatch):
+    # Every stored response (Y in the full form, the a responses in the
+    # acceleration form) and v_end carry the bits, signs of zeros
+    # included, of the per-level reference propagators.
+    if acceleration_form:
+        monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
+    sys = build()
+    for sub, eta in zip(sys.subdomains, sys.eta):
+        props = sub.multiplier_propagators(eta)
+        assert props.full is not acceleration_form
+        reference = step_reference.propagators(sub, eta)
+        want = np.array(reference).transpose(1, 0, 2, 3)  # (3, eta, n, N_C)
+        got = props.Y if props.full else props.Y[None]
+        assert got.shape == want[: len(got)].shape
+        assert got.tobytes() == want[: len(got)].tobytes()
+        assert props.v_end.tobytes() == reference[-1][1].tobytes()
