@@ -266,7 +266,15 @@ def _header(n_c: int, probes) -> tuple[str, ...]:
 
 
 def _run_result(scenario: problems.Scenario, header, rows) -> RunResult:
-    """Pack the CSV rows with their summary statistics."""
+    """Pack the CSV rows with their summary statistics.
+
+    The state can stay finite while a value derived from it (an energy,
+    a drift norm) overflows, so every row is checked before any is written.
+    """
+    for k, values in enumerate(rows):
+        if not all(map(math.isfinite, values)):
+            where = f"step {k - 1}" if k else "the initial level"
+            raise SolverFailure(f"solver failure at {where}: non-finite value in the output row")
     column = dict(zip(header, zip(*rows)))
     final_error = None
     if scenario.oracle is not None and scenario.probes:

@@ -2,21 +2,22 @@
 
 Mass and stiffness matrices, and the operators derived from them, are
 either dense ``numpy`` arrays or ``scipy.sparse`` CSR arrays.  Both
-storages support ``@``, ``+``, scaling, ``abs`` and ``.T``, so the solver
-modules read them the same way.  Which storage a matrix gets is decided
+storages support ``@``, ``.dot``, ``+``, scaling, ``abs`` and ``.T``, so
+the solver modules read them the same way: the Newmark sub-step loop,
+for one, makes no storage test.  Which storage a matrix gets is decided
 in one place, :func:`operator`, from its DOF count alone: below
 ``SPARSE_MIN_DOFS`` dense LAPACK kernels beat a sparse solve, above it
 the FEM operators (a handful of non-zeros per row) are stored as CSR.
 
 Factors hide the storage from their callers.  Each picks its backend
-once, when it is built, and exposes that backend's own ``solve`` (and,
-for the SPD factors, a ``solve_in_place`` that writes the solution into
-the right-hand side):
+once, when it is built, and exposes that backend's own ``solve``:
 
 * :func:`cholesky_factor` for symmetric positive definite blocks (mass
   and effective Newmark matrices): dense Cholesky, or for CSR a LAPACK
   band Cholesky in reverse Cuthill-McKee order
-  (:func:`reverse_cuthill_mckee`), computed here with array operations;
+  (:func:`reverse_cuthill_mckee`), computed here with array operations.
+  These factors also have a ``solve_in_place`` that writes the solution
+  into the right-hand side, which the Newmark sub-steps use;
 * :func:`lu_factor` for general square systems: pivoted LU, dense or
   SuperLU.  The backward-Euler baseline solves an indefinite
   saddle-point system with it, and the interface Schur complement is
@@ -74,20 +75,18 @@ class Factor:
 
     ``solve(b)`` takes a vector or a matrix of stacked right-hand-side
     columns and returns the solution in a new array; ``b`` is only read,
-    so it may be read-only or still in use.  ``solve_in_place(b)`` writes
-    the solution into ``b`` instead, with the same bits.  Both are the
-    chosen backend's own functions, bound when the factor was built, so a
-    solve makes no storage test.  A backend without an in-place solve
-    gets one that assigns ``solve(b)`` to ``b``.
+    so it may be read-only or still in use.  The SPD factors of
+    :func:`cholesky_factor` also have ``solve_in_place(b)``, which writes
+    the solution into ``b`` instead, with the same bits; for the LU
+    factors of :func:`lu_factor` it is ``None``.  Both are the chosen
+    backend's own functions, bound when the factor was built, so a solve
+    makes no storage test.
     """
 
     __slots__ = ("solve", "solve_in_place")
 
     def __init__(self, solve, solve_in_place=None):
         self.solve = solve
-        if solve_in_place is None:
-            def solve_in_place(b):
-                b[...] = solve(b)
         self.solve_in_place = solve_in_place
 
 

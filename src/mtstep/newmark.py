@@ -82,13 +82,6 @@ class KinematicState:
         return self.d.shape[0]
 
 
-def _full(shape, value: float) -> np.ndarray:
-    """``np.full(shape, value)`` at a fraction of its fixed cost."""
-    out = np.empty(shape)
-    out.fill(value)
-    return out
-
-
 class EffectiveSolver:
     """Cached factorization of the effective matrix ``M + beta dt^2 K``.
 
@@ -141,36 +134,41 @@ class EffectiveSolver:
         step by step, bit for bit.  The inputs ``a``, ``v``, ``d`` are
         only read.
 
-        On a subdomain of a few DOFs, the fixed cost of each numpy call
-        outweighs its arithmetic, so the loops are written for few and
-        cheap calls without changing a single operand.  Dense operators
-        (the small blocks :func:`linalg.operator` keeps dense) and sparse
-        ones take separate loops:
+        On a subdomain of a few DOFs the fixed cost of each numpy call
+        outweighs its arithmetic, so the one loop, for dense and CSR
+        operators alike, makes few and cheap calls without changing a
+        single operand: 10 per explicit sub-step and 12 per implicit one
+        when gamma = 1/2, one more each otherwise.
 
-        * dense: 10 calls per explicit step and 12 per implicit one when
-          gamma = 1/2, one more each otherwise.  The five coefficients
-          are arrays of the state's shape, because an array-by-array
-          product is cheaper than a Python float times an array.  The
-          step's temporaries are allocated once per sweep, every product
-          and sum writes into one of them or into a row, and outputs are
-          passed by position, which is cheaper than ``out=``.  Only
-          ``K.dot`` returns a fresh array (``np.dot`` with an output is
-          slower).  When (1 - gamma) dt equals gamma dt, a step's
-          gamma dt a is the next step's (1 - gamma) dt a and is formed
-          once;
-        * sparse: 11 calls per explicit step and 13 per implicit one,
-          with float coefficients and fresh temporaries.  Sparse blocks
-          are large: there full-length coefficient arrays and buffers
-          cost more memory traffic than the calls they save (the dense
-          loop took 1.13x as long on wave2d's 836 x 44 propagator sweep
-          and 1.5x on the 3168 x 44 one, one BLAS thread), and buffers
-          kept for the whole sweep add to the peak memory;
-        * ``K.dot`` is bound once, which skips the ``@`` operator
-          dispatch and calls the same kernel;
-        * the predictor ``rd`` is added straight into ``D[j]``, the load
-          row ``A[j]`` is reduced and then solved in place
-          (:attr:`linalg.Factor.solve_in_place`), and the new velocity is
-          added into ``V[j]``, so no temporary is copied into a row;
+        * The five coefficients are 0-d arrays.  A 0-d array times an
+          array costs what the cheaper of a Python float and a
+          full-shape array costs, at every size (microseconds per
+          ``np.multiply(c, a, out)``, numpy 2.4):
+
+          ============  ==========  ============  =========
+          state shape   full-shape  Python float  0-d array
+          ============  ==========  ============  =========
+          (6,)          0.386       0.595         0.391
+          (836,)        0.99        1.49          1.07
+          (3168,)       3.16        1.98          1.92
+          (3168, 44)    164.8       62.7          62.1
+          ============  ==========  ============  =========
+
+        * Two scratch arrays of the state's shape, ``rd`` and ``ga``,
+          allocated once per sweep.  The velocity predictor is formed in
+          ``V[j]`` and ``dt v`` in ``D[j]``: both rows are overwritten
+          later in the same sub-step, so no other buffer is needed.  So
+          ``V[j]`` and ``D[j]`` must not share memory with the state
+          they advance from (``v`` and ``d`` for j = 0, ``V[j - 1]`` and
+          ``D[j - 1]`` after); two alternating rows each are enough.
+          Outputs are passed by position, which is cheaper than
+          ``out=``.  Only ``K.dot`` returns a fresh array (``np.dot``
+          with an output is slower), and it is bound once, which skips
+          the ``@`` operator dispatch and calls the same kernel.
+        * The load row ``A[j]`` is reduced and then solved in place
+          (:attr:`linalg.Factor.solve_in_place`).
+        * When (1 - gamma) dt equals gamma dt, a step's gamma dt a is the
+          next step's (1 - gamma) dt a and is formed once.
         * ``d = rd + beta dt^2 a`` is formed only when beta != 0.  For an
           explicit scheme (beta = 0, the sub-stepped subdomains of the
           paper) ``rd + 0 a`` is ``rd`` bit for bit, with one IEEE
@@ -182,52 +180,34 @@ class EffectiveSolver:
         """
         dt = self.dt
         beta, gamma = self.params.beta, self.params.gamma
-        c_v, c_d = (1.0 - gamma) * dt, (0.5 - beta) * dt * dt
-        c_a, c_g = beta * dt * dt, gamma * dt
-        c_t = dt
-        if isinstance(self.K, np.ndarray):
-            self._sweep_dense(a, v, d, A, V, D, c_v, c_d, c_t, c_a, c_g)
-            return
-        K_dot, solve, add = self.K.dot, self._factor.solve_in_place, np.add
-        for Aj, Vj, Dj in zip(A, V, D):
-            rv = c_v * a + v
-            d = add(c_d * a + c_t * v, d, out=Dj)
-            Aj -= K_dot(d)
-            solve(Aj)
-            a = Aj
-            if beta:
-                add(d, c_a * a, out=Dj)
-            v = add(rv, c_g * a, out=Vj)
-
-    def _sweep_dense(self, a, v, d, A, V, D, c_v, c_d, c_t, c_a, c_g) -> None:
-        """:meth:`sweep`'s loop for dense operators, on preallocated rows."""
-        beta = self.params.beta
+        c_v, c_g = (1.0 - gamma) * dt, gamma * dt
         reuse = c_v == c_g  # gamma = 1/2: c_g a of step j is c_v a of step j + 1
-        shape = a.shape
-        c_v, c_d, c_t, c_a, c_g = (_full(shape, c) for c in (c_v, c_d, c_t, c_a, c_g))
-        rv, rd, tmp, ga = (np.empty(shape) for _ in range(4))
+        c_v, c_d, c_t, c_a, c_g = map(
+            np.array, (c_v, (0.5 - beta) * dt * dt, dt, beta * dt * dt, c_g)
+        )
+        rd, ga = np.empty(a.shape), np.empty(a.shape)
         K_dot, solve = self.K.dot, self._factor.solve_in_place
         multiply, add, subtract = np.multiply, np.add, np.subtract
         if reuse:
             multiply(c_g, a, ga)
         for Aj, Vj, Dj in zip(A, V, D):
             if reuse:
-                add(ga, v, rv)
+                add(ga, v, Vj)
             else:
-                multiply(c_v, a, rv)
-                add(rv, v, rv)
+                multiply(c_v, a, Vj)
+                add(Vj, v, Vj)
             multiply(c_d, a, rd)
-            multiply(c_t, v, tmp)
-            add(rd, tmp, rd)
+            multiply(c_t, v, Dj)
+            add(rd, Dj, rd)
             d = add(rd, d, Dj)
             subtract(Aj, K_dot(d), Aj)
             solve(Aj)
             a = Aj
             if beta:
-                multiply(c_a, a, tmp)
-                add(d, tmp, Dj)
+                multiply(c_a, a, rd)
+                add(d, rd, Dj)
             multiply(c_g, a, ga)
-            v = add(rv, ga, Vj)
+            v = add(Vj, ga, Vj)
 
 
 def critical_time_step(M, K, params: NewmarkParams) -> float:

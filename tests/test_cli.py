@@ -241,6 +241,22 @@ def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys, method):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_exit_code_non_finite_output_row(tmp_path, monkeypatch, capsys):
+    # The state stays finite while the energies of the first new level
+    # overflow: a solver failure naming that step, and no CSV.
+    cfg_path = write_config(
+        tmp_path,
+        "scenario=sdof2\nduration=0.04\noutput=x.csv\n"
+        "subdomain.1.beta=1e200\nsubdomain.1.gamma=1e200\n",
+    )
+    monkeypatch.chdir(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", str(cfg_path)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "step 0" in err and "non-finite" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_backward_euler_method_forces_no_subcycling(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg_path = write_config(

@@ -44,6 +44,25 @@ def test_scenarios_share_one_glue_path():
     assert not calls, "glue outside _glue: " + ", ".join(calls)
 
 
+def test_newmark_makes_no_storage_test():
+    # Dense and CSR operators go through the same sub-step code: the
+    # Newmark module never asks which storage an operator has.
+    path = SOURCE / "newmark.py"
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "issparse" or (
+            name == "isinstance"
+            and len(node.args) == 2
+            and "ndarray" in ast.unparse(node.args[1])
+        ):
+            calls.append(f"{name}() at line {node.lineno}")
+    assert not calls, "storage test in newmark.py: " + ", ".join(calls)
+
+
 def _harness_names(*names):
     """The module-level constants ``names`` of the harness's child.py, unimported."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"

@@ -123,6 +123,11 @@ def _plate_dissipative():
     return problems.build_plate_2d(params=(NewmarkParams(0.3025, 0.6),) * 4).system
 
 
+def _wave_dissipative():
+    # Block 1 of the small mesh is a 336-DOF CSR block with gamma = 0.6 and beta != 0.
+    return problems.build_wave_2d(nx=30, ny=15, params=(NewmarkParams(0.3025, 0.6),) * 2).system
+
+
 @pytest.mark.parametrize(
     "build, index, rows",
     [
@@ -134,22 +139,26 @@ def _plate_dissipative():
         (_plate, 3, "full"),
         (_plate_dissipative, 0, "full"),
         (_bar, 1, "alternating"),
+        (_wave_dissipative, 1, "full"),
+        (_wave_dissipative, 1, "alternating"),
+        (lambda: problems.build_wave_2d().system, 0, "alternating"),
     ],
     ids=[
         "plate", "bar_eta1000", "sdof3", "wave2d_sparse",
         "wave2d_explicit_sparse", "plate_implicit", "plate_gamma_0.6",
-        "bar_eta1000_alternating_rows",
+        "bar_eta1000_alternating_rows", "wave2d_gamma_0.6",
+        "wave2d_gamma_0.6_alternating_rows", "wave2d_explicit_sparse_alternating_rows",
     ],
 )
 def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
     # One sweep over stacked arrays gives the bits of apply-R-then-solve
     # taken one sub-step at a time, for vector and stacked-column states,
-    # and only reads its initial state.  The cases cover both loops of
-    # the sweep: explicit (beta = 0) and implicit blocks, each dense and
-    # CSR (plate and bar explicit dense, wave2d_explicit_sparse (836 DOFs)
+    # and only reads its initial state.  The cases cover the sweep's one
+    # loop on explicit (beta = 0) and implicit blocks, each dense and CSR
+    # (plate and bar explicit dense, wave2d_explicit_sparse (836 DOFs)
     # explicit CSR, sdof3 and plate_implicit implicit dense, wave2d_sparse
-    # implicit CSR), and a dense gamma != 1/2 block, which the dense loop
-    # takes without reusing gamma dt a as the next (1 - gamma) dt a.
+    # implicit CSR), and gamma != 1/2 blocks, dense and CSR, which the
+    # loop takes without reusing gamma dt a as the next (1 - gamma) dt a.
     # With alternating rows, V and D are the two rows each that the
     # acceleration-form propagators write (only the last two levels
     # survive), and the propagators built that way keep the reference's
