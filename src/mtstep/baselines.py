@@ -33,8 +33,9 @@ from .coupling import (
     SystemStepResult,
     require_finite,
 )
+from .diagnostics import level_energy
 from .errors import NonFiniteState, SingularSaddleSystem
-from .newmark import EffectiveSolver, KinematicState, NewmarkParams, critical_time_step
+from .newmark import EffectiveSolver, KinematicState, critical_time_step
 
 
 def _backward_euler_factor(sys: CoupledSystem) -> linalg.Factor:
@@ -117,7 +118,7 @@ def backward_euler_decay(result: SystemStepResult, sys: CoupledSystem) -> float:
     for sub, st, hist in zip(sys.subdomains, sys.states, result.histories):
         dv = hist.v[-1] - st.v
         dd = hist.d[-1] - st.d
-        decay -= 0.5 * float(dv @ (sub.M @ dv)) + 0.5 * float(dd @ (sub.K @ dd))
+        decay -= level_energy([(sub.M, sub.K, dv, dd)]).total
     return decay
 
 
@@ -173,10 +174,8 @@ def merge_system_matrices(sys: CoupledSystem):
     return merged("M"), merged("K"), load, maps
 
 
-def merged_newmark_reference(
-    sys: CoupledSystem, params: NewmarkParams, n_steps: int
-) -> tuple:
-    """Integrate the undecomposed system with one Newmark scheme.
+def merged_newmark_reference(sys: CoupledSystem, n_steps: int) -> tuple:
+    """Integrate the undecomposed system with the subdomains' Newmark scheme.
 
     Initial conditions are taken from the coupled system's current
     states (interface copies must agree; the first owner wins), and the
@@ -187,12 +186,16 @@ def merged_newmark_reference(
         v_pred = v + dt (1 - gamma) a
 
     with the end-of-step load (:meth:`EffectiveSolver.solve_rows`).
-    Returns ``(states, M, K, maps)``: the merged-DOF trajectory including
-    the initial state, and the :func:`merge_system_matrices` it integrated.
-    Raises ``ValueError`` unless ``dt_system`` is below the merged
-    system's critical time-step, and :class:`NonFiniteState` at the
-    first step that gives a non-finite state.
+    Returns ``(states, M, K, maps)``: an iterator that computes each
+    merged-DOF state as it is taken, the initial one first, and the
+    :func:`merge_system_matrices` it integrates.  Raises ``ValueError``
+    unless the subdomains share one (beta, gamma) and ``dt_system`` is
+    below the merged critical time-step, and :class:`NonFiniteState`
+    when the state taken is not finite.
     """
+    params = sys.subdomains[0].params
+    if any(sub.params != params for sub in sys.subdomains[1:]):
+        raise ValueError("monolithic_newmark requires uniform Newmark parameters")
     M, K, load, maps = merge_system_matrices(sys)
     dt = sys.dt_system
     crit = critical_time_step(M, K, params)
@@ -209,11 +212,14 @@ def merged_newmark_reference(
     solver = EffectiveSolver(M, K, params, dt)
     c_d = 0.5 * dt * dt * (1.0 - 2.0 * params.beta)
     c_v = dt * (1.0 - params.gamma)
-    out = [KinematicState(d=d, v=v, a=a)]
-    for step in range(n_steps):
-        t += dt
-        a, v, d = solver.solve_rows(load(t), v + c_v * a, d + dt * v + c_d * a)
-        if not all(np.isfinite(x).all() for x in (a, v, d)):
-            raise NonFiniteState(f"non-finite merged state at step {step}")
-        out.append(KinematicState(d=d, v=v, a=a))
-    return out, M, K, maps
+
+    def states(t, a, v, d):
+        yield KinematicState(d=d, v=v, a=a)
+        for step in range(n_steps):
+            t += dt
+            a, v, d = solver.solve_rows(load(t), v + c_v * a, d + dt * v + c_d * a)
+            if not all(np.isfinite(x).all() for x in (a, v, d)):
+                raise NonFiniteState(f"non-finite merged state at step {step}")
+            yield KinematicState(d=d, v=v, a=a)
+
+    return states(t, a, v, d), M, K, maps

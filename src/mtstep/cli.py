@@ -232,13 +232,11 @@ class RunResult:
 
 
 def _row(t, energy, drift, lams, probe_vals):
-    e_kin = diagnostics._add_in_order(energy.kinetic)
-    e_pot = diagnostics._add_in_order(energy.potential)
     return (
         t,
         energy.total,
-        e_kin,
-        e_pot,
+        energy.kinetic,
+        energy.potential,
         energy.e_algorithm,
         energy.e_interface,
         float(np.linalg.norm(drift.d_drift)),
@@ -294,11 +292,11 @@ def _run_result(scenario: problems.Scenario, header, rows) -> RunResult:
 def execute(config: RunConfig) -> RunResult:
     """Run a configuration to completion, collecting all CSV rows."""
     scenario = build_scenario(config)
-    if config.method == "monolithic_newmark":
-        return _execute_monolithic(scenario)
-
     sys_state = scenario.system
     n_steps = math.ceil(scenario.duration / sys_state.dt_system - 1e-9)
+    if config.method == "monolithic_newmark":
+        return _execute_monolithic(scenario, n_steps)
+
     probes = scenario.probes
 
     def row(s: CoupledSystem, energy) -> tuple[float, ...]:
@@ -331,7 +329,7 @@ def execute(config: RunConfig) -> RunResult:
     return _run_result(scenario, _header(sys_state.n_constraints, probes), rows)
 
 
-def _execute_monolithic(scenario: problems.Scenario) -> RunResult:
+def _execute_monolithic(scenario: problems.Scenario, n_steps: int) -> RunResult:
     """Undecomposed single-scheme Newmark reference run.
 
     Requires uniform (beta, gamma) across subdomains and a system step
@@ -340,34 +338,26 @@ def _execute_monolithic(scenario: problems.Scenario) -> RunResult:
     columns; e_algorithm is the energy change over each step.
     """
     sys0 = scenario.system
-    params = sys0.subdomains[0].params
-    if any(sub.params != params for sub in sys0.subdomains[1:]):
-        raise ConfigError("monolithic_newmark requires uniform Newmark parameters")
-    dt = sys0.dt_system
-    n_steps = math.ceil(scenario.duration / dt - 1e-9)
     try:
-        states, M, K, maps = merged_newmark_reference(sys0, params, n_steps)
+        states, M, K, maps = merged_newmark_reference(sys0, n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    except NonFiniteState as exc:
-        raise SolverFailure(f"solver failure: {exc}") from exc
+    dt = sys0.dt_system
     times = itertools.accumulate(itertools.repeat(dt, n_steps), initial=sys0.t_current)
 
     no_drift = diagnostics.DriftRecord(*(np.zeros(0),) * 3)
     rows = []
     prev_total = None
-    for t, st in zip(times, states):
-        kin, pot = 0.5 * float(st.v @ (M @ st.v)), 0.5 * float(st.d @ (K @ st.d))
-        total = kin + pot
-        energy = diagnostics.EnergyBreakdown(
-            kinetic=(kin,),
-            potential=(pot,),
-            total=total,
-            e_algorithm=0.0 if prev_total is None else total - prev_total,
-        )
-        probe_vals = [float(st.d[maps[i][dof]]) for i, dof in scenario.probes]
-        rows.append(_row(t, energy, no_drift, (), probe_vals))
-        prev_total = total
+    try:
+        for t, st in zip(times, states):
+            energy = diagnostics.level_energy([(M, K, st.v, st.d)])
+            if prev_total is not None:
+                energy = replace(energy, e_algorithm=energy.total - prev_total)
+            probe_vals = [float(st.d[maps[i][dof]]) for i, dof in scenario.probes]
+            rows.append(_row(t, energy, no_drift, (), probe_vals))
+            prev_total = energy.total
+    except NonFiniteState as exc:
+        raise SolverFailure(f"solver failure: {exc}") from exc
     return _run_result(scenario, _header(0, scenario.probes), rows)
 
 

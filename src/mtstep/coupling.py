@@ -440,6 +440,7 @@ class SystemStepResult:
 class CoupledSystem:
     """Immutable snapshot of the coupled model at one system time level.
 
+    ``lambda_current`` is a read-only copy, as are a state's arrays.
     ``plan`` is built from the subdomains and ``dt_system`` when not
     given (or given for other ones); :meth:`apply` passes it on, so the
     validation and the factors it holds are made once per run.
@@ -457,9 +458,9 @@ class CoupledSystem:
         states = tuple(self.states)
         object.__setattr__(self, "subdomains", subs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(
-            self, "lambda_current", np.asarray(self.lambda_current, dtype=float)
-        )
+        lam = np.array(self.lambda_current, dtype=float)
+        lam.setflags(write=False)
+        object.__setattr__(self, "lambda_current", lam)
         if len(states) != len(subs):
             raise DimensionMismatch("one state per subdomain required")
         if self.plan is None or not self.plan.describes(subs, self.dt_system):
@@ -502,11 +503,10 @@ class CoupledSystem:
 
     def apply(self, result: SystemStepResult) -> "CoupledSystem":
         """Commit a step result, returning the system at the next level."""
-        # Copies: a committed level does not keep the step's history alive.
+        # Each state copies its rows: a committed level does not keep the
+        # step's history alive.
         new_states = tuple(
-            KinematicState(
-                d=hist.d[-1].copy(), v=hist.v[-1].copy(), a=hist.a[-1].copy()
-            )
+            KinematicState(d=hist.d[-1], v=hist.v[-1], a=hist.a[-1])
             for hist in result.histories
         )
         return replace(

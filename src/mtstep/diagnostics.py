@@ -4,9 +4,10 @@ For each subdomain the kinetic and potential energies are
 
     T_i(x) = 1/2 x^T M_i x        V_i(x) = 1/2 x^T K_i x
 
-and the total energy at a system level is E = sum_i (T_i(v_i) + V_i(d_i)).
-With zero external forces, the change of E over one system step splits
-exactly into a scheme contribution and an interface-work contribution:
+and the energy of a system level, formed only by :func:`level_energy`, is
+E = sum_i (T_i(v_i) + V_i(d_i)).  With zero external forces, the change
+of E over one system step splits exactly into a scheme contribution and
+an interface-work contribution:
 
     E^(n+1) - E^(n) = e_algorithm + e_interface
 
@@ -41,8 +42,8 @@ so the sums do not depend on how a vectorised reduction would group them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,13 +52,16 @@ from .coupling import CoupledSystem, SystemStepResult
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Per-subdomain and per-step energy accounting at one system level."""
+    """Subdomain sums of kinetic and potential energy, and a step's split terms."""
 
-    kinetic: tuple[float, ...]
-    potential: tuple[float, ...]
-    total: float
+    kinetic: float
+    potential: float
     e_algorithm: float = 0.0
     e_interface: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return self.kinetic + self.potential
 
 
 @dataclass(frozen=True)
@@ -69,19 +73,27 @@ class DriftRecord:
     v_residual: np.ndarray
 
 
-def _kinetic(sub, v: np.ndarray) -> float:
-    return 0.5 * float(v @ (sub.M @ v))
+def _half_form(A, x: np.ndarray) -> float:
+    """1/2 x^T A x."""
+    return 0.5 * float(x @ (A @ x))
 
-def _potential(sub, d: np.ndarray) -> float:
-    return 0.5 * float(d @ (sub.K @ d))
+
+def level_energy(blocks: Sequence[tuple]) -> EnergyBreakdown:
+    """Energy of one level from its (M, K, v, d) blocks, one per subdomain.
+
+    Every kinetic form 1/2 v^T M v is made before the first potential
+    form 1/2 d^T K d; each kind is summed in block order.
+    """
+    kin = [_half_form(M, v) for M, _, v, _ in blocks]
+    pot = [_half_form(K, d) for _, K, _, d in blocks]
+    return EnergyBreakdown(kinetic=_add_in_order(kin), potential=_add_in_order(pot))
 
 
 def total_energy(sys: CoupledSystem) -> EnergyBreakdown:
     """Kinetic/potential split at the system's current level."""
-    kin = tuple(_kinetic(sub, st.v) for sub, st in zip(sys.subdomains, sys.states))
-    pot = tuple(_potential(sub, st.d) for sub, st in zip(sys.subdomains, sys.states))
-    total = _add_in_order(kin) + _add_in_order(pot)
-    return EnergyBreakdown(kinetic=kin, potential=pot, total=total)
+    return level_energy(
+        [(sub.M, sub.K, st.v, st.d) for sub, st in zip(sys.subdomains, sys.states)]
+    )
 
 
 def _jumps(x0: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -130,7 +142,7 @@ def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
             jump_V = _add_in_order(_half_forms(sub.K, _jumps(st_n.d, hist.d)))
             out -= coeff_V * jump_V
         if coeff:
-            system_jump_T = _kinetic(sub, hist.a[-1]) - _kinetic(sub, st_n.a)
+            system_jump_T = _half_form(sub.M, hist.a[-1]) - _half_form(sub.M, st_n.a)
             out -= coeff * system_jump_T
         if coeff_T:
             jump_T = _add_in_order(_half_forms(sub.M, _jumps(st_n.a, hist.a)))
@@ -174,18 +186,12 @@ def step_energy_report(
     step: SystemStepResult, sys_before: CoupledSystem
 ) -> EnergyBreakdown:
     """Energy at the new level plus the per-step split terms."""
-    kin = tuple(
-        _kinetic(sub, hist.v[-1])
+    energy = level_energy([
+        (sub.M, sub.K, hist.v[-1], hist.d[-1])
         for sub, hist in zip(sys_before.subdomains, step.histories)
-    )
-    pot = tuple(
-        _potential(sub, hist.d[-1])
-        for sub, hist in zip(sys_before.subdomains, step.histories)
-    )
-    return EnergyBreakdown(
-        kinetic=kin,
-        potential=pot,
-        total=_add_in_order(kin) + _add_in_order(pot),
+    ])
+    return replace(
+        energy,
         e_algorithm=energy_algorithm(step, sys_before),
         e_interface=energy_interface(step, sys_before),
     )
@@ -207,10 +213,7 @@ def drift_record(sys: CoupledSystem) -> DriftRecord:
     n_c = sys.n_constraints
     a_drift = np.zeros(n_c)
     d_drift = np.zeros(n_c)
-    v_res = np.zeros(n_c)
     for sub, st in zip(sys.subdomains, sys.states):
         a_drift += sub.C.product(st.a)
         d_drift += sub.C.product(st.d)
-        v_res += sub.C.product(st.v)
-    return DriftRecord(a_drift=a_drift, d_drift=d_drift, v_residual=v_res)
-
+    return DriftRecord(a_drift, d_drift, sys.velocity_residual())

@@ -59,23 +59,21 @@ CENTRAL_DIFFERENCE = NewmarkParams(beta=0.0, gamma=0.5)
 
 @dataclass(frozen=True)
 class KinematicState:
-    """Displacement / velocity / acceleration triplet at one time level."""
+    """Displacement / velocity / acceleration at one time level, as read-only copies."""
 
     d: np.ndarray
     v: np.ndarray
     a: np.ndarray
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.d, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        d, v, a = (np.array(x, dtype=float, ndmin=1) for x in (self.d, self.v, self.a))
         if not (d.shape == v.shape == a.shape):
             raise ValueError(
                 f"d/v/a shapes differ: {d.shape}, {v.shape}, {a.shape}"
             )
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "a", a)
+        for name, x in zip("dva", (d, v, a)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @property
     def size(self) -> int:

@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from mtstep.baselines import (
     merged_newmark_reference,
 )
 from mtstep.coupling import advance_system_step, initialize_coupled_system
+from mtstep.errors import NonFiniteState
 from mtstep.newmark import AVERAGE_ACCELERATION
 from mtstep.problems import build_bar_1d, build_sdof2, build_sdof3, build_wave_2d
 from step_reference import sublevel_states
@@ -132,12 +135,33 @@ def test_merge_system_matrices_bar():
     assert np.count_nonzero(f) == 1
 
 
+def test_merged_newmark_requires_uniform_scheme():
+    # The bar's middle subdomain is explicit, the outer ones implicit.
+    with pytest.raises(ValueError, match="uniform Newmark parameters"):
+        merged_newmark_reference(build_bar_1d().system, 5)
+
+
+def test_merged_newmark_states_are_computed_as_taken():
+    # The middle subdomain's load turns NaN at the third step (index 2):
+    # the initial state and two steps come out, the third raises.
+    sys = build_sdof3().system
+    t_nan = 2.25 * sys.dt_system
+    subs = list(sys.subdomains)
+    subs[1] = replace(subs[1], g=lambda t: math.nan if t > t_nan else 1.0)
+    states = merged_newmark_reference(replace(sys, subdomains=tuple(subs), plan=None), 10)[0]
+    taken = list(itertools.islice(states, 3))
+    assert len(taken) == 3
+    assert all(np.isfinite(st.d).all() for st in taken)
+    with pytest.raises(NonFiniteState, match="step 2"):
+        next(states)
+
+
 def test_merged_newmark_matches_coupled_without_subcycling():
     # eta = 1 and a uniform scheme: the coupled solve and the undecomposed
     # Newmark run are the same algorithm.
     sc = build_sdof2(etas=(1, 1))
     sys = sc.system
-    reference = merged_newmark_reference(sys, AVERAGE_ACCELERATION, 25)[0]
+    reference = list(merged_newmark_reference(sys, 25)[0])
     for k in range(25):
         sys = sys.apply(advance_system_step(sys))
         np.testing.assert_allclose(

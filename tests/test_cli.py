@@ -59,6 +59,7 @@ def test_parse_config_full(tmp_path):
         "scenario=sdof2\ndt_system=fast\n",      # bad float
         "scenario=sdof2\nsubdomain.1.eta=four\n",
         "scenario=sdof2\nsubdomain.0.eta=2\n",   # indices are 1-based
+        "scenario=sdof2\nsubdomain.1.foo=1\n",   # unknown subdomain key
         "scenario=sdof2\njust a line\n",         # no '='
     ],
 )
@@ -97,6 +98,8 @@ def test_build_scenario_validates_overrides(tmp_path):
         ("subdomain.1.beta=inf", "beta must be finite"),
         ("subdomain.2.gamma=inf", "gamma must be finite"),
         ("dt_system=inf", "dt_system must be positive and finite"),
+        ("subdomain.1.eta=0", "eta must be >= 1"),
+        ("probe=9:0", "probe subdomain index 9 out of range"),
     ):
         cfg = cli.parse_config(
             write_config(tmp_path, f"scenario=sdof2\n{body}\n", "d.cfg")
@@ -207,6 +210,10 @@ def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", str(cfg_path)]) == cli.EXIT_SOLVER
     assert "step 0" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+    argv = ["sweep", str(cfg_path), "--axis", "dt_system", "--values", "0.02,0.01"]
+    assert cli.main(argv) == cli.EXIT_SOLVER
+    assert "error (dt_system=0.02): solver failure at step 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("method", ["coupled", "backward_euler", "monolithic_newmark"])
@@ -379,6 +386,12 @@ def test_unwritable_output_is_a_configuration_error(tmp_path, monkeypatch, capsy
     argv = ["sweep", str(cfg_path), "--axis", "dt_system", "--values", "0.02"]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "cannot write" in capsys.readouterr().err
+    # The member CSVs can be written but the summary cannot.
+    cfg_path = write_config(tmp_path, "scenario=sdof2\nduration=0.1\noutput=y.csv\n")
+    (tmp_path / "y_summary.csv").mkdir()
+    assert cli.main(argv[:1] + [str(cfg_path)] + argv[2:]) == cli.EXIT_CONFIG
+    assert "configuration error: cannot write" in capsys.readouterr().err
+    assert (tmp_path / "y_dt_system_0.02.csv").exists()
 
 
 # Byte-exact CSVs of one run per method plus a Newmark override.  All

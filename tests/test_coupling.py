@@ -9,6 +9,7 @@ import scipy.sparse
 from mtstep import linalg
 from mtstep.coupling import (
     CoupledSystem,
+    CouplingPlan,
     SignedBooleanMatrix,
     Subdomain,
     advance_system_step,
@@ -173,6 +174,69 @@ def test_mismatched_constraint_counts_rejected():
             subdomains=(subs[0], bad), dt_system=0.02,
             states=(st, st), lambda_current=np.zeros(1),
         )
+
+
+@pytest.mark.parametrize(
+    "field, value, error, match",
+    [
+        pytest.param("K", np.eye(3), DimensionMismatch, "matching squares", id="K_shape"),
+        pytest.param("f0", np.zeros(3), DimensionMismatch, "f0 has shape", id="f0_shape"),
+        pytest.param(
+            "M", np.array([[0.1, 0.0], [0.01, 0.1]]), ValueError, "M must be symmetric",
+            id="M_not_symmetric",
+        ),
+        pytest.param(
+            "K", np.array([[2.5, 0.0], [1.0, 2.5]]), ValueError, "K must be symmetric",
+            id="K_not_symmetric",
+        ),
+        pytest.param("dt_sub", 0.0, ValueError, "dt_sub must be positive", id="dt_sub_zero"),
+        pytest.param(
+            "C", SignedBooleanMatrix(np.array([[1.0]])), DimensionMismatch, "columns",
+            id="C_columns",
+        ),
+    ],
+)
+def test_subdomain_rejects_bad_input(field, value, error, match):
+    valid = dict(
+        M=0.1 * np.eye(2), K=2.5 * np.eye(2), params=AVERAGE_ACCELERATION,
+        dt_sub=0.02, f0=np.zeros(2), C=SignedBooleanMatrix(np.array([[1.0, 0.0]])),
+    )
+    Subdomain(**valid)
+    with pytest.raises(error, match=match):
+        Subdomain(**{**valid, field: value})
+
+
+def test_coupling_plan_needs_a_subdomain():
+    with pytest.raises(ValueError, match="at least one subdomain"):
+        CouplingPlan((), 0.02)
+
+
+@pytest.mark.parametrize(
+    "states, lam, match",
+    [
+        ((([0.0],) * 3,), np.zeros(1), "one state per subdomain"),
+        ((([0.0],) * 3,) * 2, np.zeros(2), "lambda has shape"),
+        ((([0.0],) * 3, ([0.0, 0.0],) * 3), np.zeros(1), "state size"),
+    ],
+    ids=["state_count", "lambda_shape", "state_size"],
+)
+def test_coupled_system_rejects_mismatched_parts(states, lam, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        CoupledSystem(
+            subdomains=tuple(make_pair()), dt_system=0.02,
+            states=tuple(KinematicState(d=d, v=v, a=a) for d, v, a in states),
+            lambda_current=lam,
+        )
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_redundant_rows_fail_the_consistent_initial_multiplier():
+    subs = [
+        replace(sub, C=SignedBooleanMatrix(np.vstack([sub.C.data, sub.C.data])))
+        for sub in make_pair()
+    ]
+    with pytest.raises(SingularSaddleSystem, match="consistent multiplier"):
+        initialize_coupled_system(subs, 0.02, d0=[[0.1], [0.1]], v0=[[1.0], [1.0]])
 
 
 def test_consistent_lambda_init_zeroes_acceleration_drift():
@@ -365,6 +429,32 @@ def test_subdomain_is_immutable():
     M[0, 0] = 0.2
     f0[0] = 2.0
     assert sub.M[0, 0] == 0.1 and sub.f0[0] == 1.0
+
+
+def test_coupled_system_is_immutable():
+    # A level keeps read-only copies of its states and multiplier: writes
+    # to the arrays it was built from do not reach it, and neither do
+    # writes through it.
+    d0, v0 = [np.array([0.1]), np.array([0.1])], [np.array([1.0]), np.array([1.0])]
+    sys = initialize_coupled_system(make_pair(), 0.02, d0=d0, v0=v0)
+    d0[0][0] = 5.0
+    v0[1][0] = 5.0
+    assert sys.states[0].d[0] == 0.1 and sys.states[1].v[0] == 1.0
+    for level in (sys, sys.apply(advance_system_step(sys))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            level.lambda_current = np.zeros(1)
+        with pytest.raises(ValueError):
+            level.lambda_current[0] = 1.0
+        for st in level.states:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                st.d = np.zeros(1)
+            for x in (st.d, st.v, st.a):
+                with pytest.raises(ValueError):
+                    x[0] = 1.0
+    lam = np.array([2.0])
+    level = replace(sys, lambda_current=lam)
+    lam[0] = 3.0
+    assert level.lambda_current[0] == 2.0
 
 
 def test_interface_factor_built_once_per_run(monkeypatch):

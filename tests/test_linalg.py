@@ -310,3 +310,8 @@ def test_max_generalized_eigenvalue_zero_stiffness():
 def test_max_generalized_eigenvalue_shape_mismatch():
     with pytest.raises(ValueError):
         linalg.max_generalized_eigenvalue(np.eye(2), np.eye(3))
+
+
+def test_max_generalized_eigenvalue_rejects_indefinite_mass():
+    with pytest.raises(linalg.SingularMatrix):
+        linalg.max_generalized_eigenvalue(np.eye(2), np.diag([1.0, -1.0]))

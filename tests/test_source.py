@@ -63,6 +63,35 @@ def test_newmark_makes_no_storage_test():
     assert not calls, "storage test in newmark.py: " + ", ".join(calls)
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A name with a leading underscore belongs to its module: another
+    # module neither imports it nor reads it as an attribute of a module
+    # or of a name it imported.
+    uses = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported.add(name)
+                    if isinstance(node, ast.ImportFrom) and _private(alias.name):
+                        uses.append(f"{path.name}:{node.lineno} imports {alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in imported:
+                    uses.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
+    assert not uses, "private names used outside their module: " + ", ".join(uses)
+
+
 def _harness_names(*names):
     """The module-level constants ``names`` of the harness's child.py, unimported."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
