@@ -52,13 +52,7 @@ from .baselines import (
     merged_newmark_reference,
 )
 from .coupling import CoupledSystem, advance_system_step
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    NonFiniteState,
-    SingularMatrix,
-    SingularSaddleSystem,
-)
+from .errors import ConfigError, NonFiniteState, SingularMatrix
 from .newmark import AVERAGE_ACCELERATION, NewmarkParams
 
 EXIT_OK = 0
@@ -202,7 +196,7 @@ def build_scenario(config: RunConfig) -> problems.Scenario:
         kwargs["duration"] = config.duration
     try:
         scenario = problems.SCENARIOS[config.scenario](**kwargs)
-    except (ValueError, DimensionMismatch, SingularMatrix) as exc:
+    except (ValueError, SingularMatrix) as exc:
         raise ConfigError(f"scenario construction failed: {exc}") from exc
     if config.probes is not None:
         for i, dof in config.probes:
@@ -221,14 +215,11 @@ def build_scenario(config: RunConfig) -> problems.Scenario:
 
 @dataclass(frozen=True)
 class RunResult:
-    """In-memory outcome of one run: CSV rows plus summary statistics."""
+    """In-memory outcome of one run: checked CSV rows and final-time oracle error."""
 
     header: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
     final_oracle_error: Optional[float]
-    max_abs_e_interface: float
-    max_norm_d_drift: float
-    max_norm_a_drift: float
 
 
 def _row(t, energy, drift, lams, probe_vals):
@@ -264,7 +255,7 @@ def _header(n_c: int, probes) -> tuple[str, ...]:
 
 
 def _run_result(scenario: problems.Scenario, header, rows) -> RunResult:
-    """Pack the CSV rows with their summary statistics.
+    """Pack the CSV rows with the final-time oracle error.
 
     The state can stay finite while a value derived from it (an energy,
     a drift norm) overflows, so every row is checked before any is written.
@@ -273,20 +264,13 @@ def _run_result(scenario: problems.Scenario, header, rows) -> RunResult:
         if not all(map(math.isfinite, values)):
             where = f"step {k - 1}" if k else "the initial level"
             raise SolverFailure(f"solver failure at {where}: non-finite value in the output row")
-    column = dict(zip(header, zip(*rows)))
     final_error = None
     if scenario.oracle is not None and scenario.probes:
         i, dof = scenario.probes[0]
-        probe = column[f"probe_{i + 1}_{dof}"][-1]
-        final_error = abs(probe - scenario.oracle(column["t"][-1]))
-    return RunResult(
-        header=header,
-        rows=tuple(rows),
-        final_oracle_error=final_error,
-        max_abs_e_interface=max(map(abs, column["e_interface"])),
-        max_norm_d_drift=max(column["norm_d_drift"]),
-        max_norm_a_drift=max(column["norm_a_drift"]),
-    )
+        last = rows[-1]
+        probe = last[header.index(f"probe_{i + 1}_{dof}")]
+        final_error = abs(probe - scenario.oracle(last[header.index("t")]))
+    return RunResult(header=header, rows=tuple(rows), final_oracle_error=final_error)
 
 
 def execute(config: RunConfig) -> RunResult:
@@ -311,7 +295,7 @@ def execute(config: RunConfig) -> RunResult:
     for step_index in range(n_steps):
         try:
             result = step_fn(sys_state)
-        except (SingularSaddleSystem, SingularMatrix, NonFiniteState) as exc:
+        except (SingularMatrix, NonFiniteState) as exc:
             raise SolverFailure(f"solver failure at step {step_index}: {exc}") from exc
         sys_next = sys_state.apply(result)
         if config.method == "backward_euler":
@@ -396,16 +380,23 @@ def write_csv(result: RunResult, path: str | Path) -> None:
     _write_lines(path, lines)
 
 
+def _exit_code(exc: ConfigError | SolverFailure, context: str) -> int:
+    """Report a failure on stderr, with ``context`` after its class, and
+    return its exit code: 2 for a :class:`ConfigError`, 3 for a
+    :class:`SolverFailure`."""
+    if isinstance(exc, ConfigError):
+        print(f"configuration error{context}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"error{context}: {exc}", file=sys.stderr)
+    return EXIT_SOLVER
+
+
 def run(config: RunConfig) -> int:
     """Execute one run and write its CSV; returns a process exit code."""
     try:
         write_csv(execute(config), config.output_path or f"{config.scenario}.csv")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except (ConfigError, SolverFailure) as exc:
+        return _exit_code(exc, "")
     return EXIT_OK
 
 
@@ -437,11 +428,9 @@ def _sweep_member(base: RunConfig, axis: str, raw: str) -> RunConfig:
 def sweep(base: RunConfig, axis: str, values: Sequence[str]) -> int:
     """Run the base config once per axis value; write per-run + summary CSVs."""
     if axis not in ("dt_system", "eta"):
-        print(f"configuration error: unknown sweep axis {axis!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _exit_code(ConfigError(f"unknown sweep axis {axis!r}"), "")
     if not values:
-        print("configuration error: sweep needs at least one value", file=sys.stderr)
-        return EXIT_CONFIG
+        return _exit_code(ConfigError("sweep needs at least one value"), "")
 
     base_output = Path(base.output_path or f"{base.scenario}.csv")
     summary = [
@@ -455,22 +444,19 @@ def sweep(base: RunConfig, axis: str, values: Sequence[str]) -> int:
         try:
             result = execute(_sweep_member(base, axis, raw))
             write_csv(result, member)
-        except ConfigError as exc:
-            print(f"configuration error ({axis}={raw}): {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except SolverFailure as exc:
-            print(f"error ({axis}={raw}): {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+        except (ConfigError, SolverFailure) as exc:
+            return _exit_code(exc, f" ({axis}={raw})")
         err = result.final_oracle_error
-        maxima = (result.max_abs_e_interface, result.max_norm_d_drift, result.max_norm_a_drift)
+        column = dict(zip(result.header, zip(*result.rows)))
+        interface = max(map(abs, column["e_interface"]))
+        maxima = (interface, max(column["norm_d_drift"]), max(column["norm_a_drift"]))
         summary.append(
             ",".join([raw, "" if err is None else _format_value(err), *map(_format_value, maxima)])
         )
     try:
         _write_lines(base_output.with_name(f"{base_output.stem}_summary.csv"), summary)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _exit_code(exc, "")
     return EXIT_OK
 
 
@@ -497,8 +483,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config(args.config)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _exit_code(exc, "")
 
     if args.command == "run":
         return run(config)

@@ -64,7 +64,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import linalg
 from .errors import DimensionMismatch, NonFiniteState, SingularSaddleSystem
@@ -120,6 +119,7 @@ class SignedBooleanMatrix:
         self.data = data
         self.rows, self.dofs = np.nonzero(data)
         self.signs = data[self.rows, self.dofs]
+        # Not ``linalg.frozen``: the index arrays keep their integer dtype.
         for part in (self.data, self.rows, self.dofs, self.signs):
             part.setflags(write=False)
 
@@ -153,20 +153,6 @@ class SignedBooleanMatrix:
         return f"SignedBooleanMatrix(shape={self.shape})"
 
 
-def _read_only(A):
-    """A private copy of a dense or sparse operator that cannot be written."""
-    if scipy.sparse.issparse(A):
-        A = scipy.sparse.csr_array(A, dtype=float, copy=True)
-        A.sum_duplicates()  # canonical: no later operation sorts it in place
-        parts = (A.data, A.indices, A.indptr)
-    else:
-        A = np.array(A, dtype=float)
-        parts = (A,)
-    for part in parts:
-        part.setflags(write=False)
-    return A
-
-
 class _Memo(dict):
     """Derived objects that never go stale, each built on first use."""
 
@@ -186,10 +172,11 @@ class Subdomain:
     f_i(t) = f0).  :meth:`loads` evaluates it at the sub-levels of a step.
     ``M`` and ``K`` are dense arrays or sparse matrices (stored as CSR);
     either way the subdomain keeps a read-only copy of them and of
-    ``f0``, so with the frozen fields nothing a factor or propagator is
-    derived from can change.  The private ``_memo`` therefore keeps those
-    derived objects for the life of the subdomain without their ever
-    going stale.
+    ``f0`` (:func:`linalg.frozen`), so with the frozen fields nothing a
+    factor or propagator is derived from can change.  The private
+    ``_memo`` therefore keeps those derived objects, themselves
+    read-only, for the life of the subdomain without their ever going
+    stale.
     """
 
     M: np.ndarray
@@ -202,9 +189,8 @@ class Subdomain:
     _memo: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "M", _read_only(self.M))
-        object.__setattr__(self, "K", _read_only(self.K))
-        object.__setattr__(self, "f0", _read_only(self.f0))
+        for name in ("M", "K", "f0"):
+            object.__setattr__(self, name, linalg.frozen(getattr(self, name)))
         n = self.M.shape[0]
         if self.M.shape != (n, n) or self.K.shape != (n, n):
             raise DimensionMismatch(
@@ -279,18 +265,18 @@ class Subdomain:
         the velocities and displacements into two alternating rows, so
         the full array is never built.  Depends only on (M, K, params,
         dt_sub, C, eta), so it is computed once and reused for every
-        system step.
+        system step; both arrays are read-only.
         """
         return self._memo(("propagators", eta), lambda: self._propagators(eta))
 
     def _propagators(self, eta: int) -> "MultiplierPropagators":
         n, nc = self.n_dofs, self.n_constraints
-        Ct = self.C.data.T  # (n, nc)
         full = 3 * eta * n * nc * 8 <= FULL_PROPAGATOR_MAX_BYTES
         Y = np.empty((3, eta, n, nc) if full else (eta, n, nc))
         A = Y[0] if full else Y
-        np.multiply((np.arange(1, eta + 1) / eta)[:, None, None], Ct, out=A)
-        A += 0.0  # the ramp loads (j/eta) C^T; a -0.0 entry of C becomes +0.0
+        A.fill(0.0)
+        ramp = (np.arange(1, eta + 1) / eta)[:, None]
+        A[:, self.C.dofs, self.C.rows] = ramp * self.C.signs  # the loads (j/eta) C^T
         if full:
             V, D = Y[1], Y[2]
         else:  # two alternating rows each: a sub-step reads only the one before
@@ -299,7 +285,8 @@ class Subdomain:
             D = [D_rows[j % 2] for j in range(eta)]
         zero = np.zeros((n, nc))
         self.solver().sweep(zero, zero, zero, A, V, D)
-        return MultiplierPropagators(Y, V[-1].copy())
+        Y.setflags(write=False)
+        return MultiplierPropagators(Y, linalg.frozen(V[-1]))
 
 
 class MultiplierPropagators(NamedTuple):
@@ -458,9 +445,7 @@ class CoupledSystem:
         states = tuple(self.states)
         object.__setattr__(self, "subdomains", subs)
         object.__setattr__(self, "states", states)
-        lam = np.array(self.lambda_current, dtype=float)
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambda_current", lam)
+        object.__setattr__(self, "lambda_current", linalg.frozen(self.lambda_current))
         if len(states) != len(subs):
             raise DimensionMismatch("one state per subdomain required")
         if self.plan is None or not self.plan.describes(subs, self.dt_system):

@@ -1,15 +1,20 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules, in two classes.
+
+Bad input is a ``ValueError`` (:class:`DimensionMismatch` included); a
+failed solve is a :class:`SingularMatrix` (:class:`SingularSaddleSystem`
+included) or a :class:`NonFiniteState`.  Callers catch the class.
+"""
 
 
 class SingularMatrix(Exception):
     """A direct solve hit a pivot below the singularity threshold."""
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
-class SingularSaddleSystem(Exception):
+class SingularSaddleSystem(SingularMatrix):
     """The coupled interface system is singular.
 
     Typically signals redundant constraints or an inconsistent

@@ -3,11 +3,14 @@
 Mass and stiffness matrices, and the operators derived from them, are
 either dense ``numpy`` arrays or ``scipy.sparse`` CSR arrays.  Both
 storages support ``@``, ``.dot``, ``+``, scaling, ``abs`` and ``.T``, so
-the solver modules read them the same way: the Newmark sub-step loop,
-for one, makes no storage test.  Which storage a matrix gets is decided
-in one place, :func:`operator`, from its DOF count alone: below
+the solver modules read them the same way, and no module but this one
+asks which storage an operator has.  Which storage a matrix gets is
+decided in one place, :func:`operator`, from its DOF count alone: below
 ``SPARSE_MIN_DOFS`` dense LAPACK kernels beat a sparse solve, above it
 the FEM operators (a handful of non-zeros per row) are stored as CSR.
+How a record freezes an array it holds is decided here too:
+:func:`frozen` makes the private read-only copy that subdomains,
+kinematic states, coupled systems and cached propagators keep.
 
 Factors hide the storage from their callers.  Each picks its backend
 once, when it is built, and exposes that backend's own ``solve``:
@@ -29,8 +32,10 @@ once, when it is built, and exposes that backend's own ``solve``:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+# scipy.sparse before scipy.linalg (which loads scipy's OpenBLAS): the
+# benchmark's calibration loop, timed right after start-up, depends on it.
 import scipy.sparse
+import scipy.linalg
 
 from .errors import SingularMatrix
 
@@ -57,6 +62,25 @@ def operator(A):
         return A.toarray() if A.shape[0] < SPARSE_MIN_DOFS else scipy.sparse.csr_array(A)
     A = np.asarray(A, dtype=float)
     return A if A.shape[0] < SPARSE_MIN_DOFS else scipy.sparse.csr_array(A)
+
+
+def frozen(A):
+    """A private read-only copy of ``A``: a float array, or a canonical CSR
+    array for sparse input.
+
+    No later write through ``A`` reaches the copy, and the copy itself
+    cannot be written, so objects derived from it never go stale.
+    """
+    if scipy.sparse.issparse(A):
+        A = scipy.sparse.csr_array(A, dtype=float, copy=True)
+        A.sum_duplicates()  # canonical: no later operation sorts it in place
+        parts = (A.data, A.indices, A.indptr)
+    else:
+        A = np.array(A, dtype=float)
+        parts = (A,)
+    for part in parts:
+        part.setflags(write=False)
+    return A
 
 
 def dense(A) -> np.ndarray:

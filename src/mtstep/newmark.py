@@ -66,13 +66,12 @@ class KinematicState:
     a: np.ndarray
 
     def __post_init__(self):
-        d, v, a = (np.array(x, dtype=float, ndmin=1) for x in (self.d, self.v, self.a))
+        d, v, a = (linalg.frozen(np.atleast_1d(x)) for x in (self.d, self.v, self.a))
         if not (d.shape == v.shape == a.shape):
             raise ValueError(
                 f"d/v/a shapes differ: {d.shape}, {v.shape}, {a.shape}"
             )
         for name, x in zip("dva", (d, v, a)):
-            x.setflags(write=False)
             object.__setattr__(self, name, x)
 
     @property

@@ -14,11 +14,29 @@ from mtstep.baselines import (
     merge_system_matrices,
     merged_newmark_reference,
 )
-from mtstep.coupling import advance_system_step, initialize_coupled_system
-from mtstep.errors import NonFiniteState
+from mtstep.coupling import (
+    SignedBooleanMatrix,
+    advance_system_step,
+    initialize_coupled_system,
+)
+from mtstep.errors import NonFiniteState, SingularSaddleSystem
 from mtstep.newmark import AVERAGE_ACCELERATION
 from mtstep.problems import build_bar_1d, build_sdof2, build_sdof3, build_wave_2d
-from step_reference import sublevel_states
+from step_reference import sublevel_states, zero_multiplier_system
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_backward_euler_rejects_redundant_rows():
+    # Two copies of every constraint row make the saddle matrix singular.
+    sys0 = build_sdof2().system
+    subs = [
+        replace(sub, C=SignedBooleanMatrix(np.vstack([sub.C.data] * 2)))
+        for sub in sys0.subdomains
+    ]
+    d0, v0 = ([getattr(st, name) for st in sys0.states] for name in "dv")
+    sys = zero_multiplier_system(subs, sys0.dt_system, d0, v0)
+    with pytest.raises(SingularSaddleSystem):
+        backward_euler_step(sys)
 
 
 def test_backward_euler_satisfies_its_equations():

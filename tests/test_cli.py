@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from mtstep import baselines, cli, fem, problems
+from mtstep import baselines, cli, coupling, fem, problems
 from mtstep.errors import ConfigError, SingularMatrix, SingularSaddleSystem
 
 
@@ -246,6 +246,71 @@ def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys, method):
     err = capsys.readouterr().err
     assert "step 2" in err and "non-finite" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_exit_code_redundant_glue(tmp_path, monkeypatch, capsys):
+    # A registered builder whose glue repeats every constraint row: the
+    # consistent initial multiplier has a singular complement, which is a
+    # configuration error found while building, with no CSV.
+    builder = problems.SCENARIOS["sdof2"]
+
+    @functools.wraps(builder)
+    def duplicated_rows(*args, **kwargs):
+        sc = builder(*args, **kwargs)
+        sys0 = sc.system
+        subs = [
+            replace(sub, C=coupling.SignedBooleanMatrix(np.vstack([sub.C.data] * 2)))
+            for sub in sys0.subdomains
+        ]
+        d0, v0 = ([getattr(st, name) for st in sys0.states] for name in "dv")
+        system = coupling.initialize_coupled_system(subs, sys0.dt_system, d0, v0)
+        return replace(sc, system=system)
+
+    monkeypatch.setitem(problems.SCENARIOS, "sdof2", duplicated_rows)
+    cfg_path = write_config(tmp_path, "scenario=sdof2\noutput=x.csv\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "configuration error: scenario construction failed: "
+        "consistent multiplier init failed: "
+    )
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_exit_code_mismatched_shapes(tmp_path, monkeypatch, capsys):
+    # A DimensionMismatch is bad input: raised while a scenario is built,
+    # it is a configuration error.
+    builder = problems.SCENARIOS["sdof2"]
+
+    @functools.wraps(builder)
+    def two_multipliers(*args, **kwargs):
+        sc = builder(*args, **kwargs)
+        return replace(sc, system=replace(sc.system, lambda_current=np.zeros(2)))
+
+    monkeypatch.setitem(problems.SCENARIOS, "sdof2", two_multipliers)
+    cfg_path = write_config(tmp_path, "scenario=sdof2\noutput=x.csv\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert "lambda has shape (2,), expected (1,)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_configuration_errors_name_their_context(tmp_path, monkeypatch, capsys):
+    # One stderr line per failure: its class, the sweep value it belongs
+    # to (if any), then the message.
+    monkeypatch.chdir(tmp_path)
+    base = cli.parse_config(write_config(tmp_path, "scenario=sdof2\noutput=s.csv\n"))
+    cases = [
+        (lambda: cli.main(["run", "missing.cfg"]), "configuration error: cannot read config file "),
+        (lambda: cli.sweep(base, "mass", ["1"]), "configuration error: unknown sweep axis 'mass'\n"),
+        (lambda: cli.sweep(base, "eta", []), "configuration error: sweep needs at least one value\n"),
+        (lambda: cli.sweep(base, "eta", ["2", "x"]), "configuration error (eta=x): bad eta value 'x': "),
+    ]
+    for call, line in cases:
+        assert call() == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(line)
 
 
 def test_exit_code_non_finite_output_row(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from mtstep import linalg
+from mtstep import coupling, linalg
 from mtstep.coupling import (
     CoupledSystem,
     CouplingPlan,
@@ -23,7 +23,13 @@ from mtstep.newmark import (
     KinematicState,
     NewmarkParams,
 )
-from mtstep.problems import build_plate_2d, build_sdof2, build_sdof3, build_wave_2d
+from mtstep.problems import (
+    build_bar_1d,
+    build_plate_2d,
+    build_sdof2,
+    build_sdof3,
+    build_wave_2d,
+)
 from saddle_oracle import (
     advance_monolithic,
     assemble_L_R,
@@ -455,6 +461,60 @@ def test_coupled_system_is_immutable():
     level = replace(sys, lambda_current=lam)
     lam[0] = 3.0
     assert level.lambda_current[0] == 2.0
+
+
+def _held_arrays(name, record):
+    """(name, array) for each array a record holds as a field; a CSR
+    operator holds three."""
+    fields = record._asdict() if isinstance(record, tuple) else vars(record)
+    out = []
+    for key, value in fields.items():
+        if scipy.sparse.issparse(value):
+            out += [(f"{name}.{key}.{part}", getattr(value, part))
+                    for part in ("data", "indices", "indptr")]
+        elif isinstance(value, np.ndarray):
+            out.append((f"{name}.{key}", value))
+    return out
+
+
+# name: (builder, propagators forced into the acceleration form, form expected)
+READ_ONLY_CASES = {
+    "sdof2": (build_sdof2, False, "full"),
+    "sdof3": (build_sdof3, False, "full"),
+    "bar1d": (build_bar_1d, False, "full"),
+    "plate2d": (build_plate_2d, False, "full"),
+    "wave2d": (build_wave_2d, False, "acceleration"),  # CSR blocks
+    "wave2d_20x10": (lambda: build_wave_2d(nx=20, ny=10), False, "full"),
+    "wave2d_20x10_acceleration": (lambda: build_wave_2d(nx=20, ny=10), True, "acceleration"),
+}
+
+
+@pytest.mark.parametrize("name", READ_ONLY_CASES)
+def test_every_held_array_is_read_only(name, monkeypatch):
+    # Subdomains, constraint matrices, states, levels and the cached
+    # multiplier propagators hold no writable array, so neither a cached
+    # object nor what it was derived from can be changed behind a step.
+    build, acceleration, form = READ_ONLY_CASES[name]
+    if acceleration:
+        monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
+    sys0 = build().system
+    sys1 = sys0.apply(advance_system_step(sys0))
+    records = [("system", sys0), ("system", sys1)]
+    records += [(f"state {k}", st) for level in (sys0, sys1) for k, st in enumerate(level.states)]
+    for k, (sub, eta) in enumerate(zip(sys1.subdomains, sys1.eta)):
+        props = sub.multiplier_propagators(eta)
+        assert props.full == (form == "full")
+        records += [(f"subdomain {k}", sub), (f"C {k}", sub.C), (f"propagators {k}", props)]
+    arrays = [pair for name, record in records for pair in _held_arrays(name, record)]
+    names = {name for name, _ in arrays}
+    for k in range(len(sys1.subdomains)):
+        for field_name in ("M", "K", "f0"):
+            assert any(n.startswith(f"subdomain {k}.{field_name}") for n in names)
+        assert {f"C {k}.{f}" for f in ("data", "rows", "dofs", "signs")} <= names
+        assert {f"propagators {k}.Y", f"propagators {k}.v_end", f"state {k}.d"} <= names
+    assert "system.lambda_current" in names
+    writable = sorted({name for name, x in arrays if x.flags.writeable})
+    assert not writable, f"writable arrays: {writable}"
 
 
 def test_interface_factor_built_once_per_run(monkeypatch):

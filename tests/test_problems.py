@@ -130,7 +130,7 @@ def test_bar_rejects_etas_or_params_of_wrong_length(kwargs):
 
 
 def test_bar_rejects_a_subdomain_without_elements():
-    with pytest.raises(ValueError, match="each subdomain needs at least one element"):
+    with pytest.raises(ValueError, match="need at least one element"):
         problems.build_bar_1d(elements_per_subdomain=(5, 0, 5))
 
 

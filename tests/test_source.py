@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import mtstep
 
 SOURCE = Path(mtstep.__file__).parent
@@ -44,10 +46,14 @@ def test_scenarios_share_one_glue_path():
     assert not calls, "glue outside _glue: " + ", ".join(calls)
 
 
-def test_newmark_makes_no_storage_test():
-    # Dense and CSR operators go through the same sub-step code: the
-    # Newmark module never asks which storage an operator has.
-    path = SOURCE / "newmark.py"
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in SOURCE.glob("*.py") if path.stem != "linalg")
+)
+def test_only_linalg_asks_for_storage(module):
+    # Dense and CSR operators go through the same code: which storage an
+    # operator has, and how a record freezes it, are decided in linalg,
+    # and no other module asks.
+    path = SOURCE / f"{module}.py"
     calls = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if not isinstance(node, ast.Call):
@@ -60,7 +66,7 @@ def test_newmark_makes_no_storage_test():
             and "ndarray" in ast.unparse(node.args[1])
         ):
             calls.append(f"{name}() at line {node.lineno}")
-    assert not calls, "storage test in newmark.py: " + ", ".join(calls)
+    assert not calls, f"storage test in {module}.py: " + ", ".join(calls)
 
 
 def _private(name):
