@@ -84,6 +84,21 @@ IC_COMPAT_RTOL = 1e-10
 #: (wave2d at nx = 60 and 90).
 FULL_PROPAGATOR_MAX_BYTES = 1 << 20
 
+#: Largest memory a system step may ask for: the (3, eta, n) history,
+#: the (eta + 1, n) loads and the stacked propagators of every subdomain.
+#: The shipped configurations need at most 4.46 MB (wave2d) and wave2d at
+#: 4x DOFs with eta = (20, 1) about 59 MB.  A plan above it is refused at
+#: build, before its first step fails to allocate.
+STEP_MAX_BYTES = 1 << 30
+
+
+def _propagator_shape(eta: int, n: int, n_c: int) -> tuple[int, ...]:
+    """Shape of a subdomain's stacked propagators: the full (3, eta, n,
+    N_C) form up to ``FULL_PROPAGATOR_MAX_BYTES``, the accelerations
+    (eta, n, N_C) above it."""
+    full = (3, eta, n, n_c)
+    return full if 8 * math.prod(full) <= FULL_PROPAGATOR_MAX_BYTES else full[1:]
+
 
 class SignedBooleanMatrix:
     """Constraint rows with entries in {-1, 0, +1}, at most one per row.
@@ -271,8 +286,8 @@ class Subdomain:
 
     def _propagators(self, eta: int) -> "MultiplierPropagators":
         n, nc = self.n_dofs, self.n_constraints
-        full = 3 * eta * n * nc * 8 <= FULL_PROPAGATOR_MAX_BYTES
-        Y = np.empty((3, eta, n, nc) if full else (eta, n, nc))
+        Y = np.empty(_propagator_shape(eta, n, nc))
+        full = Y.ndim == 4
         A = Y[0] if full else Y
         A.fill(0.0)
         ramp = (np.arange(1, eta + 1) / eta)[:, None]
@@ -310,9 +325,9 @@ class CouplingPlan:
     """What a coupled model derives once from (subdomains, dt_system).
 
     Validates the pair (matching constraint counts, integer sub-step
-    ratios eta_i, every sub-step below its critical step) and holds the
-    ratios.  On first use it factors the N_C x N_C interface Schur
-    complement
+    ratios eta_i, a step's arrays within ``STEP_MAX_BYTES``, every
+    sub-step below its critical step) and holds the ratios.  On first
+    use it factors the N_C x N_C interface Schur complement
 
         S = sum_i C_i Y_i^v
 
@@ -338,8 +353,11 @@ class CouplingPlan:
         self.dt_system = dt_system
         self.n_constraints = n_c
 
-        # eta_i = dt / dt_i must be a positive integer (up to rounding).
-        etas = []
+        # eta_i = dt / dt_i must be a positive integer (up to rounding),
+        # and a step's arrays must fit the budget: per subdomain, floats
+        # for the (3, eta, n) history, the (eta + 1, n) loads and the
+        # propagators.
+        etas, floats = [], 0
         for sub in subdomains:
             ratio = dt_system / sub.dt_sub
             eta = round(ratio)
@@ -348,7 +366,14 @@ class CouplingPlan:
                     f"dt_system/dt_sub = {ratio!r} is not a positive integer"
                 )
             etas.append(eta)
+            floats += (4 * eta + 1) * sub.n_dofs
+            floats += math.prod(_propagator_shape(eta, sub.n_dofs, n_c))
         self.eta = tuple(etas)
+        if 8 * floats > STEP_MAX_BYTES:
+            raise ValueError(
+                f"a system step needs {8 * floats / 2**30:.3g} GiB of sub-level "
+                f"arrays, more than the {STEP_MAX_BYTES / 2**30:g} GiB allowed"
+            )
 
         # Theorem-1 hypothesis: every local step below its critical value.
         for k, sub in enumerate(subdomains):

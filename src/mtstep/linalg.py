@@ -17,10 +17,12 @@ once, when it is built, and exposes that backend's own ``solve``:
 
 * :func:`cholesky_factor` for symmetric positive definite blocks (mass
   and effective Newmark matrices): dense Cholesky, or for CSR a LAPACK
-  band Cholesky in reverse Cuthill-McKee order
-  (:func:`reverse_cuthill_mckee`), computed here with array operations.
-  These factors also have a ``solve_in_place`` that writes the solution
-  into the right-hand side, which the Newmark sub-steps use;
+  band Cholesky in the caller's order.  Only a scrambled order, whose
+  band is wider than a quarter of the rows, is renumbered by scipy's
+  reverse Cuthill-McKee, so runs that factor no such matrix never
+  import ``scipy.sparse.csgraph``.  These factors also have a
+  ``solve_in_place`` that writes the solution into the right-hand side,
+  which the Newmark sub-steps use;
 * :func:`lu_factor` for general square systems: pivoted LU, dense or
   SuperLU.  The backward-Euler baseline solves an indefinite
   saddle-point system with it, and the interface Schur complement is
@@ -175,59 +177,22 @@ def solve_general(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lu_factor(A).solve(b)
 
 
-def reverse_cuthill_mckee(A) -> np.ndarray:
-    """Reverse Cuthill-McKee order of the sparsity pattern of ``A``.
-
-    The pattern must be symmetric, as that of an SPD matrix is.
-
-    Returns ``perm`` with ``perm[k]`` the original index of the row that
-    goes to position k; ``A[perm][:, perm]`` then has a narrow band.  Each
-    connected component is numbered breadth-first from an unnumbered node
-    of least degree, and the nodes of the next level in the order of
-    their first numbered neighbour, ties by degree (Cuthill & McKee, ACM
-    1969).  The order is built one level at a time with array operations,
-    and the whole numbering is reversed at the end (George & Liu, 1981).
-    """
-    A = scipy.sparse.csr_array(A)
-    n = A.shape[0]
-    indptr, indices = A.indptr, A.indices
-    degree = np.diff(indptr)
-    rows = np.repeat(np.arange(n), degree)
-    # Each row's neighbours sorted by degree, then by index.
-    neighbours = indices[np.lexsort((indices, degree[indices], rows))]
-    by_degree = np.argsort(degree, kind="stable")
-    numbered = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.intp)
-    count = 0
-    while count < n:
-        start = by_degree[np.argmin(numbered[by_degree])]
-        level = np.array([start])
-        numbered[start] = True
-        while level.size:
-            order[count:count + level.size] = level
-            count += level.size
-            lo, hi = indptr[level], indptr[level + 1]
-            sizes = hi - lo
-            offsets = np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-            cand = neighbours[offsets + np.arange(offsets.size)]
-            cand = cand[~numbered[cand]]
-            _, first = np.unique(cand, return_index=True)
-            level = cand[np.sort(first)]
-            numbered[level] = True
-    return order[::-1].copy()
-
-
 def _band_factor(A) -> Factor:
     """Banded Cholesky of a sparse SPD matrix; see :func:`cholesky_factor`."""
     coo = scipy.sparse.coo_array(A, copy=True)
     coo.sum_duplicates()
     n = coo.shape[0]
-    perm = reverse_cuthill_mckee(coo)
-    new = np.empty(n, dtype=np.intp)
-    new[perm] = np.arange(n)
-    i, j = new[coo.row], new[coo.col]
-    if np.abs(coo.row - coo.col).max(initial=0) <= np.abs(i - j).max(initial=0):
-        perm, i, j = None, coo.row, coo.col
+    perm, i, j = None, coo.row, coo.col
+    kd = int(np.abs(i - j).max(initial=0))
+    if 4 * kd > n:  # a scrambled order: number it by reverse Cuthill-McKee
+        # Imported on first use: coupled runs never load csgraph.
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        rcm = reverse_cuthill_mckee(scipy.sparse.csr_array(coo), symmetric_mode=True)
+        new = np.empty(n, dtype=np.intp)
+        new[rcm] = np.arange(n)
+        if np.abs(new[i] - new[j]).max() < kd:
+            perm, i, j = rcm, new[i], new[j]
     upper = i <= j
     i, j, data = i[upper], j[upper], coo.data[upper]
     kd = int((j - i).max(initial=0))
@@ -273,13 +238,14 @@ def cholesky_factor(A) -> Factor:
     """Factor of a symmetric positive definite matrix, dense or sparse.
 
     Dense matrices get a dense Cholesky factor.  Sparse ones get a LAPACK
-    band Cholesky factor (``dpbtrf``) in reverse Cuthill-McKee order
-    (:func:`reverse_cuthill_mckee`), which gives FEM matrices a narrow
-    band; a solve gathers the right-hand side into band order, calls
-    ``dpbtrs`` in that copy and scatters the result back (into ``b``
-    itself for ``solve_in_place``).  When the given order has
-    a band at most as wide (a grid numbered row by row along its short
-    side often does), it is kept and a solve needs no gather.  Only the
+    band Cholesky factor (``dpbtrf``) in the order they come in: the
+    caller owns the order, and the FEM builders number a grid row by
+    row.  Only when that band is wider than a quarter of the rows
+    (a scrambled order, as the merged reference's DOF union has) is the
+    matrix numbered by scipy's reverse Cuthill-McKee, and that order is
+    kept if its band is narrower; a solve then gathers the right-hand
+    side into band order, calls ``dpbtrs`` in that copy and scatters the
+    result back (into ``b`` itself for ``solve_in_place``).  Only the
     upper band is stored, built from the matrix's entries without a
     dense copy.
 

@@ -180,6 +180,20 @@ def test_exit_code_unbuildable_scenario(tmp_path, capsys):
     assert "critical" in capsys.readouterr().err
 
 
+def test_exit_code_step_too_large_to_allocate(tmp_path, monkeypatch, capsys):
+    # eta = 1e11 on one DOF: the first step would ask for terabytes of
+    # sub-level arrays.  Refused at build, before any of them exists.
+    cfg_path = write_config(
+        tmp_path, "scenario=sdof2\nsubdomain.2.eta=100000000000\noutput=x.csv\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "a system step needs 3.73e+03 GiB of sub-level arrays" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_exit_code_non_spd_sparse_mass(tmp_path, monkeypatch, capsys):
     # wave2d's subdomains are stored sparse; an indefinite mass matrix must
     # still fail while the scenario is built: configuration error, exit 2.

@@ -107,7 +107,7 @@ def test_solve_in_place_matches_solve(build, permuted):
     A = build()
     n = A.shape[0]
     if scipy.sparse.issparse(A):
-        rcm = bandwidth(A, linalg.reverse_cuthill_mckee(A))
+        rcm = bandwidth(A, csgraph_rcm(A, symmetric_mode=True))
         assert (rcm < bandwidth(A, np.arange(n))) == permuted
     factor = linalg.cholesky_factor(A)
     rng = np.random.default_rng(12)
@@ -177,8 +177,10 @@ def merged_wave():
     return M, K
 
 
-def merged_plate_stiffness():
-    return baselines.merge_system_matrices(problems.build_plate_2d().system)[1]
+def merged_plate():
+    """Merged mass and stiffness of the default plate2d model (220 DOFs)."""
+    M, K, _, _ = baselines.merge_system_matrices(problems.build_plate_2d().system)
+    return M, K
 
 
 def two_component_pattern():
@@ -200,17 +202,58 @@ def bandwidth(A, perm):
     return int(np.abs(position[A.row] - position[A.col]).max())
 
 
+@functools.cache
+def wave_model():
+    return problems.build_wave_2d().system
+
+
+def effective_matrix(k):
+    """What a coupled wave2d run factors for subdomain k: M + beta dt^2 K."""
+    sub = wave_model().subdomains[k]
+    return sub.M + sub.params.beta * sub.dt_sub**2 * sub.K
+
+
+def upper_band(A):
+    """LAPACK upper band storage of a symmetric sparse matrix, by diagonals."""
+    coo = scipy.sparse.coo_array(A)
+    kd = int((coo.col - coo.row).max(initial=0))
+    ab = np.zeros((kd + 1, A.shape[0]))
+    for k in range(kd + 1):
+        ab[kd - k, k:] = A.diagonal(k)
+    return ab
+
+
 @pytest.mark.parametrize(
-    "build", [lambda: merged_wave()[1], merged_plate_stiffness, two_component_pattern]
+    "build, scrambled",
+    [
+        (lambda: wave_model().subdomains[0].M, False),  # 836 DOFs, band 20
+        (lambda: wave_model().subdomains[1].M, False),  # 3168 DOFs, band 73
+        (lambda: effective_matrix(0), False),
+        (lambda: effective_matrix(1), False),
+        # Numbered along the long side: band 42 of 451 rows, RCM's 22.
+        (lambda: fem.assemble_scalar_wave(fem.quad_grid(40, 10, 4.0, 1.0), 1.0)[0], False),
+        (lambda: merged_wave()[0] + 0.25e-8 * merged_wave()[1], True),  # band 3073 of 3960
+        (lambda: merged_plate()[0] + 0.25e-2 * merged_plate()[1], True),  # band 112 of 220
+        (lambda: permuted_tridiagonal(40), True),
+    ],
+    ids=["wave_M0", "wave_M1", "wave_effective0", "wave_effective1", "long_grid",
+         "merged_wave", "merged_plate", "permuted_tridiagonal"],
 )
-def test_reverse_cuthill_mckee_matches_csgraph_bandwidth(build):
+def test_band_factor_keeps_the_callers_order_unless_scrambled(build, scrambled):
+    # The caller owns the order: a band of at most a quarter of the rows
+    # is factored as given, a wider one in csgraph's RCM order.  The
+    # factor's solve is LAPACK's banded Cholesky in that order, bit for bit.
     A = scipy.sparse.csr_array(build())
-    perm = linalg.reverse_cuthill_mckee(A)
     n = A.shape[0]
-    assert perm.shape == (n,)
-    np.testing.assert_array_equal(np.sort(perm), np.arange(n))  # a permutation
-    want = bandwidth(A, csgraph_rcm(A, symmetric_mode=True))
-    assert bandwidth(A, perm) == want < bandwidth(A, np.arange(n))
+    assert (4 * bandwidth(A, np.arange(n)) > n) == scrambled
+    perm = csgraph_rcm(A, symmetric_mode=True) if scrambled else np.arange(n)
+    reference = (scipy.linalg.cholesky_banded(upper_band(A[perm][:, perm])), False)
+    factor = linalg.cholesky_factor(A)
+    rng = np.random.default_rng(14)
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        want = np.empty_like(b)
+        want[perm] = scipy.linalg.cho_solve_banded(reference, b[perm])
+        np.testing.assert_array_equal(factor.solve(b), want)
 
 
 @pytest.mark.parametrize(
