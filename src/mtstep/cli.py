@@ -297,7 +297,12 @@ def execute(config: RunConfig) -> RunResult:
             result = step_fn(sys_state)
         except (SingularMatrix, NonFiniteState) as exc:
             raise SolverFailure(f"solver failure at step {step_index}: {exc}") from exc
-        sys_next = sys_state.apply(result)
+        try:
+            sys_next = sys_state.apply(result)
+        except ValueError as exc:  # the new level fails the velocity constraint
+            raise SolverFailure(
+                f"solver failure at step {step_index}: new level rejected: {exc}"
+            ) from exc
         if config.method == "backward_euler":
             # Interface forces do no net work under this baseline (the
             # gamma-weighted split does not apply); report the decay

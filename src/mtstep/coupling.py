@@ -275,12 +275,15 @@ class Subdomain:
         (1) or displacement (2).  Above that, ``Y`` holds only the
         accelerations, shape (eta, n_dofs, N_C): the velocities and
         displacements follow from them through the Newmark recurrences.
-        ``v_end`` is the velocity response at j = eta in both forms.
-        One sweep computes either; in the acceleration form it writes
-        the velocities and displacements into two alternating rows, so
-        the full array is never built.  Depends only on (M, K, params,
-        dt_sub, C, eta), so it is computed once and reused for every
-        system step; both arrays are read-only.
+        ``interface_term`` is C Y^v, the N_C x N_C product of the
+        constraint rows with the velocity response at j = eta, in both
+        forms.  One sweep computes either from a shared read-only zero
+        start; in the acceleration form it writes the velocities and
+        displacements into min(eta, 2) alternating rows, so the full
+        array is never built, and the end velocities are dropped once
+        their product is formed.  Depends only on (M, K, params, dt_sub,
+        C, eta), so it is computed once and reused for every system
+        step; both arrays are read-only.
         """
         return self._memo(("propagators", eta), lambda: self._propagators(eta))
 
@@ -294,27 +297,29 @@ class Subdomain:
         A[:, self.C.dofs, self.C.rows] = ramp * self.C.signs  # the loads (j/eta) C^T
         if full:
             V, D = Y[1], Y[2]
-        else:  # two alternating rows each: a sub-step reads only the one before
-            V_rows, D_rows = np.empty((2, 2, n, nc))
-            V = [V_rows[j % 2] for j in range(eta)]
-            D = [D_rows[j % 2] for j in range(eta)]
-        zero = np.zeros((n, nc))
+        else:  # alternating rows: a sub-step reads only the one before
+            rows = min(eta, 2)
+            V_rows, D_rows = np.empty((2, rows, n, nc))
+            V = [V_rows[j % rows] for j in range(eta)]
+            D = [D_rows[j % rows] for j in range(eta)]
+        zero = np.broadcast_to(0.0, (n, nc))
         self.solver().sweep(zero, zero, zero, A, V, D)
         Y.setflags(write=False)
-        return MultiplierPropagators(Y, linalg.frozen(V[-1]))
+        return MultiplierPropagators(Y, linalg.frozen(self.C.data @ V[-1]))
 
 
 class MultiplierPropagators(NamedTuple):
     """A subdomain's stacked response to a unit dlam, in one of two forms.
 
     ``Y`` is (3, eta, n, N_C) in the full form and (eta, n, N_C), the
-    accelerations only, in the acceleration form; ``v_end`` (n, N_C) is
-    the velocity response at the last sub-level, the subdomain's term of
-    the interface complement.  See :meth:`Subdomain.multiplier_propagators`.
+    accelerations only, in the acceleration form; ``interface_term``
+    (N_C, N_C) is C Y^v, the constraint rows times the velocity response
+    at the last sub-level: the subdomain's term of the interface
+    complement.  See :meth:`Subdomain.multiplier_propagators`.
     """
 
     Y: np.ndarray
-    v_end: np.ndarray
+    interface_term: np.ndarray
 
     @property
     def full(self) -> bool:
@@ -332,11 +337,14 @@ class CouplingPlan:
         S = sum_i C_i Y_i^v
 
     with Y_i^v the end-of-step velocity response of subdomain i to a unit
-    dlam (:meth:`Subdomain.multiplier_propagators`).  S depends on
-    nothing that changes from step to step, so one pivoted LU serves the
-    whole run.  :attr:`memo` keeps other run-constant objects, such as
-    the backward-Euler system matrix.  :meth:`CoupledSystem.apply` hands
-    the same plan to every later level.
+    dlam.  Each subdomain's propagators carry their N_C x N_C term
+    C_i Y_i^v, formed when they are made
+    (:meth:`Subdomain.multiplier_propagators`), so the plan only adds the
+    terms up and no n_i x N_C velocity response outlives its sweep.  S
+    depends on nothing that changes from step to step, so one pivoted LU
+    serves the whole run.  :attr:`memo` keeps other run-constant objects,
+    such as the backward-Euler system matrix.  :meth:`CoupledSystem.apply`
+    hands the same plan to every later level.
     """
 
     def __init__(self, subdomains: tuple[Subdomain, ...], dt_system: float):
@@ -408,7 +416,7 @@ class CouplingPlan:
         n_c = self.n_constraints
         schur = np.zeros((n_c, n_c))
         for sub, eta in zip(self.subdomains, self.eta):
-            schur += sub.C.data @ sub.multiplier_propagators(eta).v_end
+            schur += sub.multiplier_propagators(eta).interface_term
         try:
             return linalg.lu_factor(schur)
         except linalg.SingularMatrix as exc:
@@ -541,8 +549,28 @@ def initialize_coupled_system(
     Schur complement
 
         (sum_i C_i M_i^{-1} C_i^T) lam0 = -sum_i C_i M_i^{-1} (f_i(0) - K_i d_i)
+
+    (:func:`_consistent_start`).  The mass factors that solve it are
+    freed before the system is built, so they are not alive while the
+    plan's critical-step eigensolves run.
     """
     subs = tuple(subdomains)
+    states, lam0 = _consistent_start(subs, d0, v0)
+    return CoupledSystem(
+        subdomains=subs,
+        dt_system=dt_system,
+        states=states,
+        lambda_current=lam0,
+    )
+
+
+def _consistent_start(
+    subs: tuple[Subdomain, ...],
+    d0: Sequence[np.ndarray],
+    v0: Sequence[np.ndarray],
+) -> tuple[tuple[KinematicState, ...], np.ndarray]:
+    """The states at t = 0 and lam0 of :func:`initialize_coupled_system`;
+    the mass factors and free accelerations die with the call."""
     n_c = subs[0].n_constraints
     d0 = [np.atleast_1d(np.asarray(x, dtype=float)) for x in d0]
     v0 = [np.atleast_1d(np.asarray(x, dtype=float)) for x in v0]
@@ -572,13 +600,7 @@ def initialize_coupled_system(
     for sub, fac, acc, d, v in zip(subs, m_factors, free_acc, d0, v0):
         a = acc + fac.solve(sub.C.data.T @ lam0)
         states.append(KinematicState(d=d, v=v, a=a))
-
-    return CoupledSystem(
-        subdomains=subs,
-        dt_system=dt_system,
-        states=tuple(states),
-        lambda_current=lam0,
-    )
+    return tuple(states), lam0
 
 
 # ---------------------------------------------------------------------------

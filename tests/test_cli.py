@@ -230,6 +230,31 @@ def test_exit_code_solver_failure(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_exit_code_level_breaking_the_constraint(tmp_path, monkeypatch, capsys):
+    # A step whose new level fails the |sum C v| check of CoupledSystem
+    # (here the third one, index 2, with 1.0 added to the last sub-level
+    # velocity) stops the run with a solver failure naming that step,
+    # one stderr line and no CSV, not a traceback.
+    step = coupling.advance_system_step
+    calls = []
+
+    def breaks_the_constraint(sys_state):
+        result = step(sys_state)
+        calls.append(sys_state.t_current)
+        if len(calls) == 3:
+            result.histories[-1].v[-1] += 1.0
+        return result
+
+    monkeypatch.setattr(cli, "advance_system_step", breaks_the_constraint)
+    cfg_path = write_config(tmp_path, "scenario=sdof2\noutput=x.csv\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: solver failure at step 2: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("method", ["coupled", "backward_euler", "monolithic_newmark"])
 def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys, method):
     # The middle subdomain's load turns NaN during the third system step

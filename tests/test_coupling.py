@@ -511,7 +511,7 @@ def test_every_held_array_is_read_only(name, monkeypatch):
         for field_name in ("M", "K", "f0"):
             assert any(n.startswith(f"subdomain {k}.{field_name}") for n in names)
         assert {f"C {k}.{f}" for f in ("data", "rows", "dofs", "signs")} <= names
-        assert {f"propagators {k}.Y", f"propagators {k}.v_end", f"state {k}.d"} <= names
+        assert {f"propagators {k}.Y", f"propagators {k}.interface_term", f"state {k}.d"} <= names
     assert "system.lambda_current" in names
     writable = sorted({name for name, x in arrays if x.flags.writeable})
     assert not writable, f"writable arrays: {writable}"

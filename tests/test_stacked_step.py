@@ -192,7 +192,7 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
         assert not props.full
         reference = step_reference.propagators(sub, 6)
         np.testing.assert_array_equal(props.Y, np.array([level[0] for level in reference]))
-        np.testing.assert_array_equal(props.v_end, reference[-1][1])
+        np.testing.assert_array_equal(props.interface_term, sub.C.data @ reference[-1][1])
 
 
 def test_propagators_stored_once_as_stacked_arrays():
@@ -204,12 +204,12 @@ def test_propagators_stored_once_as_stacked_arrays():
         reference = step_reference.propagators(sub, eta)
         for k, Y in enumerate(stacked.Y):
             np.testing.assert_array_equal(Y, np.array([level[k] for level in reference]))
-        np.testing.assert_array_equal(stacked.v_end, reference[-1][1])
+        np.testing.assert_array_equal(stacked.interface_term, sub.C.data @ reference[-1][1])
 
 
 def test_acceleration_form_keeps_the_bits_of_the_full_form(monkeypatch):
     # The alternating velocity and displacement rows change no bit of the
-    # stored accelerations or of the end velocity the complement reads.
+    # stored accelerations or of the interface term the complement adds.
     sys = _plate()
     full = [sub.multiplier_propagators(eta) for sub, eta in zip(sys.subdomains, sys.eta)]
     monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
@@ -218,7 +218,7 @@ def test_acceleration_form_keeps_the_bits_of_the_full_form(monkeypatch):
         props = sub.multiplier_propagators(eta)
         assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
         np.testing.assert_array_equal(props.Y, ref.Y[0])
-        np.testing.assert_array_equal(props.v_end, ref.Y[1, -1])
+        np.testing.assert_array_equal(props.interface_term, sub.C.data @ ref.Y[1, -1])
 
 
 def test_propagator_form_follows_the_size_rule():
@@ -240,7 +240,7 @@ def test_propagator_form_follows_the_size_rule():
         props = sub.multiplier_propagators(eta)
         assert 3 * props.Y.size * 8 > coupling.FULL_PROPAGATOR_MAX_BYTES
         assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
-        assert props.v_end.shape == (sub.n_dofs, sub.n_constraints)
+        assert props.interface_term.shape == (sub.n_constraints, sub.n_constraints)
 
 
 def test_acceleration_form_on_wave2d_keeps_the_invariants():
@@ -322,8 +322,8 @@ def _with_negative_zeros(sys):
 )
 def test_propagators_keep_the_bits_of_the_reference(build, acceleration_form, monkeypatch):
     # Every stored response (Y in the full form, the a responses in the
-    # acceleration form) and v_end carry the bits, signs of zeros
-    # included, of the per-level reference propagators.
+    # acceleration form) and the interface term C Y^v carry the bits,
+    # signs of zeros included, of the per-level reference propagators.
     if acceleration_form:
         monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     sys = build()
@@ -335,4 +335,4 @@ def test_propagators_keep_the_bits_of_the_reference(build, acceleration_form, mo
         got = props.Y if props.full else props.Y[None]
         assert got.shape == want[: len(got)].shape
         assert got.tobytes() == want[: len(got)].tobytes()
-        assert props.v_end.tobytes() == reference[-1][1].tobytes()
+        assert props.interface_term.tobytes() == (sub.C.data @ reference[-1][1]).tobytes()
