@@ -1,7 +1,7 @@
 """Config-driven scenario runner with CSV output.
 
-Configuration files are flat ``key=value`` text (``#`` starts a comment).
-Recognized keys::
+Configuration files are flat ``key=value`` text (``#`` starts a comment;
+no value may be empty).  Recognized keys::
 
     scenario=bar1d                 # sdof2 | sdof3 | bar1d | plate2d | wave2d
     method=coupled                 # coupled | backward_euler | monolithic_newmark
@@ -96,6 +96,8 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
         try:
             if key == "probe":
                 sub_s, _, dof_s = value.partition(":")

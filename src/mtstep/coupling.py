@@ -43,10 +43,11 @@ sub-level otherwise.  A step sweeps every subdomain once with dlam = 0
 (:meth:`mtstep.newmark.EffectiveSolver.sweep`, which applies R_i and
 solves with L_i), solves the complement for dlam and corrects all
 sub-levels of a subdomain from its stacked multiplier propagators
-(:meth:`Subdomain.multiplier_propagators`).  The complement and the
-propagators do not change from step to step: :class:`CouplingPlan`
-factors the complement once per run and each subdomain keeps its
-propagators.
+(:meth:`Subdomain.multiplier_propagators`).  A :class:`Subdomain` is
+plain data.  Everything derived from the subdomains and dt_system, the
+critical steps, the effective factors, the propagators and the factored
+complement, is fixed for a run, and one :class:`CouplingPlan` per run
+builds each of them once and holds it.
 
 The propagators come in two forms, picked by their size.  Up to
 ``FULL_PROPAGATOR_MAX_BYTES`` a subdomain stores the a, v and d
@@ -60,7 +61,7 @@ for dA from a zero start (:func:`_add_newmark_response`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -182,16 +183,15 @@ class _Memo(dict):
 class Subdomain:
     """One physics partition: matrices, scheme, local step, load, glue rows.
 
-    The load is data: f_i(t) = g(t) f0, a fixed vector ``f0`` times an
-    optional scalar function of time ``g`` (``None`` for a constant load,
-    f_i(t) = f0).  :meth:`loads` evaluates it at the sub-levels of a step.
-    ``M`` and ``K`` are dense arrays or sparse matrices (stored as CSR);
-    either way the subdomain keeps a read-only copy of them and of
-    ``f0`` (:func:`linalg.frozen`), so with the frozen fields nothing a
-    factor or propagator is derived from can change.  The private
-    ``_memo`` therefore keeps those derived objects, themselves
-    read-only, for the life of the subdomain without their ever going
-    stale.
+    Plain data.  The load is f_i(t) = g(t) f0, a fixed vector ``f0``
+    times an optional scalar function of time ``g`` (``None`` for a
+    constant load, f_i(t) = f0).  :meth:`loads` evaluates it at the
+    sub-levels of a step.  ``M`` and ``K`` are dense arrays or sparse
+    matrices (stored as CSR); either way the subdomain keeps a read-only
+    copy of them and of ``f0`` (:func:`linalg.frozen`), so with the
+    frozen fields nothing a factor or propagator is derived from can
+    change.  The subdomain keeps none of those derived objects: the
+    :class:`CouplingPlan` of a run builds and holds them.
     """
 
     M: np.ndarray
@@ -201,7 +201,6 @@ class Subdomain:
     f0: np.ndarray
     C: SignedBooleanMatrix
     g: Optional[Callable[[float], float]] = None
-    _memo: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("M", "K", "f0"):
@@ -235,19 +234,6 @@ class Subdomain:
     def n_constraints(self) -> int:
         return self.C.n_constraints
 
-    # -- cached derived objects ------------------------------------------
-
-    def solver(self) -> EffectiveSolver:
-        """Cached factorization of M + beta dt_sub^2 K."""
-        return self._memo(
-            "solver", lambda: EffectiveSolver(self.M, self.K, self.params, self.dt_sub)
-        )
-
-    def critical_dt(self) -> float:
-        return self._memo(
-            "critical_dt", lambda: critical_time_step(self.M, self.K, self.params)
-        )
-
     def loads(self, t0: float, steps: int = 0, dt: Optional[float] = None) -> np.ndarray:
         """The loads f_i(t0 + j dt) for j = 0..steps, shape (steps + 1, n).
 
@@ -264,12 +250,13 @@ class Subdomain:
         scales = np.array([self.g(t0 + j * dt) for j in range(steps + 1)], dtype=float)
         return scales[:, None] * self.f0
 
-    def multiplier_propagators(self, eta: int) -> "MultiplierPropagators":
+    def multiplier_propagators(self, eta: int, solver: EffectiveSolver) -> "MultiplierPropagators":
         """Per-sublevel response of this subdomain to a unit dlam.
 
         The response at sublevel j = 1..eta is the state the homogeneous
         recurrence reaches with interface loading (j/eta) C^T dlam and
-        zero initial state.  While the full responses take at most
+        zero initial state; ``solver`` is the subdomain's effective
+        factor.  While the full responses take at most
         ``FULL_PROPAGATOR_MAX_BYTES``, ``Y`` has shape (3, eta, n_dofs,
         N_C) and entry [k, j - 1] is the acceleration (k = 0), velocity
         (1) or displacement (2).  Above that, ``Y`` holds only the
@@ -281,13 +268,10 @@ class Subdomain:
         start; in the acceleration form it writes the velocities and
         displacements into min(eta, 2) alternating rows, so the full
         array is never built, and the end velocities are dropped once
-        their product is formed.  Depends only on (M, K, params, dt_sub,
-        C, eta), so it is computed once and reused for every system
-        step; both arrays are read-only.
+        their product is formed.  Both arrays are read-only.  Each call
+        builds them anew; :meth:`CouplingPlan.propagators` builds them
+        once per run.
         """
-        return self._memo(("propagators", eta), lambda: self._propagators(eta))
-
-    def _propagators(self, eta: int) -> "MultiplierPropagators":
         n, nc = self.n_dofs, self.n_constraints
         Y = np.empty(_propagator_shape(eta, n, nc))
         full = Y.ndim == 4
@@ -303,7 +287,7 @@ class Subdomain:
             V = [V_rows[j % rows] for j in range(eta)]
             D = [D_rows[j % rows] for j in range(eta)]
         zero = np.broadcast_to(0.0, (n, nc))
-        self.solver().sweep(zero, zero, zero, A, V, D)
+        solver.sweep(zero, zero, zero, A, V, D)
         Y.setflags(write=False)
         return MultiplierPropagators(Y, linalg.frozen(self.C.data @ V[-1]))
 
@@ -327,27 +311,29 @@ class MultiplierPropagators(NamedTuple):
 
 
 class CouplingPlan:
-    """What a coupled model derives once from (subdomains, dt_system).
+    """The one owner of a coupled run: (subdomains, dt_system) and all
+    that is derived from them.
 
     Validates the pair (matching constraint counts, integer sub-step
     ratios eta_i, a step's arrays within ``STEP_MAX_BYTES``, every
-    sub-step below its critical step) and holds the ratios.  On first
-    use it factors the N_C x N_C interface Schur complement
+    sub-step below its critical step) and holds the subdomains, the
+    ratios and the critical steps.  Each subdomain's effective factor
+    (:meth:`solver`) is built at its first sweep, its propagators
+    (:meth:`propagators`) when the N_C x N_C interface Schur complement
 
         S = sum_i C_i Y_i^v
 
-    with Y_i^v the end-of-step velocity response of subdomain i to a unit
-    dlam.  Each subdomain's propagators carry their N_C x N_C term
-    C_i Y_i^v, formed when they are made
-    (:meth:`Subdomain.multiplier_propagators`), so the plan only adds the
-    terms up and no n_i x N_C velocity response outlives its sweep.  S
-    depends on nothing that changes from step to step, so one pivoted LU
-    serves the whole run.  :attr:`memo` keeps other run-constant objects,
-    such as the backward-Euler system matrix.  :meth:`CoupledSystem.apply`
-    hands the same plan to every later level.
+    is factored (:meth:`interface_factor`), with Y_i^v the end-of-step
+    velocity response of subdomain i to a unit dlam.  The propagators
+    carry their term C_i Y_i^v, so the plan only adds the terms up.
+    None of these changes from step to step: :attr:`memo` keeps each,
+    and other run-constant objects such as the backward-Euler system
+    matrix, for the life of the plan.  :meth:`CoupledSystem.apply` hands
+    the same plan to every later level; another plan shares nothing.
     """
 
-    def __init__(self, subdomains: tuple[Subdomain, ...], dt_system: float):
+    def __init__(self, subdomains: Sequence[Subdomain], dt_system: float):
+        subdomains = tuple(subdomains)
         if not subdomains:
             raise ValueError("need at least one subdomain")
         if not 0.0 < dt_system < math.inf:
@@ -384,21 +370,29 @@ class CouplingPlan:
             )
 
         # Theorem-1 hypothesis: every local step below its critical value.
+        self.critical_dt = ()
         for k, sub in enumerate(subdomains):
-            crit = sub.critical_dt()
+            crit = critical_time_step(sub.M, sub.K, sub.params)
             if not sub.dt_sub < crit:
                 raise ValueError(
                     f"subdomain {k}: dt_sub = {sub.dt_sub:g} exceeds the "
                     f"critical time-step {crit:g}"
                 )
+            self.critical_dt += (crit,)
         self.memo = _Memo()
 
-    def describes(self, subdomains: tuple[Subdomain, ...], dt_system: float) -> bool:
-        """Whether this plan was built for exactly these subdomains and step."""
-        return (
-            dt_system == self.dt_system
-            and len(subdomains) == len(self.subdomains)
-            and all(a is b for a, b in zip(subdomains, self.subdomains))
+    def solver(self, k: int) -> EffectiveSolver:
+        """Factorization of M + beta dt_sub^2 K of subdomain ``k``."""
+        sub = self.subdomains[k]
+        return self.memo(
+            ("solver", k), lambda: EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
+        )
+
+    def propagators(self, k: int) -> "MultiplierPropagators":
+        """Multiplier propagators of subdomain ``k`` at its ratio eta_k."""
+        return self.memo(
+            ("propagators", k),
+            lambda: self.subdomains[k].multiplier_propagators(self.eta[k], self.solver(k)),
         )
 
     def interface_factor(self) -> linalg.Factor:
@@ -415,8 +409,8 @@ class CouplingPlan:
     def _factor_interface(self) -> linalg.Factor:
         n_c = self.n_constraints
         schur = np.zeros((n_c, n_c))
-        for sub, eta in zip(self.subdomains, self.eta):
-            schur += sub.multiplier_propagators(eta).interface_term
+        for k in range(len(self.subdomains)):
+            schur += self.propagators(k).interface_term
         try:
             return linalg.lu_factor(schur)
         except linalg.SingularMatrix as exc:
@@ -460,48 +454,52 @@ class SystemStepResult:
 class CoupledSystem:
     """Immutable snapshot of the coupled model at one system time level.
 
-    ``lambda_current`` is a read-only copy, as are a state's arrays.
-    ``plan`` is built from the subdomains and ``dt_system`` when not
-    given (or given for other ones); :meth:`apply` passes it on, so the
-    validation and the factors it holds are made once per run.
+    ``plan`` is the run's :class:`CouplingPlan`; the subdomains, the
+    system step, the ratios eta_i and the constraint count are read
+    through it.  ``lambda_current`` is a read-only copy, as are a
+    state's arrays.  :meth:`apply` passes the plan on, so the validation
+    and everything the plan derives are made once per run.
     """
 
-    subdomains: tuple[Subdomain, ...]
-    dt_system: float
+    plan: CouplingPlan
     states: tuple[KinematicState, ...]
     lambda_current: np.ndarray
     t_current: float = 0.0
-    plan: Optional[CouplingPlan] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        subs = tuple(self.subdomains)
         states = tuple(self.states)
-        object.__setattr__(self, "subdomains", subs)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "lambda_current", linalg.frozen(self.lambda_current))
-        if len(states) != len(subs):
+        if len(states) != len(self.subdomains):
             raise DimensionMismatch("one state per subdomain required")
-        if self.plan is None or not self.plan.describes(subs, self.dt_system):
-            object.__setattr__(self, "plan", CouplingPlan(subs, self.dt_system))
 
         n_c = self.n_constraints
         if self.lambda_current.shape != (n_c,):
             raise DimensionMismatch(
                 f"lambda has shape {self.lambda_current.shape}, expected ({n_c},)"
             )
-        for sub, st in zip(subs, states):
+        for sub, st in zip(self.subdomains, states):
             if st.size != sub.n_dofs:
                 raise DimensionMismatch("state size does not match subdomain DOFs")
 
-        # Compatible initial conditions: interface velocities already match.
-        residual = self.velocity_residual()
+        # Compatible velocities: the interface velocities match at every level.
+        residual = np.abs(self.velocity_residual()).max(initial=0.0)
         v_scale = max((np.abs(st.v).max(initial=0.0) for st in states), default=0.0)
-        if np.abs(residual).max(initial=0.0) > IC_COMPAT_RTOL * max(v_scale, 1.0):
+        tolerance = IC_COMPAT_RTOL * max(v_scale, 1.0)
+        if residual > tolerance:
             raise ValueError(
-                "incompatible initial conditions: sum_i C_i v_i != 0"
+                f"incompatible velocities: max |sum_i C_i v_i| = {residual:.3g} > {tolerance:.3g}"
             )
 
     # -- derived quantities ----------------------------------------------
+
+    @property
+    def subdomains(self) -> tuple[Subdomain, ...]:
+        return self.plan.subdomains
+
+    @property
+    def dt_system(self) -> float:
+        return self.plan.dt_system
 
     @property
     def eta(self) -> tuple[int, ...]:
@@ -551,17 +549,12 @@ def initialize_coupled_system(
         (sum_i C_i M_i^{-1} C_i^T) lam0 = -sum_i C_i M_i^{-1} (f_i(0) - K_i d_i)
 
     (:func:`_consistent_start`).  The mass factors that solve it are
-    freed before the system is built, so they are not alive while the
-    plan's critical-step eigensolves run.
+    freed before the plan is built, so they are not alive while its
+    critical-step eigensolves run.
     """
     subs = tuple(subdomains)
     states, lam0 = _consistent_start(subs, d0, v0)
-    return CoupledSystem(
-        subdomains=subs,
-        dt_system=dt_system,
-        states=states,
-        lambda_current=lam0,
-    )
+    return CoupledSystem(plan=CouplingPlan(subs, dt_system), states=states, lambda_current=lam0)
 
 
 def _consistent_start(
@@ -687,20 +680,20 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     # displacements.
     levels = []
     gap = np.zeros(n_c)
-    for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
+    for k, (sub, eta, st) in enumerate(zip(sys.subdomains, sys.eta, sys.states)):
         f = sub.loads(t_n, eta)
         H = np.empty((3, eta, sub.n_dofs))
         H[0] = 0.0 + f[1:]  # R_i's zero acceleration row plus the loads
         H[0] += sub.C.transpose_product(lam_n)
-        sub.solver().sweep(st.a, st.v, st.d, *H)
+        sys.plan.solver(k).sweep(st.a, st.v, st.d, *H)
         levels.append((H, f))
         gap += sub.C.product(H[1, -1])
 
     dlam = sys.plan.interface_factor().solve(-gap) if n_c else np.zeros(0)
 
     if n_c:
-        for sub, eta, (H, _) in zip(sys.subdomains, sys.eta, levels):
-            props = sub.multiplier_propagators(eta)
+        for k, (sub, (H, _)) in enumerate(zip(sys.subdomains, levels)):
+            props = sys.plan.propagators(k)
             Y = props.Y
             if not props.full:
                 dA = (Y.reshape(-1, n_c) @ dlam).reshape(H[0].shape)

@@ -13,7 +13,7 @@ import numpy as np
 from mtstep import linalg
 from mtstep.coupling import CoupledSystem, Subdomain, SubstepHistory, SystemStepResult
 from mtstep.errors import DimensionMismatch, SingularSaddleSystem
-from mtstep.newmark import KinematicState
+from mtstep.newmark import EffectiveSolver, KinematicState
 
 
 def interpolate_lambda(
@@ -92,7 +92,7 @@ def subdomain_substep(
     if not 1 <= j <= eta:
         raise ValueError(f"sublevel j={j} outside [1, {eta}]")
     lam_j = interpolate_lambda(lam_n, lam_np1, j, eta)
-    solver = sub.solver()
+    solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
     ra, rv, rd = apply_R(sub, X_prev.a, X_prev.v, X_prev.d)
     ra = ra + np.asarray(f_next, dtype=float) + sub.C.data.T @ lam_j
     a, v, d = solver.solve_rows(ra, rv, rd)

@@ -24,11 +24,12 @@ from mtstep import linalg
 from mtstep.baselines import merge_system_matrices
 from mtstep.coupling import (
     CoupledSystem,
+    CouplingPlan,
     Subdomain,
     SystemStepResult,
     initialize_coupled_system,
 )
-from mtstep.newmark import KinematicState
+from mtstep.newmark import EffectiveSolver, KinematicState
 from mtstep.problems import Scenario
 from saddle_oracle import apply_R, interpolate_lambda
 
@@ -54,8 +55,7 @@ def zero_multiplier_system(subdomains, dt_system, d0, v0) -> CoupledSystem:
         a = linalg.cholesky_factor(sub.M).solve(sub.loads(0.0)[0] - sub.K @ d)
         states.append(KinematicState(d=d, v=v, a=a))
     return CoupledSystem(
-        subdomains=tuple(subdomains),
-        dt_system=dt_system,
+        plan=CouplingPlan(subdomains, dt_system),
         states=tuple(states),
         lambda_current=np.zeros(subdomains[0].n_constraints),
     )
@@ -78,7 +78,7 @@ class ReferenceStep(NamedTuple):
 
 def propagators(sub: Subdomain, eta: int) -> list[tuple[np.ndarray, ...]]:
     """``Y[j - 1] = (aY, vY, dY)``: the response at sub-level j to a unit dlam."""
-    solver = sub.solver()
+    solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
     n, nc = sub.n_dofs, sub.n_constraints
     Ct = sub.C.data.T
     aY = vY = dY = np.zeros((n, nc))
@@ -97,7 +97,7 @@ def reference_step(sys: CoupledSystem) -> ReferenceStep:
     base = []
     gap = np.zeros(n_c)
     for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
-        solver = sub.solver()
+        solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
         Ct_lam = sub.C.data.T @ lam_n
         a, v, d = st.a, st.v, st.d
         f = sub.loads(sys.t_current, eta)

@@ -168,10 +168,10 @@ def test_criterion_03_backward_euler_dissipation_contrast():
 
 
 def test_criterion_04_bar_critical_time_steps():
-    crit_5 = problems.build_bar_1d().system.subdomains[1].critical_dt()
+    crit_5 = problems.build_bar_1d().system.plan.critical_dt[1]
     crit_10 = problems.build_bar_1d(
         elements_per_subdomain=(5, 10, 5), etas=(1, 100, 1)
-    ).system.subdomains[1].critical_dt()
+    ).system.plan.critical_dt[1]
     ok_5 = abs(crit_5 - 1.217e-4) <= 0.01 * 1.217e-4
     ok_10 = abs(crit_10 - 6.085e-5) <= 0.01 * 6.085e-5
     report(

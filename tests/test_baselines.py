@@ -15,6 +15,7 @@ from mtstep.baselines import (
     merged_newmark_reference,
 )
 from mtstep.coupling import (
+    CouplingPlan,
     SignedBooleanMatrix,
     advance_system_step,
     initialize_coupled_system,
@@ -88,7 +89,8 @@ def test_backward_euler_factored_once_in_either_storage(monkeypatch):
     calls.clear()
     dense_run = run()
     monkeypatch.setattr(linalg, "SPARSE_MIN_DOFS", 1)
-    sc = replace(sc, system=replace(sc.system, plan=None))  # a new run: a new plan
+    plan = CouplingPlan(sc.system.subdomains, sc.system.dt_system)  # a new run: a new plan
+    sc = replace(sc, system=replace(sc.system, plan=plan))
     sparse_run = run()
     assert calls == [((size, size), False), ((size, size), True)]
     scale = np.abs(dense_run).max()
@@ -166,7 +168,7 @@ def test_merged_newmark_states_are_computed_as_taken():
     t_nan = 2.25 * sys.dt_system
     subs = list(sys.subdomains)
     subs[1] = replace(subs[1], g=lambda t: math.nan if t > t_nan else 1.0)
-    states = merged_newmark_reference(replace(sys, subdomains=tuple(subs), plan=None), 10)[0]
+    states = merged_newmark_reference(replace(sys, plan=CouplingPlan(subs, sys.dt_system)), 10)[0]
     taken = list(itertools.islice(states, 3))
     assert len(taken) == 3
     assert all(np.isfinite(st.d).all() for st in taken)

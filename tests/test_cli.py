@@ -252,6 +252,10 @@ def test_exit_code_level_breaking_the_constraint(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: solver failure at step 2: ")
+    # The check holds at every level, so the message names the residual,
+    # not the initial conditions.
+    assert "initial" not in err
+    assert "incompatible velocities: max |sum_i C_i v_i| = 1 > " in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -274,7 +278,7 @@ def test_exit_code_non_finite_state(tmp_path, monkeypatch, capsys, method):
         subs = list(sys0.subdomains)
         assert subs[1].g is None  # constant f0; g makes it NaN after t_nan
         subs[1] = replace(subs[1], g=g)
-        return replace(sc, system=replace(sys0, subdomains=tuple(subs), plan=None))
+        return replace(sc, system=replace(sys0, plan=coupling.CouplingPlan(subs, sys0.dt_system)))
 
     monkeypatch.setitem(problems.SCENARIOS, "sdof3", nan_from_third_step)
     cfg_path = write_config(
@@ -475,6 +479,23 @@ def test_each_run_builds_its_scenario_once(tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, "scenario=sdof2\nduration=0.1\n" + extra)
         cli.execute(cli.parse_config(cfg_path))
         assert len(calls) == 1, extra
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_empty_output_is_a_configuration_error(tmp_path, monkeypatch, capsys, command):
+    # ``output=`` with no value is refused as every other key's empty
+    # value is: exit 2, one stderr line and no CSV, not a fallback to
+    # ``<scenario>.csv`` in the working directory.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, "scenario=sdof2\nduration=0.1\noutput=\n")
+    argv = [command, str(cfg_path)]
+    if command == "sweep":
+        argv += ["--axis", "dt_system", "--values", "0.02"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error: ") and "empty value for 'output'" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unwritable_output_is_a_configuration_error(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from mtstep import coupling, linalg
+from mtstep import cli, coupling, linalg
 from mtstep.coupling import (
     CoupledSystem,
     CouplingPlan,
@@ -20,6 +20,7 @@ from mtstep.errors import DimensionMismatch, SingularSaddleSystem
 from mtstep.newmark import (
     AVERAGE_ACCELERATION,
     CENTRAL_DIFFERENCE,
+    EffectiveSolver,
     KinematicState,
     NewmarkParams,
 )
@@ -177,7 +178,7 @@ def test_mismatched_constraint_counts_rejected():
     st = KinematicState(d=[0.0], v=[0.0], a=[0.0])
     with pytest.raises(DimensionMismatch):
         CoupledSystem(
-            subdomains=(subs[0], bad), dt_system=0.02,
+            plan=CouplingPlan((subs[0], bad), 0.02),
             states=(st, st), lambda_current=np.zeros(1),
         )
 
@@ -229,7 +230,7 @@ def test_coupling_plan_needs_a_subdomain():
 def test_coupled_system_rejects_mismatched_parts(states, lam, match):
     with pytest.raises(DimensionMismatch, match=match):
         CoupledSystem(
-            subdomains=tuple(make_pair()), dt_system=0.02,
+            plan=CouplingPlan(make_pair(), 0.02),
             states=tuple(KinematicState(d=d, v=v, a=a) for d, v, a in states),
             lambda_current=lam,
         )
@@ -501,8 +502,8 @@ def test_every_held_array_is_read_only(name, monkeypatch):
     sys1 = sys0.apply(advance_system_step(sys0))
     records = [("system", sys0), ("system", sys1)]
     records += [(f"state {k}", st) for level in (sys0, sys1) for k, st in enumerate(level.states)]
-    for k, (sub, eta) in enumerate(zip(sys1.subdomains, sys1.eta)):
-        props = sub.multiplier_propagators(eta)
+    for k, sub in enumerate(sys1.subdomains):
+        props = sys1.plan.propagators(k)
         assert props.full == (form == "full")
         records += [(f"subdomain {k}", sub), (f"C {k}", sub.C), (f"propagators {k}", props)]
     arrays = [pair for name, record in records for pair in _held_arrays(name, record)]
@@ -533,6 +534,48 @@ def test_interface_factor_built_once_per_run(monkeypatch):
         sys = sys.apply(advance_system_step(sys))
         assert sys.plan is plan
     assert calls == [(2, 2)]
+
+
+def test_each_derived_object_is_built_once_per_run(tmp_path, monkeypatch):
+    # A five-step plate2d run builds one effective factor and one set of
+    # propagators per subdomain, four of each: the steps read them from
+    # the run's plan and build nothing.
+    calls = {"propagators": 0, "solver": 0}
+    build_propagators = Subdomain.multiplier_propagators
+    init_solver = EffectiveSolver.__init__
+
+    def counted_propagators(self, *args):
+        calls["propagators"] += 1
+        return build_propagators(self, *args)
+
+    def counted_init(self, *args):
+        calls["solver"] += 1
+        init_solver(self, *args)
+
+    monkeypatch.setattr(Subdomain, "multiplier_propagators", counted_propagators)
+    monkeypatch.setattr(EffectiveSolver, "__init__", counted_init)
+    cfg_path = tmp_path / "plate.cfg"
+    cfg_path.write_text(f"scenario=plate2d\nduration=0.5\noutput={tmp_path / 'plate.csv'}\n")
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_OK
+    assert len((tmp_path / "plate.csv").read_text().splitlines()) == 1 + 6
+    assert calls == {"propagators": 4, "solver": 4}
+
+
+def test_a_plan_owns_what_it_derives():
+    # Two plans built from the same subdomains share no solver and no
+    # propagators (a new plan is a new run), though they hold the same
+    # bits; apply hands the one plan of a run to the next level.
+    sys = build_sdof3(etas=(1, 2, 4)).system
+    other = CouplingPlan(sys.subdomains, sys.dt_system)
+    assert other.subdomains == sys.subdomains and other.critical_dt == sys.plan.critical_dt
+    sys_next = sys.apply(advance_system_step(sys))
+    assert sys_next.plan is sys.plan
+    for k in range(len(sys.subdomains)):
+        assert other.solver(k) is not sys.plan.solver(k)
+        ours, theirs = sys.plan.propagators(k), other.propagators(k)
+        assert theirs is not ours
+        assert theirs.Y.tobytes() == ours.Y.tobytes()
+        assert theirs.interface_term.tobytes() == ours.interface_term.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse
 
 from mtstep import coupling, linalg, problems
+from mtstep.newmark import EffectiveSolver
 
 
 def _nbytes(A) -> int:
@@ -79,11 +80,12 @@ def test_acceleration_form_propagators_hold_only_the_sweep_buffers(eta, monkeypa
     # far below one buffer.
     monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     sub = problems.build_wave_2d().system.subdomains[0]
-    sub.solver()  # the effective factor is the run's, not the sweep's
+    # Built before the count: the effective factor is the run's, not the sweep's.
+    solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
     buffer = sub.n_dofs * sub.n_constraints * 8
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    props = sub.multiplier_propagators(eta)
+    props = sub.multiplier_propagators(eta, solver)
     peak = tracemalloc.get_traced_memory()[1] - base
     assert peak - props.Y.nbytes <= (3 + 2 * min(eta, 2)) * buffer + buffer // 20
     assert not props.full and props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)

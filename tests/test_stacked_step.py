@@ -92,8 +92,8 @@ def test_acceleration_form_matches_per_level_reference(build, n_steps, monkeypat
     # Newmark recurrences rebuild v and d within the same bounds.
     monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     sys = build()
-    for sub, eta in zip(sys.subdomains, sys.eta):
-        assert not sub.multiplier_propagators(eta).full
+    for k in range(len(sys.subdomains)):
+        assert not sys.plan.propagators(k).full
     _check_against_reference(sys, n_steps)
 
 
@@ -163,8 +163,8 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
     # acceleration-form propagators write (only the last two levels
     # survive), and the propagators built that way keep the reference's
     # bits too.
-    sub = build().subdomains[index]
-    solver = sub.solver()
+    sys = build()
+    sub, solver = sys.subdomains[index], sys.plan.solver(index)
     rng = np.random.default_rng(7)
     for shape in ((sub.n_dofs,), (sub.n_dofs, 3)):
         loads = rng.standard_normal((6, *shape))
@@ -188,7 +188,7 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
                 np.testing.assert_array_equal(D[j], d)
     if rows == "alternating":
         monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
-        props = sub.multiplier_propagators(6)
+        props = sub.multiplier_propagators(6, solver)
         assert not props.full
         reference = step_reference.propagators(sub, 6)
         np.testing.assert_array_equal(props.Y, np.array([level[0] for level in reference]))
@@ -197,10 +197,10 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
 
 def test_propagators_stored_once_as_stacked_arrays():
     sys = _plate()
-    for sub, eta in zip(sys.subdomains, sys.eta):
-        stacked = sub.multiplier_propagators(eta)
+    for k, (sub, eta) in enumerate(zip(sys.subdomains, sys.eta)):
+        stacked = sys.plan.propagators(k)
         assert stacked.Y.shape == (3, eta, sub.n_dofs, sub.n_constraints)
-        assert sub.multiplier_propagators(eta) is stacked
+        assert sys.plan.propagators(k) is stacked
         reference = step_reference.propagators(sub, eta)
         for k, Y in enumerate(stacked.Y):
             np.testing.assert_array_equal(Y, np.array([level[k] for level in reference]))
@@ -211,11 +211,11 @@ def test_acceleration_form_keeps_the_bits_of_the_full_form(monkeypatch):
     # The alternating velocity and displacement rows change no bit of the
     # stored accelerations or of the interface term the complement adds.
     sys = _plate()
-    full = [sub.multiplier_propagators(eta) for sub, eta in zip(sys.subdomains, sys.eta)]
+    full = [sys.plan.propagators(k) for k in range(len(sys.subdomains))]
     monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     sys = _plate()
-    for sub, eta, ref in zip(sys.subdomains, sys.eta, full):
-        props = sub.multiplier_propagators(eta)
+    for k, (sub, eta, ref) in enumerate(zip(sys.subdomains, sys.eta, full)):
+        props = sys.plan.propagators(k)
         assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
         np.testing.assert_array_equal(props.Y, ref.Y[0])
         np.testing.assert_array_equal(props.interface_term, sub.C.data @ ref.Y[1, -1])
@@ -232,12 +232,12 @@ def test_propagator_form_follows_the_size_rule():
         ("sdof3", _sdof3),
     ):
         sys = build()
-        for sub, eta in zip(sys.subdomains, sys.eta):
-            props = sub.multiplier_propagators(eta)
+        for k, (sub, eta) in enumerate(zip(sys.subdomains, sys.eta)):
+            props = sys.plan.propagators(k)
             assert props.Y.shape == (3, eta, sub.n_dofs, sub.n_constraints), name
     sys = problems.build_wave_2d().system
-    for sub, eta in zip(sys.subdomains, sys.eta):
-        props = sub.multiplier_propagators(eta)
+    for k, (sub, eta) in enumerate(zip(sys.subdomains, sys.eta)):
+        props = sys.plan.propagators(k)
         assert 3 * props.Y.size * 8 > coupling.FULL_PROPAGATOR_MAX_BYTES
         assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
         assert props.interface_term.shape == (sub.n_constraints, sub.n_constraints)
@@ -286,7 +286,7 @@ def test_step_carries_its_loads():
         return math.cos(7.0 * t) - 0.5
 
     subs = tuple(replace(sub, g=g) for sub in sys.subdomains)
-    sys = replace(sys, subdomains=subs, plan=None)
+    sys = replace(sys, plan=coupling.CouplingPlan(subs, sys.dt_system))
     result = advance_system_step(sys)
     assert len(calls) == sum(eta + 1 for eta in sys.eta)
     for sub, eta, hist in zip(sys.subdomains, sys.eta, result.histories):
@@ -306,7 +306,7 @@ def _with_negative_zeros(sys):
         replace(sub, C=coupling.SignedBooleanMatrix(np.where(sub.C.data == 0.0, -0.0, sub.C.data)))
         for sub in sys.subdomains
     )
-    return replace(sys, subdomains=subs, plan=None)
+    return replace(sys, plan=coupling.CouplingPlan(subs, sys.dt_system))
 
 
 @pytest.mark.parametrize(
@@ -327,8 +327,8 @@ def test_propagators_keep_the_bits_of_the_reference(build, acceleration_form, mo
     if acceleration_form:
         monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     sys = build()
-    for sub, eta in zip(sys.subdomains, sys.eta):
-        props = sub.multiplier_propagators(eta)
+    for k, (sub, eta) in enumerate(zip(sys.subdomains, sys.eta)):
+        props = sys.plan.propagators(k)
         assert props.full is not acceleration_form
         reference = step_reference.propagators(sub, eta)
         want = np.array(reference).transpose(1, 0, 2, 3)  # (3, eta, n, N_C)
