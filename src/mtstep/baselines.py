@@ -3,8 +3,9 @@
 Two reference integrators:
 
 * :func:`backward_euler_step` — backward Euler applied to the first-order
-  DAE form of the constrained system.  Unconditionally stable but only
-  first-order accurate and strictly dissipative: per step (f = 0)
+  DAE form of the constrained system, in dual Schur form.  Unconditionally
+  stable but only first-order accurate and strictly dissipative: per
+  step (f = 0)
 
       E^(n+1) - E^(n) = - sum_i (T_i(v^(n+1) - v^n) + V_i(d^(n+1) - d^n))
 
@@ -28,6 +29,7 @@ import scipy.sparse
 from . import linalg
 from .coupling import (
     CoupledSystem,
+    DualSchur,
     SignedBooleanMatrix,
     SubstepHistory,
     SystemStepResult,
@@ -38,72 +40,49 @@ from .errors import NonFiniteState, SingularSaddleSystem
 from .newmark import EffectiveSolver, KinematicState, critical_time_step
 
 
-def _backward_euler_factor(sys: CoupledSystem) -> linalg.Factor:
-    """LU factor of the constant backward-Euler saddle matrix
-
-        [[M_i / dt + dt K_i, -C_i^T],
-         [C_i,               0     ]]      (one block row per subdomain)
-
-    dense or sparse as its size calls for.
-    """
-    dt = sys.dt_system
-    n_subs = len(sys.subdomains)
-    blocks = [[None] * (n_subs + 1) for _ in range(n_subs + 1)]
-    for i, sub in enumerate(sys.subdomains):
-        C = scipy.sparse.coo_array(
-            (sub.C.signs, (sub.C.rows, sub.C.dofs)), shape=sub.C.shape
-        )
-        # Substituting d^(n+1) = d^n + dt v^(n+1) into the momentum row:
-        blocks[i][i] = scipy.sparse.coo_array(sub.M / dt + dt * sub.K)
-        blocks[i][n_subs] = -C.T
-        blocks[n_subs][i] = C
-    n_c = sys.n_constraints
-    blocks[n_subs][n_subs] = scipy.sparse.coo_array((n_c, n_c))
-    try:
-        return linalg.lu_factor(linalg.operator(scipy.sparse.block_array(blocks)))
-    except linalg.SingularMatrix as exc:
-        raise SingularSaddleSystem(str(exc)) from exc
-
-
 def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
     """One backward-Euler step of the first-order constrained system.
 
-    Solves, monolithically for (v^(n+1) per subdomain, lam^(n+1)):
+    Solves, for (v^(n+1) per subdomain, lam^(n+1)):
 
         M_i (v^(n+1) - v^n)/dt + K_i d^(n+1) = f_i^(n+1) + C_i^T lam^(n+1)
         d^(n+1) = d^n + dt v^(n+1)
         sum_i C_i v^(n+1) = 0
 
-    The system matrix is the same at every step, so it is factored once
-    and kept in the system's plan.  Subcycling is not part of this
-    baseline: every subdomain is stepped at the system time-step
+    in dual Schur form: with d^(n+1) = d^n + dt v^(n+1) substituted, a
+    :class:`mtstep.coupling.DualSchur` of the SPD blocks M_i / dt + dt K_i,
+    factored once and kept in the system's plan.  Subcycling is not part
+    of this baseline: every subdomain is stepped at the system time-step
     regardless of its dt_sub, and each history has one level.  The
     reported acceleration is the difference quotient (v^(n+1) - v^n)/dt.
-    Raises :class:`mtstep.errors.NonFiniteState` as the coupled step
-    does.
+    Raises :class:`SingularSaddleSystem` for a singular interface
+    complement, and :class:`NonFiniteState` as the coupled step does.
     """
     dt = sys.dt_system
     t_n = sys.t_current
-    factor = sys.plan.memo("backward_euler", lambda: _backward_euler_factor(sys))
-    loads = [sub.loads(t_n, 1, dt) for sub in sys.subdomains]
+    subs = sys.subdomains
+    schur = sys.plan.memo(
+        "backward_euler",
+        lambda: DualSchur([sub.M / dt + dt * sub.K for sub in subs], [sub.C for sub in subs]),
+    )
+    loads = [sub.loads(t_n, 1, dt) for sub in subs]
     rhs = [
         f[1] + sub.M @ st.v / dt - sub.K @ st.d
-        for sub, st, f in zip(sys.subdomains, sys.states, loads)
+        for sub, st, f in zip(subs, sys.states, loads)
     ]
-    sol = factor.solve(np.concatenate([*rhs, np.zeros(sys.n_constraints)]))
+    try:
+        velocities, lam = schur.solve(rhs)
+    except linalg.SingularMatrix as exc:
+        raise SingularSaddleSystem(str(exc)) from exc
 
     histories = []
-    offset = 0
-    for sub, st, f in zip(sys.subdomains, sys.states, loads):
-        n = sub.n_dofs
-        v_new = sol[offset:offset + n]
+    for st, f, v_new in zip(sys.states, loads, velocities):
         d_new = st.d + dt * v_new
         a_new = (v_new - st.v) / dt
         histories.append(SubstepHistory(
             a=a_new[np.newaxis], v=v_new[np.newaxis], d=d_new[np.newaxis], f=f
         ))
-        offset += n
-    result = SystemStepResult(histories=tuple(histories), lambda_next=sol[offset:])
+    result = SystemStepResult(histories=tuple(histories), lambda_next=lam)
     require_finite(result)
     return result
 

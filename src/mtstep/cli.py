@@ -401,7 +401,9 @@ def _exit_code(exc: ConfigError | SolverFailure, context: str) -> int:
 def run(config: RunConfig) -> int:
     """Execute one run and write its CSV; returns a process exit code."""
     try:
-        write_csv(execute(config), config.output_path or f"{config.scenario}.csv")
+        with np.errstate(all="ignore"):  # a non-finite value exits 3, unwarned
+            result = execute(config)
+        write_csv(result, config.output_path or f"{config.scenario}.csv")
     except (ConfigError, SolverFailure) as exc:
         return _exit_code(exc, "")
     return EXIT_OK
@@ -449,7 +451,8 @@ def sweep(base: RunConfig, axis: str, values: Sequence[str]) -> int:
             f"{base_output.stem}_{axis}_{tag}{base_output.suffix or '.csv'}"
         )
         try:
-            result = execute(_sweep_member(base, axis, raw))
+            with np.errstate(all="ignore"):  # as in run()
+                result = execute(_sweep_member(base, axis, raw))
             write_csv(result, member)
         except (ConfigError, SolverFailure) as exc:
             return _exit_code(exc, f" ({axis}={raw})")

@@ -31,7 +31,9 @@ with Ct_i = [C_i | 0 | 0], P_i = (f_i, 0, 0) and, with dt = dt_i,
 The solver eliminates the per-subdomain blocks, which are block lower
 bidiagonal, and solves only an N_C x N_C interface Schur complement; the
 assembled saddle system is never formed.  ``tests/saddle_oracle.py``
-solves it densely as a check.
+solves it densely as a check.  The consistent start (blocks M_i) and
+the backward-Euler baseline (blocks M_i / dt + dt K_i) solve through
+:class:`DualSchur`.
 
 Each subdomain's sub-levels of one system step are kept as stacked
 (eta_i, n_i) arrays (:class:`SubstepHistory`), not as eta_i state
@@ -327,9 +329,9 @@ class CouplingPlan:
     velocity response of subdomain i to a unit dlam.  The propagators
     carry their term C_i Y_i^v, so the plan only adds the terms up.
     None of these changes from step to step: :attr:`memo` keeps each,
-    and other run-constant objects such as the backward-Euler system
-    matrix, for the life of the plan.  :meth:`CoupledSystem.apply` hands
-    the same plan to every later level; another plan shares nothing.
+    and other run-constant objects such as the backward-Euler
+    :class:`DualSchur`, for the life of the plan.  :meth:`CoupledSystem.apply`
+    hands the same plan to every later level; another plan shares nothing.
     """
 
     def __init__(self, subdomains: Sequence[Subdomain], dt_system: float):
@@ -533,6 +535,47 @@ class CoupledSystem:
         )
 
 
+class DualSchur:
+    """Dual Schur elimination of SPD blocks A_i glued by constraint rows C_i.
+
+    :meth:`solve` gives the x_i and lam of
+
+        A_i x_i = r_i + C_i^T lam  (i = 1..S),    sum_i C_i x_i = 0
+
+    without forming that saddle system: lam solves the N_C x N_C complement
+    (sum_i C_i A_i^{-1} C_i^T) lam = -sum_i C_i A_i^{-1} r_i.  Each A_i,
+    dense or CSR, is factored by :func:`linalg.cholesky_factor` when the
+    helper is built; the complement is formed at the first solve, in the
+    pass that forms its right-hand side, and factored once by
+    :func:`linalg.lu_factor`.
+    """
+
+    def __init__(self, blocks, constraints: Sequence[SignedBooleanMatrix]):
+        self.constraints = tuple(constraints)
+        self.factors = [linalg.cholesky_factor(A) for A in blocks]
+        self.complement: Optional[linalg.Factor] = None
+
+    def solve(self, rhs) -> tuple[list[np.ndarray], np.ndarray]:
+        """``(x, lam)`` for the r_i in ``rhs``, an iterable read in block
+        order; x_i is A_i^{-1} r_i plus A_i^{-1} C_i^T lam.  Raises
+        :class:`linalg.SingularMatrix` if the complement is singular."""
+        free = [fac.solve(r) for fac, r in zip(self.factors, rhs)]
+        n_c = self.constraints[0].n_constraints
+        lam = np.zeros(n_c)
+        if n_c > 0:
+            first = self.complement is None
+            schur, lam_rhs = np.zeros((n_c, n_c)), np.zeros(n_c)
+            for C, fac, x in zip(self.constraints, self.factors, free):
+                if first:
+                    schur += C.data @ fac.solve(C.data.T)
+                lam_rhs -= C.data @ x
+            if first:
+                self.complement = linalg.lu_factor(schur)
+            lam = self.complement.solve(lam_rhs)
+        pairs = zip(self.constraints, self.factors, free)
+        return [x + fac.solve(C.data.T @ lam) for C, fac, x in pairs], lam
+
+
 def initialize_coupled_system(
     subdomains: Sequence[Subdomain],
     dt_system: float,
@@ -564,36 +607,15 @@ def _consistent_start(
 ) -> tuple[tuple[KinematicState, ...], np.ndarray]:
     """The states at t = 0 and lam0 of :func:`initialize_coupled_system`;
     the mass factors and free accelerations die with the call."""
-    n_c = subs[0].n_constraints
     d0 = [np.atleast_1d(np.asarray(x, dtype=float)) for x in d0]
     v0 = [np.atleast_1d(np.asarray(x, dtype=float)) for x in v0]
-
-    m_factors = [linalg.cholesky_factor(sub.M) for sub in subs]
-    free_acc = [
-        fac.solve(sub.loads(0.0)[0] - sub.K @ d)
-        for sub, fac, d in zip(subs, m_factors, d0)
-    ]
-
-    lam0 = np.zeros(n_c)
-    if n_c > 0:
-        schur = np.zeros((n_c, n_c))
-        rhs = np.zeros(n_c)
-        for sub, fac, acc in zip(subs, m_factors, free_acc):
-            Ct = sub.C.data.T
-            schur += sub.C.data @ fac.solve(Ct)
-            rhs -= sub.C.data @ acc
-        try:
-            lam0 = linalg.solve_general(schur, rhs)
-        except linalg.SingularMatrix as exc:
-            raise SingularSaddleSystem(
-                f"consistent multiplier init failed: {exc}"
-            ) from exc
-
-    states = []
-    for sub, fac, acc, d, v in zip(subs, m_factors, free_acc, d0, v0):
-        a = acc + fac.solve(sub.C.data.T @ lam0)
-        states.append(KinematicState(d=d, v=v, a=a))
-    return tuple(states), lam0
+    masses = DualSchur([sub.M for sub in subs], [sub.C for sub in subs])
+    try:
+        acc, lam0 = masses.solve(sub.loads(0.0)[0] - sub.K @ d for sub, d in zip(subs, d0))
+    except linalg.SingularMatrix as exc:
+        raise SingularSaddleSystem(f"consistent multiplier init failed: {exc}") from exc
+    states = tuple(KinematicState(d=d, v=v, a=a) for a, d, v in zip(acc, d0, v0))
+    return states, lam0
 
 
 # ---------------------------------------------------------------------------

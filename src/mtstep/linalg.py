@@ -12,8 +12,8 @@ How a record freezes an array it holds is decided here too:
 :func:`frozen` makes the private read-only copy that subdomains,
 kinematic states, coupled systems and cached propagators keep.
 
-Factors hide the storage from their callers.  Each picks its backend
-once, when it is built, and exposes that backend's own ``solve``:
+Factors hide the storage from their callers.  Each binds its backend's
+own ``solve`` once, when it is built:
 
 * :func:`cholesky_factor` for symmetric positive definite blocks (mass
   and effective Newmark matrices): dense Cholesky, or for CSR a LAPACK
@@ -23,12 +23,11 @@ once, when it is built, and exposes that backend's own ``solve``:
   import ``scipy.sparse.csgraph``.  These factors also have a
   ``solve_in_place`` that writes the solution into the right-hand side,
   which the Newmark sub-steps use;
-* :func:`lu_factor` for general square systems: pivoted LU, dense or
-  SuperLU.  The backward-Euler baseline solves an indefinite
-  saddle-point system with it, and the interface Schur complement is
-  solved with it without assuming symmetry.  It is the only user of
-  SuperLU, so runs that make no sparse LU never import
-  ``scipy.sparse.linalg``.
+* :func:`lu_factor` for general square systems: dense pivoted LU, the
+  one LU backend.  Only N_C x N_C interface complements are factored
+  with it, without assuming symmetry: every larger system is an SPD
+  block, eliminated in dual Schur form, so no run loads a sparse LU
+  (``scipy.sparse.linalg``).
 """
 
 from __future__ import annotations
@@ -45,12 +44,12 @@ from .errors import SingularMatrix
 SINGULARITY_RTOL = 1e-14
 
 #: Matrices with at least this many rows are stored as CSR and factored
-#: sparse.  Measured on scalar-wave and plane-strain FEM matrices (2 vCPUs,
-#: two BLAS threads), one solve plus two products costs the same in both
-#: storages between 90 and 110 DOFs with the band Cholesky; dense is
-#: 1.3-2x cheaper at 36-72 DOFs, sparse 1.2-1.6x cheaper at 110-180, 2-3x
-#: at 195-265, 5-8x at 310-390 and 15x at 840.  (Against SuperLU the tie
-#: was at 160-200 DOFs.)
+#: by the band Cholesky.  Measured on scalar-wave and plane-strain FEM
+#: matrices (2 vCPUs, two BLAS threads), one solve plus two products costs
+#: the same in both storages between 90 and 110 DOFs; dense is 1.3-2x
+#: cheaper at 36-72 DOFs, sparse 1.2-1.6x cheaper at 110-180, 2-3x at
+#: 195-265, 5-8x at 310-390 and 15x at 840.  The threshold dates from a
+#: sparse LU (SuperLU, since removed), whose tie was at 160-200 DOFs.
 SPARSE_MIN_DOFS = 200
 
 
@@ -116,26 +115,8 @@ class Factor:
         self.solve_in_place = solve_in_place
 
 
-def _splu(A):
-    # Imported on first use: runs that make no sparse LU never load it.
-    from scipy.sparse.linalg import splu
-
-    try:
-        return splu(scipy.sparse.csc_array(A))
-    except RuntimeError as exc:  # SuperLU reports an exactly zero pivot
-        raise SingularMatrix(str(exc)) from exc
-
-
-def _check_pivots(pivots: np.ndarray) -> None:
-    pivots = np.abs(pivots)
-    if pivots.min() < SINGULARITY_RTOL * max(pivots.max(), np.finfo(float).tiny):
-        raise SingularMatrix(
-            f"pivot ratio {pivots.min():.3e}/{pivots.max():.3e} below threshold"
-        )
-
-
-def lu_factor(A) -> Factor:
-    """Pivoted LU of a general (possibly indefinite) square matrix.
+def lu_factor(A: np.ndarray) -> Factor:
+    """Pivoted LU of a dense general (possibly indefinite) square matrix.
 
     Raises
     ------
@@ -143,12 +124,12 @@ def lu_factor(A) -> Factor:
         If any pivot falls below ``SINGULARITY_RTOL`` times the largest
         pivot, i.e. the matrix is numerically rank deficient.
     """
-    if scipy.sparse.issparse(A):
-        lu = _splu(A)
-        _check_pivots(lu.U.diagonal())
-        return Factor(lu.solve)
     lu, piv = scipy.linalg.lu_factor(np.asarray(A, dtype=float), check_finite=False)
-    _check_pivots(np.diag(lu))
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() < SINGULARITY_RTOL * max(pivots.max(), np.finfo(float).tiny):
+        raise SingularMatrix(
+            f"pivot ratio {pivots.min():.3e}/{pivots.max():.3e} below threshold"
+        )
     getrs = scipy.linalg.lapack.dgetrs
 
     def solve(b):
@@ -164,7 +145,8 @@ def solve_general(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` once for a dense general square matrix.
 
     ``b`` may be a vector or a matrix of stacked right-hand-side columns.
-    See :func:`lu_factor` for the singularity test.
+    See :func:`lu_factor` for the singularity test.  No solver module
+    calls it; ``perfbench/child.py`` hooks it by name.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -22,7 +22,14 @@ from mtstep.coupling import (
 )
 from mtstep.errors import NonFiniteState, SingularSaddleSystem
 from mtstep.newmark import AVERAGE_ACCELERATION
-from mtstep.problems import build_bar_1d, build_sdof2, build_sdof3, build_wave_2d
+from mtstep.problems import (
+    build_bar_1d,
+    build_plate_2d,
+    build_sdof2,
+    build_sdof3,
+    build_wave_2d,
+)
+from backward_euler_oracle import backward_euler_kkt_step
 from step_reference import sublevel_states, zero_multiplier_system
 
 
@@ -63,39 +70,72 @@ def test_backward_euler_satisfies_its_equations():
         sys = sys.apply(result)
 
 
+KKT_CASES = [
+    pytest.param(build_sdof3, False, id="sdof3"),
+    *(
+        pytest.param(build, csr, id=f"{name}-{'csr' if csr else 'dense'}")
+        for name, build in (
+            ("bar1d", build_bar_1d),
+            ("plate2d", build_plate_2d),
+            ("wave10x5", lambda: build_wave_2d(nx=10, ny=5)),
+        )
+        for csr in (False, True)
+    ),
+]
+
+
+@pytest.mark.parametrize("build, csr", KKT_CASES)
+def test_backward_euler_matches_the_assembled_kkt_system(build, csr, monkeypatch):
+    # The dual Schur elimination gives the solution of the assembled
+    # saddle system, with the blocks stored dense or (by lowering the
+    # size threshold before the build) as CSR.
+    if csr:
+        monkeypatch.setattr(linalg, "SPARSE_MIN_DOFS", 1)
+    sys = build().system
+    assert all(scipy.sparse.issparse(sub.M) == csr for sub in sys.subdomains)
+
+    def assert_close(got, want):
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+    for _ in range(5):
+        result = backward_euler_step(sys)
+        reference = backward_euler_kkt_step(sys)
+        for got, want in zip(result.histories, reference.histories):
+            for name in "avd":
+                assert_close(getattr(got, name), getattr(want, name))
+        assert_close(result.lambda_next, reference.lambda_next)
+        sys = sys.apply(result)
+    assert np.abs(sys.lambda_current).max() > 0.0
+
+
 def test_backward_euler_factored_once_in_either_storage(monkeypatch):
-    # The constant system matrix is factored at the first step only, and
-    # the sparse factor (forced here by lowering the size threshold) gives
-    # the dense trajectory.
+    # One Cholesky factor per subdomain block and one LU of the N_C x N_C
+    # complement, made at the first step of a run and reused after it,
+    # with the blocks dense and (by lowering the size threshold before
+    # the build) as CSR.
     calls = []
-    lu_factor = linalg.lu_factor
+    for name in ("cholesky_factor", "lu_factor"):
+        factor = getattr(linalg, name)
 
-    def counted(A):
-        calls.append((A.shape, scipy.sparse.issparse(A)))
-        return lu_factor(A)
+        def counted(A, name=name, factor=factor):
+            calls.append((name, A.shape, scipy.sparse.issparse(A)))
+            return factor(A)
 
-    monkeypatch.setattr(linalg, "lu_factor", counted)
+        monkeypatch.setattr(linalg, name, counted)
     params = (AVERAGE_ACCELERATION, AVERAGE_ACCELERATION)
-    sc = build_wave_2d(nx=10, ny=5, dt_system=2e-3, etas=(1, 1), params=params)
-    size = sum(sub.n_dofs for sub in sc.system.subdomains) + sc.system.n_constraints
-
-    def run():
-        sys, out = sc.system, []
+    for csr in (False, True):
+        if csr:
+            monkeypatch.setattr(linalg, "SPARSE_MIN_DOFS", 1)
+        sys = build_wave_2d(nx=10, ny=5, dt_system=2e-3, etas=(1, 1), params=params).system
+        calls.clear()
         for _ in range(40):
             sys = sys.apply(backward_euler_step(sys))
-            out.append(np.concatenate([st.d for st in sys.states]))
-        return np.array(out)
-
-    calls.clear()
-    dense_run = run()
-    monkeypatch.setattr(linalg, "SPARSE_MIN_DOFS", 1)
-    plan = CouplingPlan(sc.system.subdomains, sc.system.dt_system)  # a new run: a new plan
-    sc = replace(sc, system=replace(sc.system, plan=plan))
-    sparse_run = run()
-    assert calls == [((size, size), False), ((size, size), True)]
-    scale = np.abs(dense_run).max()
-    assert scale > 0.0
-    np.testing.assert_allclose(sparse_run, dense_run, rtol=0, atol=1e-10 * scale)
+        n_c = sys.n_constraints
+        assert calls == [
+            *(("cholesky_factor", (sub.n_dofs,) * 2, csr) for sub in sys.subdomains),
+            ("lu_factor", (n_c, n_c), False),
+        ]
 
 
 def test_backward_euler_decay_identity():

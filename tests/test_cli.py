@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -370,6 +373,30 @@ def test_exit_code_non_finite_output_row(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "step 0" in err and "non-finite" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_overflow_writes_one_stderr_line(tmp_path, command):
+    # In a process of its own, as the console script runs: an overflowing
+    # scheme exits 3 with the one error line, and numpy's floating-point
+    # warnings do not reach stderr ahead of it.
+    cfg_path = write_config(
+        tmp_path,
+        "scenario=sdof3\nduration=0.04\noutput=x.csv\n"
+        "subdomain.2.beta=1e200\nsubdomain.2.gamma=1e200\n",
+    )
+    args = {"run": [], "sweep": ["--axis", "dt_system", "--values", "0.01"]}[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "mtstep.cli", command, str(cfg_path), *args],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == cli.EXIT_SOLVER
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error"), out.stderr
+    assert "non-finite" in lines[0]
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_backward_euler_method_forces_no_subcycling(tmp_path, monkeypatch):

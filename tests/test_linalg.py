@@ -277,11 +277,14 @@ def test_banded_cholesky_matches_dense(build):
 
 def test_coupled_wave_run_loads_no_sparse_solver_modules(tmp_path):
     # Through the CLI, as a benchmark run goes: every module the CLI
-    # imports counts, not only the solver's.
+    # imports counts, not only the solver's.  A backward-Euler run
+    # eliminates its SPD blocks as the coupled step does, so it loads no
+    # sparse LU either.
     configs = []
     for name, body in (
         ("wave2d", "scenario=wave2d\nduration=2e-4\n"),
         ("bar1d", "scenario=bar1d\nduration=5e-3\nsubdomain.2.eta=100\nprobe=3:5\n"),
+        ("wave2d_be", "scenario=wave2d\nmethod=backward_euler\nduration=3e-4\n"),
     ):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(f"{body}output={tmp_path / name}.csv\n")
@@ -300,20 +303,6 @@ def test_coupled_wave_run_loads_no_sparse_solver_modules(tmp_path):
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
-
-
-def test_sparse_lu_matches_dense():
-    rng = np.random.default_rng(8)
-    M, K = wave_block()
-    C = scipy.sparse.csr_array(rng.standard_normal((3, 836)))
-    A = scipy.sparse.block_array([[M + K, C.T], [C, None]]).tocsr()  # indefinite
-    b = rng.standard_normal(839)
-    x = linalg.lu_factor(A).solve(b)
-    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-10, atol=1e-10)
-    C_rank_deficient = scipy.sparse.csr_array(C.toarray() * [[1.0], [1.0], [0.0]])
-    singular = scipy.sparse.block_array([[M + K, C.T], [C_rank_deficient, None]])
-    with pytest.raises(SingularMatrix):
-        linalg.lu_factor(singular)
 
 
 def test_operator_storage_follows_dof_count():
