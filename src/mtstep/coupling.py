@@ -214,6 +214,9 @@ class Subdomain:
             )
         if self.f0.shape != (n,):
             raise DimensionMismatch(f"f0 has shape {self.f0.shape} for {n} DOFs")
+        for name in ("M", "K", "f0"):  # a NaN passes the symmetry tests below
+            if not linalg.all_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, holds NaN or inf")
         scale_m = abs(self.M).max() or 1.0
         scale_k = abs(self.K).max() or 1.0
         if abs(self.M - self.M.T).max() > 1e-12 * scale_m:
@@ -291,7 +294,10 @@ class Subdomain:
         zero = np.broadcast_to(0.0, (n, nc))
         solver.sweep(zero, zero, zero, A, V, D)
         Y.setflags(write=False)
-        return MultiplierPropagators(Y, linalg.frozen(self.C.data @ V[-1]))
+        # C Y^v by index gather; + 0.0 turns the gather's -1 * 0.0 = -0.0
+        # into the +0.0 the dense product C.data @ V[-1] gives.
+        interface_term = self.C.row_products(V[-1].T).T + 0.0
+        return MultiplierPropagators(Y, linalg.frozen(interface_term))
 
 
 class MultiplierPropagators(NamedTuple):

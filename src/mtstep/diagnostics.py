@@ -43,7 +43,7 @@ so the sums do not depend on how a vectorised reduction would group them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,22 +101,23 @@ def _jumps(x0: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.diff(X, axis=0, prepend=x0[np.newaxis])
 
 
-def _half_forms(A, X: np.ndarray) -> list[float]:
+def _half_forms(A, X: np.ndarray) -> np.ndarray:
     """1/2 x_j^T A x_j for every row x_j of X, from one product A X^T."""
-    return (0.5 * np.einsum("ij,ji->i", X, A @ X.T)).tolist()
+    return 0.5 * np.einsum("ij,ji->i", X, A @ X.T)
 
 
-def _add_in_order(terms: Iterable[float], total: float = 0.0) -> float:
-    """total + terms[0] + terms[1] + ..., one addition at a time.
+def _add_in_order(*parts: Sequence[float]) -> float:
+    """0.0 + every term of parts[0], then of parts[1], ..., one at a time.
 
     A vectorised sum groups the terms differently, which moves the last
-    digits of a split term.  The built-in ``sum`` is no substitute: from
-    Python 3.12 it compensates the rounding of float sums, so its result
-    would depend on the interpreter.
+    digits of a split term.  ``np.add.accumulate`` does not: each partial
+    sum is the one before plus the next term, strictly left to right, so
+    its last entry has the bits of a Python loop over the terms, in one
+    call.  The built-in ``sum`` is no substitute: from Python 3.12 it
+    compensates the rounding of float sums, so its result would depend
+    on the interpreter.
     """
-    for term in terms:
-        total += term
-    return total
+    return float(np.add.accumulate(np.concatenate(([0.0], *parts)))[-1])
 
 
 def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
@@ -154,7 +155,7 @@ def energy_interface(step: SystemStepResult, sys: CoupledSystem) -> float:
     """Net work done by the interface forces over one system step."""
     lam_n = sys.lambda_current
     lam_np1 = step.lambda_next
-    out = 0.0
+    works = []
     for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
         gamma = sub.params.gamma
         eta = len(hist.d)
@@ -162,8 +163,8 @@ def energy_interface(step: SystemStepResult, sys: CoupledSystem) -> float:
         lam = np.multiply.outer(1.0 - w, lam_n) + np.multiply.outer(w, lam_np1)
         lam_w = (1.0 - gamma) * lam[:-1] + gamma * lam[1:]
         jumps = sub.C.row_products(_jumps(st_n.d, hist.d))  # rows C_i [d_i]_j
-        out = _add_in_order(np.einsum("ij,ij->i", lam_w, jumps).tolist(), out)
-    return out
+        works.append(np.einsum("ij,ij->i", lam_w, jumps))
+    return _add_in_order(*works)
 
 
 def external_work(step: SystemStepResult, sys: CoupledSystem) -> float:
@@ -173,13 +174,12 @@ def external_work(step: SystemStepResult, sys: CoupledSystem) -> float:
     e_interface + external_work.  The loads are the ones the step
     evaluated, carried by its histories.
     """
-    out = 0.0
+    works = []
     for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
         gamma = sub.params.gamma
         f_w = (1.0 - gamma) * hist.f[:-1] + gamma * hist.f[1:]
-        f_work = np.einsum("ij,ij->i", f_w, _jumps(st_n.d, hist.d))
-        out = _add_in_order(f_work.tolist(), out)
-    return out
+        works.append(np.einsum("ij,ij->i", f_w, _jumps(st_n.d, hist.d)))
+    return _add_in_order(*works)
 
 
 def step_energy_report(

@@ -84,6 +84,11 @@ def frozen(A):
     return A
 
 
+def all_finite(A) -> bool:
+    """Whether every stored entry of ``A``, dense or sparse, is finite."""
+    return bool(np.isfinite(A.data if scipy.sparse.issparse(A) else A).all())
+
+
 def dense(A) -> np.ndarray:
     """A new dense Fortran-order array with the entries of ``A``.
 

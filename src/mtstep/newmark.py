@@ -127,15 +127,31 @@ class EffectiveSolver:
             rd = (1/2 - beta) dt^2 a + dt v + d
 
         and then does what :meth:`solve_rows` does, with the same
-        arithmetic in the same order, so a swept history equals one built
-        step by step, bit for bit.  The inputs ``a``, ``v``, ``d`` are
+        arithmetic in the same order.  The inputs ``a``, ``v``, ``d`` are
         only read.
+
+        When (1/2 - beta) equals (1 - gamma), the displacement row is
+        the velocity predictor carried over one step,
+
+            rd = dt rv + d = d + dt (v + (1 - gamma) dt a),
+
+        the "kick-drift" (leapfrog) form of central difference
+        (beta = 0, gamma = 1/2, the sub-stepped subdomains of the paper;
+        among other pairs beta = 1/4, gamma = 3/4 satisfies it too), and
+        the sweep forms ``rd`` that way from ``rv``: two calls in place
+        of four.  Every other scheme forms ``rd`` as written above.  So a
+        swept history equals, bit for bit, one built step by step from
+        the same predictor rows; on the blocks the leapfrog form serves,
+        its bits differ by round-off from :meth:`solve_rows` fed the
+        R-form rows (``(1/2 - beta) dt^2 a + dt v + d``), at no loss of
+        accuracy.
 
         On a subdomain of a few DOFs the fixed cost of each numpy call
         outweighs its arithmetic, so the one loop, for dense and CSR
-        operators alike, makes few and cheap calls without changing a
-        single operand: 10 per explicit sub-step and 12 per implicit one
-        when gamma = 1/2, one more each otherwise.
+        operators alike, makes few and cheap calls: 8 per
+        central-difference sub-step and 12 per implicit one when
+        gamma = 1/2, one more each when gamma != 1/2, and two fewer for
+        any other scheme that takes the leapfrog form.
 
         * The five coefficients are 0-d arrays.  A 0-d array times an
           array costs what the cheaper of a Python float and a
@@ -153,11 +169,12 @@ class EffectiveSolver:
 
         * Two scratch arrays of the state's shape, ``rd`` and ``ga``,
           allocated once per sweep.  The velocity predictor is formed in
-          ``V[j]`` and ``dt v`` in ``D[j]``: both rows are overwritten
-          later in the same sub-step, so no other buffer is needed.  So
-          ``V[j]`` and ``D[j]`` must not share memory with the state
-          they advance from (``v`` and ``d`` for j = 0, ``V[j - 1]`` and
-          ``D[j - 1]`` after); two alternating rows each are enough.
+          ``V[j]`` and, outside the leapfrog form, ``dt v`` in ``D[j]``:
+          both rows are overwritten later in the same sub-step, so no
+          other buffer is needed.  So ``V[j]`` and ``D[j]`` must not
+          share memory with the state they advance from (``v`` and ``d``
+          for j = 0, ``V[j - 1]`` and ``D[j - 1]`` after); two
+          alternating rows each are enough.
           Outputs are passed by position, which is cheaper than
           ``out=``.  Only ``K.dot`` returns a fresh array (``np.dot``
           with an output is slower), and it is bound once, which skips
@@ -167,18 +184,18 @@ class EffectiveSolver:
         * When (1 - gamma) dt equals gamma dt, a step's gamma dt a is the
           next step's (1 - gamma) dt a and is formed once.
         * ``d = rd + beta dt^2 a`` is formed only when beta != 0.  For an
-          explicit scheme (beta = 0, the sub-stepped subdomains of the
-          paper) ``rd + 0 a`` is ``rd`` bit for bit, with one IEEE
-          exception: a displacement of -0.0 stays -0.0 where the sum
-          gives +0.0 (and a non-finite ``a`` no longer reaches ``d``
-          through ``0 a``; it still reaches ``v`` and the next step).
-          Neither arises from the finite, +0.0 initial states the
-          scenario builders make.
+          explicit scheme (beta = 0) ``rd + 0 a`` is ``rd`` bit for bit,
+          with one IEEE exception: a displacement of -0.0 stays -0.0
+          where the sum gives +0.0 (and a non-finite ``a`` no longer
+          reaches ``d`` through ``0 a``; it still reaches ``v`` and the
+          next step).  Neither arises from the finite, +0.0 initial
+          states the scenario builders make.
         """
         dt = self.dt
         beta, gamma = self.params.beta, self.params.gamma
         c_v, c_g = (1.0 - gamma) * dt, gamma * dt
         reuse = c_v == c_g  # gamma = 1/2: c_g a of step j is c_v a of step j + 1
+        leapfrog = 0.5 - beta == 1.0 - gamma  # rd = dt rv + d
         c_v, c_d, c_t, c_a, c_g = map(
             np.array, (c_v, (0.5 - beta) * dt * dt, dt, beta * dt * dt, c_g)
         )
@@ -193,9 +210,12 @@ class EffectiveSolver:
             else:
                 multiply(c_v, a, Vj)
                 add(Vj, v, Vj)
-            multiply(c_d, a, rd)
-            multiply(c_t, v, Dj)
-            add(rd, Dj, rd)
+            if leapfrog:
+                multiply(c_t, Vj, rd)
+            else:
+                multiply(c_d, a, rd)
+                multiply(c_t, v, Dj)
+                add(rd, Dj, rd)
             d = add(rd, d, Dj)
             subtract(Aj, K_dot(d), Aj)
             solve(Aj)

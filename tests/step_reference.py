@@ -31,7 +31,24 @@ from mtstep.coupling import (
 )
 from mtstep.newmark import EffectiveSolver, KinematicState
 from mtstep.problems import Scenario
-from saddle_oracle import apply_R, interpolate_lambda
+from saddle_oracle import interpolate_lambda
+
+
+def predict(sub: Subdomain, a, v, d):
+    """The predictor rows (rv, rd) of a sub-step, formed as the sweep forms them.
+
+    rv = (1 - gamma) dt a + v.  Where (1/2 - beta) equals (1 - gamma),
+    as for central difference, rd = dt rv + d (the leapfrog form);
+    otherwise rd = (1/2 - beta) dt^2 a + dt v + d, the displacement row
+    of the paper's history operator R (``saddle_oracle.apply_R``).  Both
+    are the same rows in exact arithmetic.
+    """
+    dt = sub.dt_sub
+    beta, gamma = sub.params.beta, sub.params.gamma
+    rv = (1.0 - gamma) * dt * a + v
+    if 0.5 - beta == 1.0 - gamma:
+        return rv, dt * rv + d
+    return rv, (0.5 - beta) * dt * dt * a + dt * v + d
 
 
 def sublevel_states(result: SystemStepResult) -> tuple[tuple[KinematicState, ...], ...]:
@@ -84,8 +101,10 @@ def propagators(sub: Subdomain, eta: int) -> list[tuple[np.ndarray, ...]]:
     aY = vY = dY = np.zeros((n, nc))
     out = []
     for j in range(1, eta + 1):
-        ra, rv, rd = apply_R(sub, aY, vY, dY)
-        aY, vY, dY = solver.solve_rows(ra + (j / eta) * Ct, rv, rd)
+        rv, rd = predict(sub, aY, vY, dY)
+        # R's zero acceleration row plus the ramp load: 0.0 + x, which
+        # turns a -0.0 load into +0.0.
+        aY, vY, dY = solver.solve_rows(0.0 + (j / eta) * Ct, rv, rd)
         out.append((aY, vY, dY))
     return out
 
@@ -103,8 +122,8 @@ def reference_step(sys: CoupledSystem) -> ReferenceStep:
         f = sub.loads(sys.t_current, eta)
         hist = []
         for j in range(1, eta + 1):
-            ra, rv, rd = apply_R(sub, a, v, d)
-            a, v, d = solver.solve_rows(ra + f[j] + Ct_lam, rv, rd)
+            rv, rd = predict(sub, a, v, d)
+            a, v, d = solver.solve_rows(0.0 + f[j] + Ct_lam, rv, rd)
             hist.append((a, v, d))
         base.append(hist)
         gap += sub.C.data @ hist[-1][1]

@@ -196,6 +196,16 @@ def test_mismatched_constraint_counts_rejected():
             "K", np.array([[2.5, 0.0], [1.0, 2.5]]), ValueError, "K must be symmetric",
             id="K_not_symmetric",
         ),
+        # abs(K - K.T).max() > tol is False for a NaN: without the finiteness
+        # check the symmetry tests accept these and the run fails at step 0.
+        pytest.param("K", np.full((2, 2), np.nan), ValueError, "K must be finite", id="K_nan"),
+        pytest.param("K", np.full((2, 2), np.inf), ValueError, "K must be finite", id="K_inf"),
+        pytest.param(
+            "K", scipy.sparse.csr_array(np.diag([np.nan, 2.5])), ValueError,
+            "K must be finite", id="K_csr_nan",
+        ),
+        pytest.param("M", np.diag([0.1, -np.inf]), ValueError, "M must be finite", id="M_inf"),
+        pytest.param("f0", np.array([0.0, np.nan]), ValueError, "f0 must be finite", id="f0_nan"),
         pytest.param("dt_sub", 0.0, ValueError, "dt_sub must be positive", id="dt_sub_zero"),
         pytest.param(
             "C", SignedBooleanMatrix(np.array([[1.0]])), DimensionMismatch, "columns",

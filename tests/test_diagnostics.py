@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtstep import diagnostics
 from mtstep.coupling import advance_system_step
@@ -34,7 +36,7 @@ def test_add_in_order_does_not_compensate():
     # from 3.12 sum() compensates and gives 2.0 here.
     terms = [0.1] * 10 + [1e16, 1.0, -1e16]
     assert diagnostics._add_in_order(terms) == 0.0
-    assert diagnostics._add_in_order(terms[10:], 0.5) == 0.0
+    assert diagnostics._add_in_order([0.5], terms[10:]) == 0.0
 
 
 def test_average_acceleration_no_subcycling_conserves():
@@ -168,3 +170,29 @@ def test_energy_norm_non_increasing_when_force_free():
         cur = energy_norm(sys)
         assert cur <= prev * (1.0 + 1e-12)
         prev = cur
+
+
+def _loop_fold(parts):
+    total = 0.0
+    for part in parts:
+        for term in part:
+            total += term
+    return total
+
+
+_scaled = st.builds(
+    lambda m, e: m * 10.0**e,
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+    st.integers(-8, 8),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.lists(_scaled, max_size=1500), max_size=4), st.booleans())
+def test_add_in_order_keeps_the_bits_of_a_python_loop(parts, as_arrays):
+    # One np.add.accumulate adds strictly left to right: the fold of
+    # parts of terms spanning 16 decades, as lists or arrays, has the
+    # bits, sign of zero included, of adding one term at a time from 0.0.
+    folded = diagnostics._add_in_order(*(np.array(p) for p in parts) if as_arrays else parts)
+    assert type(folded) is float
+    assert np.float64(folded).tobytes() == np.float64(_loop_fold(parts)).tobytes()

@@ -15,7 +15,6 @@ import pytest
 from mtstep import coupling, diagnostics, problems
 from mtstep.coupling import advance_system_step
 from mtstep.newmark import AVERAGE_ACCELERATION, NewmarkParams
-from saddle_oracle import apply_R
 import step_reference
 
 
@@ -151,8 +150,10 @@ def _wave_dissipative():
     ],
 )
 def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
-    # One sweep over stacked arrays gives the bits of apply-R-then-solve
-    # taken one sub-step at a time, for vector and stacked-column states,
+    # One sweep over stacked arrays gives the bits of predict-then-solve
+    # (``step_reference.predict``, the sweep's own predictor rows, in the
+    # leapfrog form on the central-difference blocks) taken one sub-step
+    # at a time, for vector and stacked-column states,
     # and only reads its initial state.  The cases cover the sweep's one
     # loop on explicit (beta = 0) and implicit blocks, each dense and CSR
     # (plate and bar explicit dense, wave2d_explicit_sparse (836 DOFs)
@@ -180,8 +181,8 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
             np.testing.assert_array_equal(x, x_copy)
         a, v, d = a0, v0, d0
         for j in range(len(loads)):
-            ra, rv, rd = apply_R(sub, a, v, d)
-            a, v, d = solver.solve_rows(ra + loads[j], rv, rd)
+            rv, rd = step_reference.predict(sub, a, v, d)
+            a, v, d = solver.solve_rows(loads[j], rv, rd)
             np.testing.assert_array_equal(A[j], a)
             if rows == "full" or j >= len(loads) - 2:
                 np.testing.assert_array_equal(V[j], v)
