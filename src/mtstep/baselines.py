@@ -28,6 +28,7 @@ import scipy.sparse
 
 from . import linalg
 from .coupling import (
+    IC_COMPAT_RTOL,
     CoupledSystem,
     DualSchur,
     SignedBooleanMatrix,
@@ -157,8 +158,11 @@ def merged_newmark_reference(sys: CoupledSystem, n_steps: int) -> tuple:
     """Integrate the undecomposed system with the subdomains' Newmark scheme.
 
     Initial conditions are taken from the coupled system's current
-    states (interface copies must agree; the first owner wins), and the
-    initial acceleration from the equation of motion,
+    states: a merged DOF takes its last owner's copy, and a ``ValueError``
+    refuses states whose interface copies of d or v differ by more than
+    ``IC_COMPAT_RTOL`` times the largest |d| or |v| (at least 1), the
+    coupled start's velocity rule.  The initial acceleration comes from
+    the equation of motion,
     ``M a0 = f(t0) - K d0``.  Each step solves the predictor rows
 
         d_pred = d + dt v + dt^2/2 (1 - 2 beta) a
@@ -186,6 +190,14 @@ def merged_newmark_reference(sys: CoupledSystem, n_steps: int) -> tuple:
     for st, mp in zip(sys.states, maps):
         d[mp] = st.d
         v[mp] = st.v
+    for name, merged in (("d", d), ("v", v)):
+        copies = [(getattr(st, name), mp) for st, mp in zip(sys.states, maps)]
+        gap = max(np.abs(merged[mp] - x).max(initial=0.0) for x, mp in copies)
+        tolerance = IC_COMPAT_RTOL * max(np.abs(merged).max(initial=0.0), 1.0)
+        if gap > tolerance:
+            raise ValueError(
+                f"interface copies of {name} disagree by {gap:.3g} > {tolerance:.3g}"
+            )
     t = sys.t_current
     a = linalg.cholesky_factor(M).solve(load(t) - K @ d)
     solver = EffectiveSolver(M, K, params, dt)

@@ -287,10 +287,7 @@ class Subdomain:
         if full:
             V, D = Y[1], Y[2]
         else:  # alternating rows: a sub-step reads only the one before
-            rows = min(eta, 2)
-            V_rows, D_rows = np.empty((2, rows, n, nc))
-            V = [V_rows[j % rows] for j in range(eta)]
-            D = [D_rows[j % rows] for j in range(eta)]
+            V, D = np.empty((2, min(eta, 2), n, nc))
         zero = np.broadcast_to(0.0, (n, nc))
         solver.sweep(zero, zero, zero, A, V, D)
         Y.setflags(write=False)
@@ -490,8 +487,14 @@ class CoupledSystem:
             if st.size != sub.n_dofs:
                 raise DimensionMismatch("state size does not match subdomain DOFs")
 
-        # Compatible velocities: the interface velocities match at every level.
-        residual = np.abs(self.velocity_residual()).max(initial=0.0)
+        # Compatible velocities: the interface velocities match at every
+        # level.  The residual is formed once per level and kept.
+        v_residual = np.zeros(n_c)
+        for sub, st in zip(self.subdomains, states):
+            v_residual += sub.C.product(st.v)
+        v_residual.setflags(write=False)
+        object.__setattr__(self, "_velocity_residual", v_residual)
+        residual = np.abs(v_residual).max(initial=0.0)
         v_scale = max((np.abs(st.v).max(initial=0.0) for st in states), default=0.0)
         tolerance = IC_COMPAT_RTOL * max(v_scale, 1.0)
         if residual > tolerance:
@@ -519,11 +522,9 @@ class CoupledSystem:
         return self.plan.n_constraints
 
     def velocity_residual(self) -> np.ndarray:
-        """sum_i C_i v_i at the current system level."""
-        out = np.zeros(self.n_constraints)
-        for sub, st in zip(self.subdomains, self.states):
-            out += sub.C.product(st.v)
-        return out
+        """sum_i C_i v_i at the current system level, read-only: formed
+        once, when the level is made."""
+        return self._velocity_residual
 
     def apply(self, result: SystemStepResult) -> "CoupledSystem":
         """Commit a step result, returning the system at the next level."""

@@ -86,7 +86,19 @@ def level_energy(blocks: Sequence[tuple]) -> EnergyBreakdown:
     """
     kin = [_half_form(M, v) for M, _, v, _ in blocks]
     pot = [_half_form(K, d) for _, K, _, d in blocks]
-    return EnergyBreakdown(kinetic=_add_in_order(kin), potential=_add_in_order(pot))
+    return EnergyBreakdown(kinetic=_add_floats(kin), potential=_add_floats(pot))
+
+
+def _add_floats(terms: Sequence[float]) -> float:
+    """0.0 + each of a few Python floats, left to right.
+
+    A plain loop: it gives the bits of :func:`_add_in_order` and, for one
+    term per subdomain, costs a tenth of a numpy call.
+    """
+    out = 0.0
+    for x in terms:
+        out += x
+    return out
 
 
 def total_energy(sys: CoupledSystem) -> EnergyBreakdown:

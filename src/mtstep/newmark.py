@@ -120,42 +120,51 @@ class EffectiveSolver:
 
         On entry ``A[j]`` holds the acceleration-row load of step j + 1;
         on return ``A``, ``V`` and ``D`` hold the state after each step.
-        States are vectors, or matrices of stacked columns.  Each step
-        forms the predictor rows
+        States are vectors, or matrices of stacked columns.  The inputs
+        ``a``, ``v``, ``d`` are only read.
+
+        ``V`` and ``D`` are arrays of ``len(A)`` rows, or of fewer: step
+        j then writes row (j - len(A)) mod len(V), so the last rows hold
+        the last steps, in order.  The acceleration-form propagators keep
+        two such alternating rows each.  Each step reads the rows of the
+        step before, so every scheme but central difference needs two
+        rows when there are two or more steps; central difference needs
+        one.
+
+        Central difference (beta = 0, gamma = 1/2, the sub-stepped
+        subdomains of the paper) runs in Henrici's summed form.  It
+        carries the displacement increment p = d_(j+1) - d_j,
+
+            p_(1/2) = dt (v + dt/2 a)
+            d_(j+1) = d_j + p_(j+1/2),      solve for a_(j+1)
+            p_(j+3/2) = p_(j+1/2) + dt^2 a_(j+1)
+
+        in ``V`` during the steps, and forms every velocity afterwards,
+        in whole-history passes over ``V``,
+
+            v_(j+1) = p_(j+1/2) / dt + dt/2 a_(j+1).
+
+        That is the same scheme in exact arithmetic, and its bits are
+        those of :meth:`solve_rows` fed rv = p / dt and rd = d + p.
+        Every other scheme forms the predictor rows of the paper's R,
 
             rv = (1 - gamma) dt a + v
             rd = (1/2 - beta) dt^2 a + dt v + d
 
         and then does what :meth:`solve_rows` does, with the same
-        arithmetic in the same order.  The inputs ``a``, ``v``, ``d`` are
-        only read.
-
-        When (1/2 - beta) equals (1 - gamma), the displacement row is
-        the velocity predictor carried over one step,
-
-            rd = dt rv + d = d + dt (v + (1 - gamma) dt a),
-
-        the "kick-drift" (leapfrog) form of central difference
-        (beta = 0, gamma = 1/2, the sub-stepped subdomains of the paper;
-        among other pairs beta = 1/4, gamma = 3/4 satisfies it too), and
-        the sweep forms ``rd`` that way from ``rv``: two calls in place
-        of four.  Every other scheme forms ``rd`` as written above.  So a
-        swept history equals, bit for bit, one built step by step from
-        the same predictor rows; on the blocks the leapfrog form serves,
-        its bits differ by round-off from :meth:`solve_rows` fed the
-        R-form rows (``(1/2 - beta) dt^2 a + dt v + d``), at no loss of
-        accuracy.
+        arithmetic in the same order.  Either way a swept history equals,
+        bit for bit, one built step by step from the same rows.
 
         On a subdomain of a few DOFs the fixed cost of each numpy call
-        outweighs its arithmetic, so the one loop, for dense and CSR
-        operators alike, makes few and cheap calls: 8 per
-        central-difference sub-step and 12 per implicit one when
-        gamma = 1/2, one more each when gamma != 1/2, and two fewer for
-        any other scheme that takes the leapfrog form.
+        outweighs its arithmetic, so the loops, for dense and CSR
+        operators alike, make few and cheap calls: 6 per
+        central-difference step plus three for the velocity pass of the
+        whole sweep, and 12 per implicit step when gamma = 1/2, one more
+        when gamma != 1/2.
 
-        * The five coefficients are 0-d arrays.  A 0-d array times an
-          array costs what the cheaper of a Python float and a
-          full-shape array costs, at every size (microseconds per
+        * The coefficients are 0-d arrays.  A 0-d array times an array
+          costs what the cheaper of a Python float and a full-shape
+          array costs, at every size (microseconds per
           ``np.multiply(c, a, out)``, numpy 2.4):
 
           ============  ==========  ============  =========
@@ -167,14 +176,12 @@ class EffectiveSolver:
           (3168, 44)    164.8       62.7          62.1
           ============  ==========  ============  =========
 
-        * Two scratch arrays of the state's shape, ``rd`` and ``ga``,
-          allocated once per sweep.  The velocity predictor is formed in
-          ``V[j]`` and, outside the leapfrog form, ``dt v`` in ``D[j]``:
-          both rows are overwritten later in the same sub-step, so no
-          other buffer is needed.  So ``V[j]`` and ``D[j]`` must not
-          share memory with the state they advance from (``v`` and ``d``
-          for j = 0, ``V[j - 1]`` and ``D[j - 1]`` after); two
-          alternating rows each are enough.
+        * Scratch arrays of the state's shape, allocated once per sweep:
+          ``t`` (dt^2 a, and the p past the last step) in the summed
+          form, ``rd`` and ``ga`` in the R form, where the velocity
+          predictor is formed in ``V[j]`` and ``dt v`` in ``D[j]``:
+          both rows are overwritten later in the same step.  The summed
+          form's velocity pass allocates one array of ``V``'s shape.
           Outputs are passed by position, which is cheaper than
           ``out=``.  Only ``K.dot`` returns a fresh array (``np.dot``
           with an output is slower), and it is bound once, which skips
@@ -191,31 +198,45 @@ class EffectiveSolver:
           next step).  Neither arises from the finite, +0.0 initial
           states the scenario builders make.
         """
-        dt = self.dt
+        dt, n = self.dt, len(A)
         beta, gamma = self.params.beta, self.params.gamma
+        K_dot, solve = self.K.dot, self._factor.solve_in_place
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        if self.params == CENTRAL_DIFFERENCE:
+            c_t, c_g, c_tt = map(np.array, (dt, gamma * dt, dt * dt))
+            t = np.empty(a.shape)
+            P = _rows(V, n)
+            p = P[0]
+            multiply(c_g, a, t)
+            add(v, t, p)
+            multiply(c_t, p, p)
+            for Aj, Dj, p_next in zip(A, _rows(D, n), [*P[1:], t]):
+                d = add(d, p, Dj)
+                subtract(Aj, K_dot(d), Aj)
+                solve(Aj)
+                multiply(c_tt, Aj, t)
+                p = add(p, t, p_next)
+            ga = multiply(c_g, A[n - len(V):])
+            np.divide(V, c_t, V)
+            add(V, ga, V)
+            return
         c_v, c_g = (1.0 - gamma) * dt, gamma * dt
         reuse = c_v == c_g  # gamma = 1/2: c_g a of step j is c_v a of step j + 1
-        leapfrog = 0.5 - beta == 1.0 - gamma  # rd = dt rv + d
         c_v, c_d, c_t, c_a, c_g = map(
             np.array, (c_v, (0.5 - beta) * dt * dt, dt, beta * dt * dt, c_g)
         )
         rd, ga = np.empty(a.shape), np.empty(a.shape)
-        K_dot, solve = self.K.dot, self._factor.solve_in_place
-        multiply, add, subtract = np.multiply, np.add, np.subtract
         if reuse:
             multiply(c_g, a, ga)
-        for Aj, Vj, Dj in zip(A, V, D):
+        for Aj, Vj, Dj in zip(A, _rows(V, n), _rows(D, n)):
             if reuse:
                 add(ga, v, Vj)
             else:
                 multiply(c_v, a, Vj)
                 add(Vj, v, Vj)
-            if leapfrog:
-                multiply(c_t, Vj, rd)
-            else:
-                multiply(c_d, a, rd)
-                multiply(c_t, v, Dj)
-                add(rd, Dj, rd)
+            multiply(c_d, a, rd)
+            multiply(c_t, v, Dj)
+            add(rd, Dj, rd)
             d = add(rd, d, Dj)
             subtract(Aj, K_dot(d), Aj)
             solve(Aj)
@@ -225,6 +246,12 @@ class EffectiveSolver:
                 add(d, rd, Dj)
             multiply(c_g, a, ga)
             v = add(Vj, ga, Vj)
+
+
+def _rows(X, n: int):
+    """The rows that steps 0..n-1 of a sweep write: ``X`` itself when it
+    has n rows, else X[(j - n) mod len(X)] for step j."""
+    return X if len(X) == n else [X[(j - n) % len(X)] for j in range(n)]
 
 
 def critical_time_step(M, K, params: NewmarkParams) -> float:

@@ -29,26 +29,38 @@ from mtstep.coupling import (
     SystemStepResult,
     initialize_coupled_system,
 )
-from mtstep.newmark import EffectiveSolver, KinematicState
+from mtstep.newmark import CENTRAL_DIFFERENCE, EffectiveSolver, KinematicState
 from mtstep.problems import Scenario
 from saddle_oracle import interpolate_lambda
 
 
-def predict(sub: Subdomain, a, v, d):
-    """The predictor rows (rv, rd) of a sub-step, formed as the sweep forms them.
+def substeps(sub: Subdomain, solver: EffectiveSolver, a, v, d, loads):
+    """The states (a, v, d) after each sub-step from (a, v, d), one per
+    load row, each from one ``solver.solve_rows`` with the rows the sweep
+    forms.
 
-    rv = (1 - gamma) dt a + v.  Where (1/2 - beta) equals (1 - gamma),
-    as for central difference, rd = dt rv + d (the leapfrog form);
-    otherwise rd = (1/2 - beta) dt^2 a + dt v + d, the displacement row
-    of the paper's history operator R (``saddle_oracle.apply_R``).  Both
-    are the same rows in exact arithmetic.
+    Central difference (beta = 0, gamma = 1/2) carries the displacement
+    increment p = d_(j+1) - d_j through the system step, from
+    p = dt (v + gamma dt a) by p += dt^2 a after each sub-step, and
+    solves with rv = p / dt and rd = d + p (the summed form).  Every
+    other scheme solves with the rows of the paper's history operator R
+    (``saddle_oracle.apply_R``): rv = (1 - gamma) dt a + v and
+    rd = (1/2 - beta) dt^2 a + dt v + d.  Both are the same rows in
+    exact arithmetic.
     """
     dt = sub.dt_sub
     beta, gamma = sub.params.beta, sub.params.gamma
-    rv = (1.0 - gamma) * dt * a + v
-    if 0.5 - beta == 1.0 - gamma:
-        return rv, dt * rv + d
-    return rv, (0.5 - beta) * dt * dt * a + dt * v + d
+    summed = sub.params == CENTRAL_DIFFERENCE
+    if summed:
+        p = dt * (v + gamma * dt * a)
+    for f in loads:
+        if summed:
+            a, v, d = solver.solve_rows(f, p / dt, d + p)
+            p = p + dt * dt * a
+        else:
+            rv = (1.0 - gamma) * dt * a + v
+            a, v, d = solver.solve_rows(f, rv, (0.5 - beta) * dt * dt * a + dt * v + d)
+        yield a, v, d
 
 
 def sublevel_states(result: SystemStepResult) -> tuple[tuple[KinematicState, ...], ...]:
@@ -98,15 +110,11 @@ def propagators(sub: Subdomain, eta: int) -> list[tuple[np.ndarray, ...]]:
     solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
     n, nc = sub.n_dofs, sub.n_constraints
     Ct = sub.C.data.T
-    aY = vY = dY = np.zeros((n, nc))
-    out = []
-    for j in range(1, eta + 1):
-        rv, rd = predict(sub, aY, vY, dY)
-        # R's zero acceleration row plus the ramp load: 0.0 + x, which
-        # turns a -0.0 load into +0.0.
-        aY, vY, dY = solver.solve_rows(0.0 + (j / eta) * Ct, rv, rd)
-        out.append((aY, vY, dY))
-    return out
+    zero = np.zeros((n, nc))
+    # R's zero acceleration row plus the ramp load: 0.0 + x, which turns
+    # a -0.0 load into +0.0.
+    loads = [0.0 + (j / eta) * Ct for j in range(1, eta + 1)]
+    return list(substeps(sub, solver, zero, zero, zero, loads))
 
 
 def reference_step(sys: CoupledSystem) -> ReferenceStep:
@@ -118,13 +126,9 @@ def reference_step(sys: CoupledSystem) -> ReferenceStep:
     for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
         solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
         Ct_lam = sub.C.data.T @ lam_n
-        a, v, d = st.a, st.v, st.d
         f = sub.loads(sys.t_current, eta)
-        hist = []
-        for j in range(1, eta + 1):
-            rv, rd = predict(sub, a, v, d)
-            a, v, d = solver.solve_rows(0.0 + f[j] + Ct_lam, rv, rd)
-            hist.append((a, v, d))
+        loads = [0.0 + f[j] + Ct_lam for j in range(1, eta + 1)]
+        hist = list(substeps(sub, solver, st.a, st.v, st.d, loads))
         base.append(hist)
         gap += sub.C.data @ hist[-1][1]
 

@@ -15,6 +15,7 @@ from mtstep.baselines import (
     merged_newmark_reference,
 )
 from mtstep.coupling import (
+    IC_COMPAT_RTOL,
     CouplingPlan,
     SignedBooleanMatrix,
     advance_system_step,
@@ -199,6 +200,24 @@ def test_merged_newmark_requires_uniform_scheme():
     # The bar's middle subdomain is explicit, the outer ones implicit.
     with pytest.raises(ValueError, match="uniform Newmark parameters"):
         merged_newmark_reference(build_bar_1d().system, 5)
+
+
+def test_merged_newmark_refuses_disagreeing_interface_copies():
+    # sdof2 glues its two one-DOF subdomains, both starting at d = 0.1.
+    # The merged start takes the last owner's copy, and refuses copies of
+    # d that differ by more than IC_COMPAT_RTOL times max |d| (at least 1)
+    # rather than drop one.
+    sys = build_sdof2().system
+    tolerance = IC_COMPAT_RTOL * 1.0
+
+    def start(shift):
+        last = replace(sys.states[1], d=sys.states[1].d + shift)
+        return next(merged_newmark_reference(replace(sys, states=(sys.states[0], last)), 0)[0])
+
+    np.testing.assert_array_equal(start(0.0).d, [0.1])
+    np.testing.assert_array_equal(start(0.5 * tolerance).d, [0.1 + 0.5 * tolerance])
+    with pytest.raises(ValueError, match="interface copies of d disagree"):
+        start(2.0 * tolerance)
 
 
 def test_merged_newmark_states_are_computed_as_taken():

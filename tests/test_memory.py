@@ -71,13 +71,16 @@ def test_no_build_factor_is_alive_at_the_critical_step_eigensolve(monkeypatch, t
 def test_acceleration_form_propagators_hold_only_the_sweep_buffers(eta, monkeypatch, traced):
     # Building the acceleration-form propagators of the 836-DOF wave2d
     # block allocates Y and, beside it, at most the sweep's buffers, each
-    # of the (n, N_C) shape: the two scratch arrays rd and ga, min(eta, 2)
-    # alternating velocity and displacement rows each, and one transient
-    # at a time (the K product, or the Fortran-order copy the band solve
-    # makes).  The zero start is a broadcast and the end velocities are
-    # not copied, so nothing else of that size is allocated.  The rest,
-    # the ramp, the index products and the N_C x N_C interface term, is
-    # far below one buffer.
+    # of the (n, N_C) shape: min(eta, 2) alternating velocity and
+    # displacement rows each, and what the loop adds to them.  The R form
+    # adds two scratch arrays, rd and ga, and one transient at a time (the
+    # K product, or the Fortran-order copy the band solve makes): 3 + 2
+    # rows buffers.  The summed form of this central-difference block adds
+    # one scratch array, t, and then the K product or the velocity pass's
+    # copy of the rows: 1 + 3 rows, no more for rows <= 2.  The zero start
+    # is a broadcast and the end velocities are not copied, so nothing else
+    # of that size is allocated.  The rest, the ramp, the index products
+    # and the N_C x N_C interface term, is far below one buffer.
     monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     sub = problems.build_wave_2d().system.subdomains[0]
     # Built before the count: the effective factor is the run's, not the sweep's.

@@ -6,7 +6,12 @@ import pytest
 
 from mtstep import linalg, problems
 from mtstep.baselines import merged_newmark_reference
-from mtstep.coupling import SignedBooleanMatrix, Subdomain, initialize_coupled_system
+from mtstep.coupling import (
+    SignedBooleanMatrix,
+    Subdomain,
+    advance_system_step,
+    initialize_coupled_system,
+)
 from mtstep.errors import SingularMatrix
 from mtstep.newmark import (
     AVERAGE_ACCELERATION,
@@ -222,8 +227,8 @@ def _decimal_substeps(sub, st, loads):
     """(a, v, d) after each Newmark sub-step of ``sub``, at 34 digits.
 
     Starts from the exact values of the float inputs and applies the
-    paper's R-form rows, which equal the leapfrog rows in exact
-    arithmetic.
+    paper's R-form rows, which equal the rows of the sweep's summed form
+    in exact arithmetic.
     """
     with localcontext() as ctx:
         ctx.prec = 34
@@ -247,20 +252,25 @@ def _decimal_substeps(sub, st, loads):
     return np.array(out).transpose(1, 0, 2)  # (3, steps, n)
 
 
-def test_central_difference_substeps_keep_their_accuracy():
-    # The bar's 6-DOF central-difference block (eta = 1000) swept over one
-    # system step with its loads, against a 34-digit reference from the
-    # same float inputs.  Each sub-step rounds each entry a few times and
-    # the stable recurrence (omega dt < 2) does not amplify an error, so
-    # the error grows at most linearly: 1000 sub-steps x 4 ulp of each
-    # quantity's largest magnitude bound both the sweep's leapfrog rows
-    # and the R-form rows of solve_rows (each measured at most 5.5e-15).
+def _bar_block_sweeps(system_steps):
+    """The bar's 6-DOF central-difference block (eta = 1000) after
+    ``system_steps`` coupled steps, swept over the next system step with
+    its loads: (sub, [sweep, R form, 34-digit reference]), each (a, v, d)
+    stacked as (3, 1000, 6).
+
+    The sweep runs in the summed form; the R form is ``apply_R`` plus
+    ``solve_rows``, and the reference is :func:`_decimal_substeps` from
+    the same float inputs.
+    """
     system = problems.build_bar_1d(etas=(1, 1000, 1)).system
+    for _ in range(system_steps):
+        system = system.apply(advance_system_step(system))
     sub, solver, st = system.subdomains[1], system.plan.solver(1), system.states[1]
     assert sub.params == CENTRAL_DIFFERENCE and sub.n_dofs == 6
-    loads = 0.0 + sub.loads(0.0, 1000)[1:] + sub.C.transpose_product(system.lambda_current)
-    ref = _decimal_substeps(sub, st, loads)
-
+    loads = (
+        0.0 + sub.loads(system.t_current, 1000)[1:]
+        + sub.C.transpose_product(system.lambda_current)
+    )
     A, V, D = loads.copy(), np.empty_like(loads), np.empty_like(loads)
     solver.sweep(st.a, st.v, st.d, A, V, D)
     a, v, d, rows = st.a, st.v, st.d, []
@@ -269,10 +279,50 @@ def test_central_difference_substeps_keep_their_accuracy():
         a, v, d = solver.solve_rows(ra + f, rv, rd)
         rows.append((a, v, d))
     r_form = np.array(rows).transpose(1, 0, 2)
+    return sub, [np.array([A, V, D]), r_form, _decimal_substeps(sub, st, loads)]
 
-    bound = len(loads) * 4 * np.finfo(float).eps
-    for got in (np.array([A, V, D]), r_form):
+
+def test_central_difference_substeps_keep_their_accuracy():
+    # The bar's central-difference block over its first system step,
+    # from t = 0, against a 34-digit reference from the same float
+    # inputs.  Each sub-step rounds each entry a few times and the stable
+    # recurrence (omega dt < 2) does not amplify an error, so the error
+    # grows at most linearly: 1000 sub-steps x 4 ulp of each quantity's
+    # largest magnitude bound both the sweep's summed form and the
+    # R-form rows of solve_rows (each measured at most 5.6e-15).
+    _, (*forms, ref) = _bar_block_sweeps(0)
+    bound = ref.shape[1] * 4 * np.finfo(float).eps
+    for got in forms:
         for x, x_ref in zip(got, ref):
             scale = np.abs(x_ref).max()
             assert scale > 0.0
             assert np.abs(x - x_ref).max() <= bound * scale
+
+
+def test_central_difference_substeps_keep_their_accuracy_in_motion():
+    # The same block after 5 system steps, in motion, where the
+    # displacement round-off reaches the other quantities.  Over n
+    # sub-steps of dt (T = n dt), with each local rounding at most
+    # 4 ulp (u = 4 eps) of its quantity's largest magnitude:
+    # * d sums the increments p = d_(j+1) - d_j, |p| <= dt max|v| up to
+    #   round-off, and p carries its own round-off on: e_d <= n u X with
+    #   X = max|d| + T max|v|;
+    # * a = M^-1 (f - K d) turns an error in d into one up to
+    #   lambda_max(K, M) times as large: e_a <= n u (max|a| + lambda_max X);
+    # * a stable oscillation of frequency omega carries a displacement
+    #   error into a velocity error up to omega times as large:
+    #   e_v <= n u (max|v| + omega_max X).
+    # Measured: a 7.8e-13, v 1.4e-13 and d 2.4e-15 relative to their
+    # scales for the summed form and the R form alike; the lambda_max
+    # term is what the t = 0 bound of 1000 x 4 ulp of max|a| leaves out.
+    sub, (*forms, ref) = _bar_block_sweeps(5)
+    lam = linalg.max_generalized_eigenvalue(sub.K, sub.M)
+    n = ref.shape[1]
+    u = n * 4 * np.finfo(float).eps
+    top_a, top_v, top_d = (np.abs(x).max() for x in ref)
+    X = top_d + n * sub.dt_sub * top_v
+    bounds = (u * (top_a + lam * X), u * (top_v + math.sqrt(lam) * X), u * X)
+    assert top_v > 0.0
+    for got in forms:
+        for x, x_ref, bound in zip(got, ref, bounds):
+            assert np.abs(x - x_ref).max() <= bound

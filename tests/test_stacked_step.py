@@ -150,10 +150,10 @@ def _wave_dissipative():
     ],
 )
 def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
-    # One sweep over stacked arrays gives the bits of predict-then-solve
-    # (``step_reference.predict``, the sweep's own predictor rows, in the
-    # leapfrog form on the central-difference blocks) taken one sub-step
-    # at a time, for vector and stacked-column states,
+    # One sweep over stacked arrays gives the bits of solve_rows taken
+    # one sub-step at a time with the sweep's own rows
+    # (``step_reference.substeps``, the summed form on the
+    # central-difference blocks), for vector and stacked-column states,
     # and only reads its initial state.  The cases cover the sweep's one
     # loop on explicit (beta = 0) and implicit blocks, each dense and CSR
     # (plate and bar explicit dense, wave2d_explicit_sparse (836 DOFs)
@@ -162,8 +162,8 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
     # loop takes without reusing gamma dt a as the next (1 - gamma) dt a.
     # With alternating rows, V and D are the two rows each that the
     # acceleration-form propagators write (only the last two levels
-    # survive), and the propagators built that way keep the reference's
-    # bits too.
+    # survive, in order), and the propagators built that way keep the
+    # reference's bits too.
     sys = build()
     sub, solver = sys.subdomains[index], sys.plan.solver(index)
     rng = np.random.default_rng(7)
@@ -173,20 +173,16 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
         initial = (a0.copy(), v0.copy(), d0.copy())
         A, V, D = loads.copy(), np.empty_like(loads), np.empty_like(loads)
         if rows == "alternating":
-            V_rows, D_rows = np.empty((2, 2, *shape))
-            V = [V_rows[j % 2] for j in range(len(loads))]
-            D = [D_rows[j % 2] for j in range(len(loads))]
+            V, D = np.empty((2, 2, *shape))
         solver.sweep(a0, v0, d0, A, V, D)
         for x, x_copy in zip((a0, v0, d0), initial):
             np.testing.assert_array_equal(x, x_copy)
-        a, v, d = a0, v0, d0
-        for j in range(len(loads)):
-            rv, rd = step_reference.predict(sub, a, v, d)
-            a, v, d = solver.solve_rows(loads[j], rv, rd)
+        n = len(loads)
+        for j, (a, v, d) in enumerate(step_reference.substeps(sub, solver, a0, v0, d0, loads)):
             np.testing.assert_array_equal(A[j], a)
-            if rows == "full" or j >= len(loads) - 2:
-                np.testing.assert_array_equal(V[j], v)
-                np.testing.assert_array_equal(D[j], d)
+            if j >= n - len(V):
+                np.testing.assert_array_equal(V[j - n], v)
+                np.testing.assert_array_equal(D[j - n], d)
     if rows == "alternating":
         monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
         props = sub.multiplier_propagators(6, solver)
