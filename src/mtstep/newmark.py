@@ -17,6 +17,7 @@ coupled multi-time-step solver.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -210,7 +211,7 @@ class EffectiveSolver:
             multiply(c_g, a, t)
             add(v, t, p)
             multiply(c_t, p, p)
-            for Aj, Dj, p_next in zip(A, _rows(D, n), [*P[1:], t]):
+            for Aj, Dj, p_next in zip(A, _rows(D, n), itertools.chain(P[1:], (t,))):
                 d = add(d, p, Dj)
                 subtract(Aj, K_dot(d), Aj)
                 solve(Aj)
