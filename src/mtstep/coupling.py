@@ -110,36 +110,48 @@ class SignedBooleanMatrix:
     interface constraint r; a zero row means the constraint does not touch
     this subdomain.
 
-    ``data`` is the dense read-only matrix.  Beside it the non-zero entries
-    are kept as ``(row, dof, sign)`` index arrays in row order, and the
-    products a system step makes are index operations on them, not
-    products against the mostly-zero dense rows:
+    C is stored once, as its non-zero entries: the read-only index arrays
+    ``rows`` (strictly increasing, so at most one entry per row), ``dofs``
+    and ``signs`` (each -1 or +1), and the ``shape`` (N_C, n).  The
+    products a system step makes are index operations on them:
 
     * :meth:`product` is ``C x`` as a gather, ``out[rows] = signs x[dofs]``;
     * :meth:`transpose_product` is ``C^T lam`` as a ``np.bincount``;
     * :meth:`row_products` is ``X C^T`` as a column gather.
 
-    For finite operands they give the bits of the dense products, which
-    add nothing but exact zeros to the signed entries: ``C x`` and
-    ``X C^T`` always, as a row has one entry, and ``C^T lam`` whenever a
-    DOF sits in at most two rows, as in every chain glue, because a sum
-    of two terms does not depend on their order.
+    For finite operands they give the bits of the dense products with
+    :meth:`toarray`, which add nothing but exact zeros to the signed
+    entries: ``C x`` and ``X C^T`` always, as a row has one entry, and
+    ``C^T lam`` whenever a DOF sits in at most two rows, as in every chain
+    glue, because a sum of two terms does not depend on their order.
     """
 
-    def __init__(self, data: np.ndarray):
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {data.shape}")
-        if not np.isin(data, (-1.0, 0.0, 1.0)).all():
-            raise ValueError("entries must be in {-1, 0, +1}")
-        if data.size and (np.count_nonzero(data, axis=1) > 1).any():
-            raise ValueError("each row may have at most one non-zero entry")
-        self.data = data
-        self.rows, self.dofs = np.nonzero(data)
-        self.signs = data[self.rows, self.dofs]
+    def __init__(self, rows, dofs, signs, shape: tuple[int, int]):
+        self.rows, self.dofs = (np.array(x, dtype=np.intp) for x in (rows, dofs))
+        self.signs = np.array(signs, dtype=float)
+        n_c, n = self.shape = tuple(map(int, shape))
+        if n_c < 0 or n < 0:
+            raise ValueError(f"shape must be non-negative, got {self.shape}")
+        if self.rows.ndim != 1 or not self.rows.shape == self.dofs.shape == self.signs.shape:
+            raise ValueError("rows, dofs and signs must be 1-D arrays of one length")
+        if not (np.array_equal(self.rows, rows) and np.array_equal(self.dofs, dofs)):
+            raise ValueError("rows and dofs must be whole numbers")
+        if not np.isin(self.signs, (-1.0, 1.0)).all():
+            raise ValueError("signs must be -1 or +1")
+        if (np.diff(self.rows) <= 0).any():
+            raise ValueError("rows must increase strictly: one entry per row at most")
+        for index, size in ((self.rows, n_c), (self.dofs, n)):
+            if ((index < 0) | (index >= size)).any():
+                raise ValueError(f"an index lies outside the shape {self.shape}")
         # Not ``linalg.frozen``: the index arrays keep their integer dtype.
-        for part in (self.data, self.rows, self.dofs, self.signs):
+        for part in (self.rows, self.dofs, self.signs):
             part.setflags(write=False)
+
+    def toarray(self) -> np.ndarray:
+        """The dense (N_C, n) rows: zeros, with ``signs`` at (rows, dofs)."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.dofs] = self.signs
+        return out
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """``C x`` for a vector, or a matrix of stacked columns, ``x``."""
@@ -160,12 +172,8 @@ class SignedBooleanMatrix:
         return out
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    @property
     def n_constraints(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     def __repr__(self):
         return f"SignedBooleanMatrix(shape={self.shape})"
@@ -217,6 +225,8 @@ class Subdomain:
         for name in ("M", "K", "f0"):  # a NaN passes the symmetry tests below
             if not linalg.all_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, holds NaN or inf")
+        if (self.K.diagonal() < 0.0).any():  # K_ii = e_i^T K e_i < 0 disproves K >= 0
+            raise ValueError("K must be positive semidefinite, has a negative diagonal entry")
         scale_m = abs(self.M).max() or 1.0
         scale_k = abs(self.K).max() or 1.0
         if abs(self.M - self.M.T).max() > 1e-12 * scale_m:
@@ -292,7 +302,7 @@ class Subdomain:
         solver.sweep(zero, zero, zero, A, V, D)
         Y.setflags(write=False)
         # C Y^v by index gather; + 0.0 turns the gather's -1 * 0.0 = -0.0
-        # into the +0.0 the dense product C.data @ V[-1] gives.
+        # into the +0.0 the dense product C @ V[-1] gives.
         interface_term = self.C.row_products(V[-1].T).T + 0.0
         return MultiplierPropagators(Y, linalg.frozen(interface_term))
 
@@ -552,13 +562,13 @@ class DualSchur:
     without forming that saddle system: lam solves the N_C x N_C complement
     (sum_i C_i A_i^{-1} C_i^T) lam = -sum_i C_i A_i^{-1} r_i.  Each A_i,
     dense or CSR, is factored by :func:`linalg.cholesky_factor` when the
-    helper is built; the complement is formed at the first solve, in the
-    pass that forms its right-hand side, and factored once by
-    :func:`linalg.lu_factor`.
+    helper is built, beside the dense rows of each C_i that its products
+    read; the complement is formed at the first solve, in the pass that
+    forms its right-hand side, and factored once by :func:`linalg.lu_factor`.
     """
 
     def __init__(self, blocks, constraints: Sequence[SignedBooleanMatrix]):
-        self.constraints = tuple(constraints)
+        self.dense = [C.toarray() for C in constraints]
         self.factors = [linalg.cholesky_factor(A) for A in blocks]
         self.complement: Optional[linalg.Factor] = None
 
@@ -567,20 +577,20 @@ class DualSchur:
         order; x_i is A_i^{-1} r_i plus A_i^{-1} C_i^T lam.  Raises
         :class:`linalg.SingularMatrix` if the complement is singular."""
         free = [fac.solve(r) for fac, r in zip(self.factors, rhs)]
-        n_c = self.constraints[0].n_constraints
+        n_c = len(self.dense[0])
         lam = np.zeros(n_c)
         if n_c > 0:
             first = self.complement is None
             schur, lam_rhs = np.zeros((n_c, n_c)), np.zeros(n_c)
-            for C, fac, x in zip(self.constraints, self.factors, free):
+            for C, fac, x in zip(self.dense, self.factors, free):
                 if first:
-                    schur += C.data @ fac.solve(C.data.T)
-                lam_rhs -= C.data @ x
+                    schur += C @ fac.solve(C.T)
+                lam_rhs -= C @ x
             if first:
                 self.complement = linalg.lu_factor(schur)
             lam = self.complement.solve(lam_rhs)
-        pairs = zip(self.constraints, self.factors, free)
-        return [x + fac.solve(C.data.T @ lam) for C, fac, x in pairs], lam
+        pairs = zip(self.dense, self.factors, free)
+        return [x + fac.solve(C.T @ lam) for C, fac, x in pairs], lam
 
 
 def initialize_coupled_system(

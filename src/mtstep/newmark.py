@@ -99,7 +99,6 @@ class EffectiveSolver:
     def __init__(self, M, K, params: NewmarkParams, dt: float):
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        self.M = M
         self.K = K
         self.params = params
         self.dt = float(dt)
@@ -160,8 +159,7 @@ class EffectiveSolver:
         outweighs its arithmetic, so the loops, for dense and CSR
         operators alike, make few and cheap calls: 6 per
         central-difference step plus three for the velocity pass of the
-        whole sweep, and 12 per implicit step when gamma = 1/2, one more
-        when gamma != 1/2.
+        whole sweep, and 13 per implicit step.
 
         * The coefficients are 0-d arrays.  A 0-d array times an array
           costs what the cheaper of a Python float and a full-shape
@@ -189,8 +187,6 @@ class EffectiveSolver:
           the ``@`` operator dispatch and calls the same kernel.
         * The load row ``A[j]`` is reduced and then solved in place
           (:attr:`linalg.Factor.solve_in_place`).
-        * When (1 - gamma) dt equals gamma dt, a step's gamma dt a is the
-          next step's (1 - gamma) dt a and is formed once.
         * ``d = rd + beta dt^2 a`` is formed only when beta != 0.  For an
           explicit scheme (beta = 0) ``rd + 0 a`` is ``rd`` bit for bit,
           with one IEEE exception: a displacement of -0.0 stays -0.0
@@ -221,20 +217,13 @@ class EffectiveSolver:
             np.divide(V, c_t, V)
             add(V, ga, V)
             return
-        c_v, c_g = (1.0 - gamma) * dt, gamma * dt
-        reuse = c_v == c_g  # gamma = 1/2: c_g a of step j is c_v a of step j + 1
         c_v, c_d, c_t, c_a, c_g = map(
-            np.array, (c_v, (0.5 - beta) * dt * dt, dt, beta * dt * dt, c_g)
+            np.array, ((1.0 - gamma) * dt, (0.5 - beta) * dt * dt, dt, beta * dt * dt, gamma * dt)
         )
         rd, ga = np.empty(a.shape), np.empty(a.shape)
-        if reuse:
-            multiply(c_g, a, ga)
         for Aj, Vj, Dj in zip(A, _rows(V, n), _rows(D, n)):
-            if reuse:
-                add(ga, v, Vj)
-            else:
-                multiply(c_v, a, Vj)
-                add(Vj, v, Vj)
+            multiply(c_v, a, Vj)
+            add(Vj, v, Vj)
             multiply(c_d, a, rd)
             multiply(c_t, v, Dj)
             add(rd, Dj, rd)

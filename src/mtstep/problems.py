@@ -76,15 +76,16 @@ def _chain_constraints(locations: Sequence[np.ndarray]) -> list[SignedBooleanMat
     dof = np.concatenate([np.arange(n) for n in sizes])
     order = np.lexsort((dof, sub, *keys.T[::-1]))  # last key sorts first
     keys, sub, dof = keys[order], sub[order], dof[order]
-    # Row r links the copy at ``first[r]`` (+1) to the next one (-1).
+    # Row r links the copy at ``first[r]`` (+1) to the next one (-1).  A
+    # subdomain with both copies repeats row r, which is refused.
     first = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+    row = np.repeat(np.arange(first.size), 2)
+    at = np.stack([first, first + 1], axis=1).ravel()
+    sign = np.tile([1.0, -1.0], first.size)
     mats = []
     for i, n in enumerate(sizes):
-        data = np.zeros((first.size, n))
-        plus, minus = sub[first] == i, sub[first + 1] == i
-        data[plus, dof[first[plus]]] = 1.0
-        data[minus, dof[first[minus] + 1]] = -1.0
-        mats.append(SignedBooleanMatrix(data))
+        mine = sub[at] == i
+        mats.append(SignedBooleanMatrix(row[mine], dof[at[mine]], sign[mine], (first.size, n)))
     return mats
 
 

@@ -33,8 +33,8 @@ def backward_euler_kkt_step(sys: CoupledSystem) -> SystemStepResult:
     for sub, st, lo, hi in zip(sys.subdomains, sys.states, offsets, offsets[1:]):
         M, K = linalg.dense(sub.M), linalg.dense(sub.K)
         kkt[lo:hi, lo:hi] = M / dt + dt * K
-        kkt[lo:hi, total:] = -sub.C.data.T
-        kkt[total:, lo:hi] = sub.C.data
+        kkt[lo:hi, total:] = -sub.C.toarray().T
+        kkt[total:, lo:hi] = sub.C.toarray()
         f = sub.loads(sys.t_current, 1, dt)
         loads.append(f)
         rhs[lo:hi] = f[1] + M @ st.v / dt - K @ st.d

@@ -11,11 +11,23 @@ constraint rows one row and one subdomain at a time
 (:func:`merge_dof_map`); the library reads the constraints' index arrays
 instead (``mtstep.baselines.merge_dof_map``), and the tests compare its
 maps against this one.
+
+A ``SignedBooleanMatrix`` stores only its ``(row, dof, sign)`` entries;
+the tests that write a constraint as dense rows build it through
+:func:`signed_boolean`.
 """
 
 import numpy as np
 
 from mtstep.coupling import SignedBooleanMatrix
+
+
+def signed_boolean(data):
+    """The SignedBooleanMatrix with the dense rows ``data``: an entry at
+    each non-zero, so a zero of either sign is no entry."""
+    data = np.asarray(data, dtype=float)
+    rows, dofs = np.nonzero(data)
+    return SignedBooleanMatrix(rows, dofs, data[rows, dofs], data.shape)
 
 
 def location_maps(locations):
@@ -54,7 +66,7 @@ def chain_constraints(location_maps, n_dofs):
             for i_sub, dof, sign in entries:
                 if i_sub == i:
                     data[r, dof] = sign
-        mats.append(SignedBooleanMatrix(data))
+        mats.append(signed_boolean(data))
     return mats
 
 
@@ -70,11 +82,12 @@ def merge_dof_map(constraints):
             x = parent[x]
         return x
 
+    dense = [C.toarray() for C in constraints]
     n_c = constraints[0].shape[0]
     for row in range(n_c):
         linked = []
-        for i, C in enumerate(constraints):
-            cols = np.nonzero(C.data[row])[0]
+        for i, C in enumerate(dense):
+            cols = np.nonzero(C[row])[0]
             for col in cols:
                 linked.append(int(offsets[i]) + int(col))
         for a, b in zip(linked, linked[1:]):

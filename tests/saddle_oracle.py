@@ -94,7 +94,7 @@ def subdomain_substep(
     lam_j = interpolate_lambda(lam_n, lam_np1, j, eta)
     solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
     ra, rv, rd = apply_R(sub, X_prev.a, X_prev.v, X_prev.d)
-    ra = ra + np.asarray(f_next, dtype=float) + sub.C.data.T @ lam_j
+    ra = ra + np.asarray(f_next, dtype=float) + sub.C.toarray().T @ lam_j
     a, v, d = solver.solve_rows(ra, rv, rd)
     return KinematicState(d=d, v=v, a=a)
 
@@ -125,9 +125,9 @@ def assemble_saddle(sys: CoupledSystem) -> tuple[np.ndarray, np.ndarray, np.ndar
             if j > 1:
                 prev = offset + (j - 2) * 3 * n
                 A[row:row + 3 * n, prev:prev + 3 * n] = -R
-            B[row:row + n, :] = -(j / eta) * sub.C.data.T
+            B[row:row + n, :] = -(j / eta) * sub.C.toarray().T
         last = offset + (eta - 1) * 3 * n
-        C_blk[:, last + n:last + 2 * n] = sub.C.data
+        C_blk[:, last + n:last + 2 * n] = sub.C.toarray()
         offset += 3 * n * eta
     return A, B, C_blk
 
@@ -141,7 +141,7 @@ def assemble_rhs(sys: CoupledSystem) -> np.ndarray:
     lam_n = sys.lambda_current
     parts = []
     for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
-        Ct_lam = sub.C.data.T @ lam_n
+        Ct_lam = sub.C.toarray().T @ lam_n
         ra0, rv0, rd0 = apply_R(sub, st.a, st.v, st.d)
         f = sub.loads(sys.t_current, eta)
         for j in range(1, eta + 1):

@@ -109,7 +109,7 @@ def propagators(sub: Subdomain, eta: int) -> list[tuple[np.ndarray, ...]]:
     """``Y[j - 1] = (aY, vY, dY)``: the response at sub-level j to a unit dlam."""
     solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
     n, nc = sub.n_dofs, sub.n_constraints
-    Ct = sub.C.data.T
+    Ct = sub.C.toarray().T
     zero = np.zeros((n, nc))
     # R's zero acceleration row plus the ramp load: 0.0 + x, which turns
     # a -0.0 load into +0.0.
@@ -125,17 +125,17 @@ def reference_step(sys: CoupledSystem) -> ReferenceStep:
     gap = np.zeros(n_c)
     for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
         solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
-        Ct_lam = sub.C.data.T @ lam_n
+        Ct_lam = sub.C.toarray().T @ lam_n
         f = sub.loads(sys.t_current, eta)
         loads = [0.0 + f[j] + Ct_lam for j in range(1, eta + 1)]
         hist = list(substeps(sub, solver, st.a, st.v, st.d, loads))
         base.append(hist)
-        gap += sub.C.data @ hist[-1][1]
+        gap += sub.C.toarray() @ hist[-1][1]
 
     schur = np.zeros((n_c, n_c))
     Ys = [propagators(sub, eta) for sub, eta in zip(sys.subdomains, sys.eta)]
     for sub, Y in zip(sys.subdomains, Ys):
-        schur += sub.C.data @ Y[-1][1]
+        schur += sub.C.toarray() @ Y[-1][1]
     dlam = np.linalg.solve(schur, -gap) if n_c else np.zeros(0)
 
     new_states = tuple(
@@ -182,7 +182,7 @@ def energy_interface(step: ReferenceStep, sys: CoupledSystem) -> float:
             lam_w = (1.0 - gamma) * interpolate_lambda(
                 lam_n, lam_np1, j, eta
             ) + gamma * interpolate_lambda(lam_n, lam_np1, j + 1, eta)
-            out += float(lam_w @ (sub.C.data @ (chain[j + 1].d - chain[j].d)))
+            out += float(lam_w @ (sub.C.toarray() @ (chain[j + 1].d - chain[j].d)))
     return out
 
 

@@ -17,12 +17,12 @@ import pytest
 from mtstep import diagnostics, problems
 from mtstep.baselines import backward_euler_step, merged_newmark_reference
 from mtstep.coupling import (
-    SignedBooleanMatrix,
     Subdomain,
     advance_system_step,
     initialize_coupled_system,
 )
 from mtstep.newmark import AVERAGE_ACCELERATION, CENTRAL_DIFFERENCE, NewmarkParams
+from glue_reference import signed_boolean
 from step_reference import energy_norm, free_vibration_variant, zero_multiplier_start
 
 
@@ -330,6 +330,26 @@ def test_criterion_11_wave_extrema():
     )
 
 
+def test_coupled_wave_without_subcycling_matches_the_merged_run():
+    # A property check beside criterion 11, whose extrema are not derived
+    # from the method: with eta = (1, 1) and average acceleration in both
+    # subdomains, velocity gluing is primal gluing, so the coupled wave is
+    # the merged Newmark run up to round-off.  Criterion 02's 1e-12, here
+    # relative to the largest |d|.
+    sys = problems.build_wave_2d(etas=(1, 1), params=(AVERAGE_ACCELERATION,) * 2).system
+    states, _, _, maps = merged_newmark_reference(sys, 40)
+    next(states)  # the shared start
+    deviation = scale = 0.0
+    for ref in states:
+        sys = sys.apply(advance_system_step(sys))
+        for st, mp in zip(sys.states, maps):
+            deviation = max(deviation, np.abs(st.d - ref.d[mp]).max())
+        scale = max(scale, np.abs(ref.d).max())
+    assert scale > 0.0
+    assert deviation <= 1e-12 * scale, f"{deviation / scale:.2e} of max|d|"
+    print(f"wave2d eta = (1, 1): max |d - d_merged| = {deviation / scale:.2e} of max|d|")
+
+
 def test_criterion_12_brute_force_oracle_equivalence():
     rng = np.random.default_rng(20240823)
 
@@ -359,9 +379,9 @@ def test_criterion_12_brute_force_oracle_equivalence():
         dt = 0.05
         subs = [
             Subdomain(M=M1, K=K1, params=params, dt_sub=dt, f0=f1,
-                      C=SignedBooleanMatrix(C1), g=g1),
+                      C=signed_boolean(C1), g=g1),
             Subdomain(M=M2, K=K2, params=params, dt_sub=dt, f0=f2,
-                      C=SignedBooleanMatrix(C2), g=g2),
+                      C=signed_boolean(C2), g=g2),
         ]
         sys = initialize_coupled_system(
             subs, dt,

@@ -17,7 +17,6 @@ from mtstep.baselines import (
 from mtstep.coupling import (
     IC_COMPAT_RTOL,
     CouplingPlan,
-    SignedBooleanMatrix,
     advance_system_step,
     initialize_coupled_system,
 )
@@ -31,6 +30,7 @@ from mtstep.problems import (
     build_wave_2d,
 )
 from backward_euler_oracle import backward_euler_kkt_step
+from glue_reference import signed_boolean
 from step_reference import sublevel_states, zero_multiplier_system
 
 
@@ -39,7 +39,7 @@ def test_backward_euler_rejects_redundant_rows():
     # Two copies of every constraint row make the saddle matrix singular.
     sys0 = build_sdof2().system
     subs = [
-        replace(sub, C=SignedBooleanMatrix(np.vstack([sub.C.data] * 2)))
+        replace(sub, C=signed_boolean(np.vstack([sub.C.toarray()] * 2)))
         for sub in sys0.subdomains
     ]
     d0, v0 = ([getattr(st, name) for st in sys0.states] for name in "dv")
@@ -64,9 +64,9 @@ def test_backward_euler_satisfies_its_equations():
             np.testing.assert_allclose(new.a, (new.v - st.v) / dt, atol=1e-10)
             # momentum balance at the new level
             f = sub.loads(sys.t_current + dt)[0]
-            residual = sub.M @ new.a + sub.K @ new.d - f - sub.C.data.T @ lam
+            residual = sub.M @ new.a + sub.K @ new.d - f - sub.C.toarray().T @ lam
             np.testing.assert_allclose(residual, 0.0, atol=1e-11)
-            v_residual += sub.C.data @ new.v
+            v_residual += sub.C.toarray() @ new.v
         np.testing.assert_allclose(v_residual, 0.0, atol=1e-13)
         sys = sys.apply(result)
 

@@ -12,6 +12,7 @@ import scipy.sparse
 
 from mtstep import baselines, cli, coupling, fem, problems
 from mtstep.errors import ConfigError, SingularMatrix, SingularSaddleSystem
+from glue_reference import signed_boolean
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -306,7 +307,7 @@ def test_exit_code_redundant_glue(tmp_path, monkeypatch, capsys):
         sc = builder(*args, **kwargs)
         sys0 = sc.system
         subs = [
-            replace(sub, C=coupling.SignedBooleanMatrix(np.vstack([sub.C.data] * 2)))
+            replace(sub, C=signed_boolean(np.vstack([sub.C.toarray()] * 2)))
             for sub in sys0.subdomains
         ]
         d0, v0 = ([getattr(st, name) for st in sys0.states] for name in "dv")

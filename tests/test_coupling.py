@@ -31,6 +31,7 @@ from mtstep.problems import (
     build_sdof3,
     build_wave_2d,
 )
+from glue_reference import signed_boolean
 from saddle_oracle import (
     advance_monolithic,
     assemble_L_R,
@@ -40,26 +41,18 @@ from saddle_oracle import (
 from step_reference import sublevel_states, zero_multiplier_start, zero_multiplier_system
 
 
-def signed_boolean_from_entries(n_constraints, n_dofs, entries):
-    """A SignedBooleanMatrix from (row, dof, sign) triplets."""
-    data = np.zeros((n_constraints, n_dofs))
-    for row, col, sign in entries:
-        data[row, col] = sign
-    return SignedBooleanMatrix(data)
-
-
 def make_pair(dt_a=0.02, dt_b=0.02, sign=(+1, -1), params=AVERAGE_ACCELERATION):
     """The split oscillator: (m, k) = (0.1, 2.5) and (0.005, 50)."""
     subs = [
         Subdomain(
             M=np.array([[0.1]]), K=np.array([[2.5]]), params=params,
             dt_sub=dt_a, f0=np.zeros(1),
-            C=SignedBooleanMatrix(np.array([[float(sign[0])]])),
+            C=signed_boolean(np.array([[float(sign[0])]])),
         ),
         Subdomain(
             M=np.array([[0.005]]), K=np.array([[50.0]]), params=params,
             dt_sub=dt_b, f0=np.zeros(1),
-            C=SignedBooleanMatrix(np.array([[float(sign[1])]])),
+            C=signed_boolean(np.array([[float(sign[1])]])),
         ),
     ]
     return subs
@@ -70,19 +63,37 @@ def make_pair(dt_a=0.02, dt_b=0.02, sign=(+1, -1), params=AVERAGE_ACCELERATION):
 # ---------------------------------------------------------------------------
 
 def test_signed_boolean_validation():
-    SignedBooleanMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(ValueError):
-        SignedBooleanMatrix(np.array([[0.5, 0.0]]))
-    with pytest.raises(ValueError):
-        SignedBooleanMatrix(np.array([[1.0, -1.0]]))  # two entries in one row
-    with pytest.raises(ValueError):
-        SignedBooleanMatrix(np.zeros(3))  # not 2-D
+    C = SignedBooleanMatrix([0, 1], [0, 1], [1.0, -1.0], (2, 2))
+    np.testing.assert_array_equal(C.toarray(), [[1.0, 0.0], [0.0, -1.0]])
+    for rows, dofs, signs, shape, match in (
+        ([0], [0], [0.5], (1, 2), "signs"),  # an entry not in {-1, +1}
+        ([0], [0], [0.0], (1, 2), "signs"),  # a stored zero
+        ([0, 0], [0, 1], [1.0, -1.0], (1, 2), "increase"),  # two entries in one row
+        ([1, 0], [0, 1], [1.0, -1.0], (2, 2), "increase"),  # rows out of order
+        ([0, 1], [0], [1.0, -1.0], (2, 2), "one length"),
+        ([[0]], [[0]], [[1.0]], (1, 2), "1-D"),  # index arrays not 1-D
+        ([0], [0.5], [1.0], (1, 2), "whole numbers"),  # not cut to DOF 0
+        ([1], [0], [1.0], (1, 2), "outside"),  # row past N_C
+        ([-1], [0], [1.0], (1, 2), "outside"),
+        ([0], [2], [1.0], (1, 2), "outside"),  # DOF past n
+        ([0], [-1], [1.0], (1, 2), "outside"),
+        ([], [], [], (-1, 2), "non-negative"),  # a shape no array has
+    ):
+        with pytest.raises(ValueError, match=match):
+            SignedBooleanMatrix(rows, dofs, signs, shape)
 
 
 def test_signed_boolean_is_read_only():
-    C = SignedBooleanMatrix(np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        C.data[0, 0] = -1.0
+    # Only the three index arrays are stored; the dense rows are made on
+    # request, a fresh array each time.
+    C = SignedBooleanMatrix([0], [0], [1.0], (1, 2))
+    assert set(vars(C)) == {"rows", "dofs", "signs", "shape"}
+    assert all(getattr(C, k).ndim == 1 for k in ("rows", "dofs", "signs"))
+    for part in (C.rows, C.dofs, C.signs):
+        with pytest.raises(ValueError):
+            part[0] = 1
+    C.toarray()[0, 0] = -1.0
+    assert C.toarray()[0, 0] == 1.0
 
 
 def _bits(x):
@@ -92,21 +103,21 @@ def _bits(x):
 
 def test_signed_boolean_products_match_dense_bitwise():
     # Row 1 is a zero row and DOF 2 sits in rows 0 and 3.
-    C = signed_boolean_from_entries(4, 5, [(0, 2, 1), (2, 0, -1), (3, 2, -1)])
+    C = SignedBooleanMatrix([0, 2, 3], [2, 0, 2], [1.0, -1.0, -1.0], (4, 5))
     rng = np.random.default_rng(3)
     x = rng.standard_normal(5)
     X = rng.standard_normal((5, 3))
     lam = rng.standard_normal(4)
     rows = rng.standard_normal((7, 5))
     for got, want in (
-        (C.product(x), C.data @ x),
-        (C.product(X), C.data @ X),
-        (C.transpose_product(lam), C.data.T @ lam),
-        (C.row_products(rows), rows @ C.data.T),
+        (C.product(x), C.toarray() @ x),
+        (C.product(X), C.toarray() @ X),
+        (C.transpose_product(lam), C.toarray().T @ lam),
+        (C.row_products(rows), rows @ C.toarray().T),
     ):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(_bits(got), _bits(want))
-    Z = SignedBooleanMatrix(np.zeros((2, 3)))
+    Z = SignedBooleanMatrix([], [], [], (2, 3))  # no entry: two zero rows
     for got, want in (
         (Z.product(x[:3]), np.zeros(2)),
         (Z.transpose_product(lam[:2]), np.zeros(3)),
@@ -152,7 +163,7 @@ def test_critical_step_guard_is_exact():
     def system(dt):
         single = Subdomain(
             M=sub.M, K=sub.K, params=CENTRAL_DIFFERENCE, dt_sub=dt,
-            f0=np.zeros(n), C=SignedBooleanMatrix(np.zeros((0, n))),
+            f0=np.zeros(n), C=signed_boolean(np.zeros((0, n))),
         )
         return initialize_coupled_system(
             [single], dt, d0=[np.zeros(n)], v0=[np.zeros(n)]
@@ -173,7 +184,7 @@ def test_mismatched_constraint_counts_rejected():
     subs = make_pair()
     bad = Subdomain(
         M=subs[1].M, K=subs[1].K, params=subs[1].params, dt_sub=subs[1].dt_sub,
-        f0=np.zeros(1), C=SignedBooleanMatrix(np.array([[-1.0], [0.0]])),
+        f0=np.zeros(1), C=signed_boolean(np.array([[-1.0], [0.0]])),
     )
     st = KinematicState(d=[0.0], v=[0.0], a=[0.0])
     with pytest.raises(DimensionMismatch):
@@ -205,10 +216,18 @@ def test_mismatched_constraint_counts_rejected():
             "K must be finite", id="K_csr_nan",
         ),
         pytest.param("M", np.diag([0.1, -np.inf]), ValueError, "M must be finite", id="M_inf"),
+        pytest.param(
+            "K", np.diag([2.5, -1e-300]), ValueError, "K must be positive semidefinite",
+            id="K_negative_diagonal",
+        ),
+        pytest.param(
+            "K", scipy.sparse.csr_array(np.diag([2.5, -2.5])), ValueError,
+            "K must be positive semidefinite", id="K_csr_negative_diagonal",
+        ),
         pytest.param("f0", np.array([0.0, np.nan]), ValueError, "f0 must be finite", id="f0_nan"),
         pytest.param("dt_sub", 0.0, ValueError, "dt_sub must be positive", id="dt_sub_zero"),
         pytest.param(
-            "C", SignedBooleanMatrix(np.array([[1.0]])), DimensionMismatch, "columns",
+            "C", signed_boolean(np.array([[1.0]])), DimensionMismatch, "columns",
             id="C_columns",
         ),
     ],
@@ -216,11 +235,35 @@ def test_mismatched_constraint_counts_rejected():
 def test_subdomain_rejects_bad_input(field, value, error, match):
     valid = dict(
         M=0.1 * np.eye(2), K=2.5 * np.eye(2), params=AVERAGE_ACCELERATION,
-        dt_sub=0.02, f0=np.zeros(2), C=SignedBooleanMatrix(np.array([[1.0, 0.0]])),
+        dt_sub=0.02, f0=np.zeros(2), C=signed_boolean(np.array([[1.0, 0.0]])),
     )
     Subdomain(**valid)
     with pytest.raises(error, match=match):
         Subdomain(**{**valid, field: value})
+
+
+@pytest.mark.parametrize("params", [AVERAGE_ACCELERATION, CENTRAL_DIFFERENCE], ids=["aa", "cd"])
+def test_build_refuses_the_negative_stiffness_probes(params):
+    # A negative K_ii = e_i^T K e_i disproves K >= 0, under which the
+    # energy is a norm.  Unrefused, the sdof pair with K = -25 and -27.5
+    # read a critical step of inf and reached d ~ 1e19 in 200 steps, and
+    # the central-difference block with K = diag(1, -1) grew like cosh t.
+    def sdof(m, k, sign):
+        return Subdomain(
+            M=np.array([[m]]), K=np.array([[k]]), params=params, dt_sub=0.02,
+            f0=np.zeros(1), C=signed_boolean([[sign]]),
+        )
+
+    sdof(0.05, 25.0, 1.0)
+    for m, k, sign in ((0.05, -25.0, 1.0), (0.055, -27.5, -1.0)):
+        with pytest.raises(ValueError, match="K must be positive semidefinite"):
+            sdof(m, k, sign)
+    if params == CENTRAL_DIFFERENCE:
+        with pytest.raises(ValueError, match="K must be positive semidefinite"):
+            Subdomain(
+                M=np.eye(2), K=np.diag([1.0, -1.0]), params=params, dt_sub=0.01,
+                f0=np.zeros(2), C=signed_boolean([[1.0, 0.0]]),
+            )
 
 
 def test_coupling_plan_needs_a_subdomain():
@@ -249,7 +292,7 @@ def test_coupled_system_rejects_mismatched_parts(states, lam, match):
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_redundant_rows_fail_the_consistent_initial_multiplier():
     subs = [
-        replace(sub, C=SignedBooleanMatrix(np.vstack([sub.C.data, sub.C.data])))
+        replace(sub, C=signed_boolean(np.vstack([sub.C.toarray(), sub.C.toarray()])))
         for sub in make_pair()
     ]
     with pytest.raises(SingularSaddleSystem, match="consistent multiplier"):
@@ -259,7 +302,7 @@ def test_redundant_rows_fail_the_consistent_initial_multiplier():
 def test_consistent_lambda_init_zeroes_acceleration_drift():
     sc = build_sdof2(etas=(1, 1))
     a_drift = sum(
-        sub.C.data @ st.a for sub, st in zip(sc.system.subdomains, sc.system.states)
+        sub.C.toarray() @ st.a for sub, st in zip(sc.system.subdomains, sc.system.states)
     )
     np.testing.assert_allclose(a_drift, 0.0, atol=1e-12)
 
@@ -267,7 +310,7 @@ def test_consistent_lambda_init_zeroes_acceleration_drift():
 def test_zero_lambda_init_leaves_acceleration_drift():
     sys = zero_multiplier_start(build_sdof2(etas=(1, 1)).system)
     assert np.all(sys.lambda_current == 0.0)
-    a_drift = sum(sub.C.data @ st.a for sub, st in zip(sys.subdomains, sys.states))
+    a_drift = sum(sub.C.toarray() @ st.a for sub, st in zip(sys.subdomains, sys.states))
     assert np.abs(a_drift).max() > 1.0  # 0.1 * (k_a/m_a - k_b/m_b) sized
 
 
@@ -337,7 +380,7 @@ def test_sublevel_states_obey_equations_of_motion():
             lam_j = interpolate_lambda(
                 sys.lambda_current, result.lambda_next, j, eta
             )
-            residual = sub.M @ st.a + sub.K @ st.d - f[j] - sub.C.data.T @ lam_j
+            residual = sub.M @ st.a + sub.K @ st.d - f[j] - sub.C.toarray().T @ lam_j
             np.testing.assert_allclose(residual, 0.0, atol=1e-12)
 
 
@@ -425,7 +468,7 @@ def test_subdomain_is_immutable():
     sparse_sub = Subdomain(
         M=scipy.sparse.csr_array(np.array([[0.1]])), K=np.array([[2.5]]),
         params=AVERAGE_ACCELERATION, dt_sub=0.02, f0=np.zeros(1),
-        C=SignedBooleanMatrix(np.array([[1.0]])),
+        C=signed_boolean(np.array([[1.0]])),
     )
     with pytest.raises(dataclasses.FrozenInstanceError):
         dense_sub.M = np.array([[0.2]])
@@ -521,7 +564,8 @@ def test_every_held_array_is_read_only(name, monkeypatch):
     for k in range(len(sys1.subdomains)):
         for field_name in ("M", "K", "f0"):
             assert any(n.startswith(f"subdomain {k}.{field_name}") for n in names)
-        assert {f"C {k}.{f}" for f in ("data", "rows", "dofs", "signs")} <= names
+        held_by_C = {n for n in names if n.startswith(f"C {k}.")}
+        assert held_by_C == {f"C {k}.{f}" for f in ("rows", "dofs", "signs")}
         assert {f"propagators {k}.Y", f"propagators {k}.interface_term", f"state {k}.d"} <= names
     assert "system.lambda_current" in names
     writable = sorted({name for name, x in arrays if x.flags.writeable})
@@ -596,7 +640,7 @@ def test_redundant_rows_fail_on_every_advance():
         Subdomain(
             M=np.array([[m]]), K=np.array([[k]]), params=AVERAGE_ACCELERATION,
             dt_sub=0.02, f0=np.zeros(1),
-            C=SignedBooleanMatrix(np.array([[sign], [sign]])),
+            C=signed_boolean(np.array([[sign], [sign]])),
         )
         for m, k, sign in ((0.1, 2.5, 1.0), (0.005, 50.0, -1.0))
     ]

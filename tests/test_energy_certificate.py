@@ -61,7 +61,7 @@ def committed_levels(sys):
     """
     sizes = [sub.n_dofs for sub in sys.subdomains]
     n, n_c = sum(sizes), sys.n_constraints
-    V = scipy.linalg.null_space(np.hstack([sub.C.data for sub in sys.subdomains]))
+    V = scipy.linalg.null_space(np.hstack([sub.C.toarray() for sub in sys.subdomains]))
     k = n + V.shape[1] + n_c
     D, Vel, Lam = np.zeros((n, k)), np.zeros((n, k)), np.zeros((n_c, k))
     D[:, :n] = np.eye(n)
@@ -70,7 +70,7 @@ def committed_levels(sys):
     offsets = np.cumsum([0] + sizes)
     parts = []
     for sub, lo, hi in zip(sys.subdomains, offsets, offsets[1:]):
-        a = linalg.cholesky_factor(sub.M).solve(sub.C.data.T @ Lam - sub.K @ D[lo:hi])
+        a = linalg.cholesky_factor(sub.M).solve(sub.C.toarray().T @ Lam - sub.K @ D[lo:hi])
         parts.append((D[lo:hi], Vel[lo:hi], a))
     return [
         (tuple(KinematicState(d=d[:, j], v=v[:, j], a=a[:, j]) for d, v, a in parts), Lam[:, j])

@@ -48,10 +48,10 @@ def test_chain_glue_merges_and_multiplies_like_the_dense_rows(constraints, seed)
         lam = rng.standard_normal(n_c)
         rows = rng.standard_normal((5, n))
         for got, want in (
-            (C.product(x), C.data @ x),
-            (C.product(X), C.data @ X),
-            (C.transpose_product(lam), C.data.T @ lam),
-            (C.row_products(rows), rows @ C.data.T),
+            (C.product(x), C.toarray() @ x),
+            (C.product(X), C.toarray() @ X),
+            (C.transpose_product(lam), C.toarray().T @ lam),
+            (C.row_products(rows), rows @ C.toarray().T),
         ):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()

@@ -7,7 +7,6 @@ import pytest
 from mtstep import linalg, problems
 from mtstep.baselines import merged_newmark_reference
 from mtstep.coupling import (
-    SignedBooleanMatrix,
     Subdomain,
     advance_system_step,
     initialize_coupled_system,
@@ -21,6 +20,7 @@ from mtstep.newmark import (
     NewmarkParams,
     critical_time_step,
 )
+from glue_reference import signed_boolean
 from saddle_oracle import apply_R
 
 
@@ -161,7 +161,7 @@ def test_consistent_initial_acceleration():
     d0 = rng.standard_normal(3)
     sub = Subdomain(
         M=M, K=K, params=AVERAGE_ACCELERATION, dt_sub=0.1, f0=f0,
-        C=SignedBooleanMatrix(np.zeros((0, 3))),
+        C=signed_boolean(np.zeros((0, 3))),
     )
     sys = initialize_coupled_system([sub], 0.1, d0=[d0], v0=[np.zeros(3)])
     (start,) = merged_newmark_reference(sys, 0)[0]

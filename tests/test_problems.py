@@ -175,7 +175,7 @@ def test_plate_constraint_rows_glue_coincident_dofs():
     # 8 two-copy groups per edge pair... validated structurally instead:
     total = np.zeros(sys.n_constraints)
     for sub in sys.subdomains:
-        nz = np.count_nonzero(sub.C.data, axis=1)
+        nz = np.count_nonzero(sub.C.toarray(), axis=1)
         assert nz.max() <= 1
         total += nz
     # Every constraint row involves exactly two DOFs overall.
@@ -191,7 +191,7 @@ def test_plate_center_cross_point_has_three_rows_per_component():
         for sub, loc in zip(sc.system.subdomains, locations, strict=True):
             at_center = np.abs(loc - (0.5, 0.5, comp)) <= 1e-12
             (dof,) = np.flatnonzero(at_center.all(axis=1))
-            rows.update(np.flatnonzero(sub.C.data[:, dof]))
+            rows.update(np.flatnonzero(sub.C.toarray()[:, dof]))
         assert len(rows) == 3
 
 
@@ -294,7 +294,10 @@ def test_chain_constraints_match_dict_reference(name):
     expected = reference_constraints(locations)
     for sub, ref in zip(sc.system.subdomains, expected, strict=True):
         assert sub.C.shape == ref.shape
-        assert sub.C.data.tobytes() == ref.data.tobytes()
+        assert sub.C.toarray().tobytes() == ref.toarray().tobytes()
+        for part in ("rows", "dofs", "signs"):
+            got, want = getattr(sub.C, part), getattr(ref, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_chain_constraints_order_rows_by_location_first():
@@ -315,8 +318,16 @@ def test_chain_constraints_order_rows_by_location_first():
     got = problems._chain_constraints(locations)
     ref = reference_constraints(locations)
     for C, C_ref, rows in zip(got, ref, expected, strict=True):
-        np.testing.assert_array_equal(C.data, rows)
-        assert C.data.tobytes() == C_ref.data.tobytes()
+        np.testing.assert_array_equal(C.toarray(), rows)
+        assert C.toarray().tobytes() == C_ref.toarray().tobytes()
+
+
+def test_chain_constraints_refuse_two_copies_in_one_subdomain():
+    # Subdomain 0 holds two DOFs at x = 0, so the chain's first row would
+    # link two of its own DOFs: two entries in one row, refused at build.
+    locations = [np.array([[0.0], [0.0]]), np.array([[0.0]])]
+    with pytest.raises(ValueError, match="one entry per row"):
+        problems._chain_constraints(locations)
 
 
 def test_scenarios_registry():

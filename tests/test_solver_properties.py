@@ -116,7 +116,7 @@ def cases(draw):
     ]
     d0 = [rng.standard_normal(sub.n_dofs) for sub in subs]
     v_all = rng.standard_normal(sum(sub.n_dofs for sub in subs))
-    C_all = np.hstack([sub.C.data for sub in subs])
+    C_all = np.hstack([sub.C.toarray() for sub in subs])
     if len(C_all):  # admissible velocities: the part in null(C)
         V = scipy.linalg.null_space(C_all)
         v_all = V @ (V.T @ v_all)

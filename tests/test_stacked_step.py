@@ -16,6 +16,7 @@ from mtstep import coupling, diagnostics, problems
 from mtstep.coupling import advance_system_step
 from mtstep.newmark import AVERAGE_ACCELERATION, NewmarkParams
 import step_reference
+from glue_reference import signed_boolean
 
 
 def _bar():
@@ -189,7 +190,7 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
         assert not props.full
         reference = step_reference.propagators(sub, 6)
         np.testing.assert_array_equal(props.Y, np.array([level[0] for level in reference]))
-        np.testing.assert_array_equal(props.interface_term, sub.C.data @ reference[-1][1])
+        np.testing.assert_array_equal(props.interface_term, sub.C.toarray() @ reference[-1][1])
 
 
 def test_propagators_stored_once_as_stacked_arrays():
@@ -201,7 +202,7 @@ def test_propagators_stored_once_as_stacked_arrays():
         reference = step_reference.propagators(sub, eta)
         for k, Y in enumerate(stacked.Y):
             np.testing.assert_array_equal(Y, np.array([level[k] for level in reference]))
-        np.testing.assert_array_equal(stacked.interface_term, sub.C.data @ reference[-1][1])
+        np.testing.assert_array_equal(stacked.interface_term, sub.C.toarray() @ reference[-1][1])
 
 
 def test_acceleration_form_keeps_the_bits_of_the_full_form(monkeypatch):
@@ -215,7 +216,7 @@ def test_acceleration_form_keeps_the_bits_of_the_full_form(monkeypatch):
         props = sys.plan.propagators(k)
         assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
         np.testing.assert_array_equal(props.Y, ref.Y[0])
-        np.testing.assert_array_equal(props.interface_term, sub.C.data @ ref.Y[1, -1])
+        np.testing.assert_array_equal(props.interface_term, sub.C.toarray() @ ref.Y[1, -1])
 
 
 def test_propagator_form_follows_the_size_rule():
@@ -297,12 +298,14 @@ def test_step_carries_its_loads():
 
 
 def _with_negative_zeros(sys):
-    # sdof3 with every zero of every C stored as -0.0, which the ramp
-    # loads must turn into +0.0 as the reference's 0.0 + (j/eta) C^T does.
-    subs = tuple(
-        replace(sub, C=coupling.SignedBooleanMatrix(np.where(sub.C.data == 0.0, -0.0, sub.C.data)))
-        for sub in sys.subdomains
-    )
+    # sdof3 with its C given as dense rows whose zeros are all -0.0.  A
+    # zero of either sign is no entry of the (row, dof, sign) triples, so
+    # the propagators keep the bits of the +0.0 reference.
+    def negative_zeros(C):
+        dense = C.toarray()
+        return signed_boolean(np.where(dense == 0.0, -0.0, dense))
+
+    subs = tuple(replace(sub, C=negative_zeros(sub.C)) for sub in sys.subdomains)
     return replace(sys, plan=coupling.CouplingPlan(subs, sys.dt_system))
 
 
@@ -332,4 +335,4 @@ def test_propagators_keep_the_bits_of_the_reference(build, acceleration_form, mo
         got = props.Y if props.full else props.Y[None]
         assert got.shape == want[: len(got)].shape
         assert got.tobytes() == want[: len(got)].tobytes()
-        assert props.interface_term.tobytes() == (sub.C.data @ reference[-1][1]).tobytes()
+        assert props.interface_term.tobytes() == (sub.C.toarray() @ reference[-1][1]).tobytes()
