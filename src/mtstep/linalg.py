@@ -10,7 +10,9 @@ decided in one place, :func:`operator`, from its DOF count alone: below
 the FEM operators (a handful of non-zeros per row) are stored as CSR.
 How a record freezes an array it holds is decided here too:
 :func:`frozen` makes the private read-only copy that subdomains,
-kinematic states, coupled systems and cached propagators keep.
+kinematic states, coupled systems and cached propagators keep.  So is
+whether a solved operator is formed at all: :func:`dense_inverse_product`
+forms A^-1 B only for a B stored dense.
 
 Factors hide the storage from their callers.  Each binds its backend's
 own ``solve`` once, when it is built:
@@ -260,6 +262,24 @@ def cholesky_factor(A) -> Factor:
             b[...] = x
 
     return Factor(solve, solve_in_place)
+
+
+def dense_inverse_product(factor: Factor, B, scale: float):
+    """``A^-1 (scale B)`` as a dense array, with ``A`` the matrix that
+    ``factor`` factors, when ``B`` is stored dense; ``None`` when ``B``
+    is CSR.  The array is read-only.
+
+    Dense storage means fewer than ``SPARSE_MIN_DOFS`` rows, where a
+    product with the n x n result (n^2 flops) costs less than a product
+    with ``B`` plus two triangular solves.  For a CSR ``B`` the result
+    would be dense where ``B`` and the band factor are not, so none is
+    formed and callers keep solving.
+    """
+    if scipy.sparse.issparse(B):
+        return None
+    product = factor.solve(scale * B)
+    product.setflags(write=False)
+    return product
 
 
 def max_generalized_eigenvalue(K, M) -> float:

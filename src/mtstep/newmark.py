@@ -93,7 +93,9 @@ class EffectiveSolver:
     The factorization is computed once per (M, K, params, dt) combination
     and reused for every substep, which is where the per-subdomain solver
     spends essentially all of its time.  ``M`` and ``K`` may be dense or
-    sparse (see :mod:`mtstep.linalg`).
+    sparse (see :mod:`mtstep.linalg`).  For central difference stored
+    dense the solver also keeps ``G = M^-1 (dt^2 K)``, formed once from
+    the same factor, so that :meth:`sweep` makes no solve per step.
     """
 
     def __init__(self, M, K, params: NewmarkParams, dt: float):
@@ -103,6 +105,11 @@ class EffectiveSolver:
         self.params = params
         self.dt = float(dt)
         self._factor = linalg.cholesky_factor(M + params.beta * dt * dt * K)
+        #: G = M^-1 (dt^2 K) of a central-difference block stored dense
+        #: (:func:`linalg.dense_inverse_product`); ``None`` otherwise.
+        self.G = None
+        if params == CENTRAL_DIFFERENCE:
+            self.G = linalg.dense_inverse_product(self._factor, K, self.dt * self.dt)
 
     def solve_rows(self, ra, rv, rd):
         """Solve the lower-triangular-in-structure step equations.
@@ -144,22 +151,51 @@ class EffectiveSolver:
 
             v_(j+1) = p_(j+1/2) / dt + dt/2 a_(j+1).
 
-        That is the same scheme in exact arithmetic, and its bits are
-        those of :meth:`solve_rows` fed rv = p / dt and rd = d + p.
+        That is the same scheme in exact arithmetic.  Its effective
+        matrix is M alone, so a step's acceleration is
+        M^-1 f - M^-1 K d, and how a step forms it depends on the
+        block's storage:
+
+        * Dense (fewer than ``linalg.SPARSE_MIN_DOFS`` rows, where
+          :attr:`G` is set): every load row is solved before the first
+          step, in one call of the factor for vector states (the rows of
+          ``A`` are the Fortran columns of ``A.T``) and in one call per
+          row for stacked columns, then scaled by dt^2 in one pass.  A
+          step then makes 3 numpy calls and one product with the n x n
+          G, and no solve:
+
+              D[j] = d + p
+              A[j] = dt^2 M^-1 f_(j+1) - G D[j]    (dt^2 a_(j+1)),
+                                                    G = M^-1 (dt^2 K)
+              p += A[j]
+
+          and ``A`` is divided by dt^2 in one pass after the steps.  The
+          product with G costs n^2 flops, less than a K product and two
+          triangular solves at these sizes.
+        * CSR: each step reduces its load row by the K product and
+          solves it in place, 6 numpy calls, with the bits of
+          :meth:`solve_rows` fed rv = p / dt and rd = d + p.  Solving
+          the loads first would cost a band solve per row on top of the
+          one each step still needs for K d (measured on wave2d's
+          836-DOF block, ten steps: 350 to 560 us per sweep), and a
+          dense G there is an n x n array where K and the band factor
+          keep a few entries per row (5.6 MB, and 1.5-2.2 ms per sweep).
+
         Every other scheme forms the predictor rows of the paper's R,
 
             rv = (1 - gamma) dt a + v
             rd = (1/2 - beta) dt^2 a + dt v + d
 
         and then does what :meth:`solve_rows` does, with the same
-        arithmetic in the same order.  Either way a swept history equals,
-        bit for bit, one built step by step from the same rows.
+        arithmetic in the same order, so a swept history equals, bit for
+        bit, one built step by step from the same rows.
 
         On a subdomain of a few DOFs the fixed cost of each numpy call
-        outweighs its arithmetic, so the loops, for dense and CSR
-        operators alike, make few and cheap calls: 6 per
-        central-difference step plus three for the velocity pass of the
-        whole sweep, and 13 per implicit step.
+        outweighs its arithmetic, so the loops make few and cheap calls:
+        3 and a G product per dense central-difference step, 6 per CSR
+        one, plus three for the velocity pass of the whole sweep (and
+        the pre-solve, its scaling and the division by dt^2 on dense
+        blocks), and 13 per implicit step.
 
         * The coefficients are 0-d arrays.  A 0-d array times an array
           costs what the cheaper of a Python float and a full-shape
@@ -176,17 +212,20 @@ class EffectiveSolver:
           ============  ==========  ============  =========
 
         * Scratch arrays of the state's shape, allocated once per sweep:
-          ``t`` (dt^2 a, and the p past the last step) in the summed
-          form, ``rd`` and ``ga`` in the R form, where the velocity
-          predictor is formed in ``V[j]`` and ``dt v`` in ``D[j]``:
-          both rows are overwritten later in the same step.  The summed
-          form's velocity pass allocates one array of ``V``'s shape.
-          Outputs are passed by position, which is cheaper than
-          ``out=``.  Only ``K.dot`` returns a fresh array (``np.dot``
-          with an output is slower), and it is bound once, which skips
-          the ``@`` operator dispatch and calls the same kernel.
-        * The load row ``A[j]`` is reduced and then solved in place
-          (:attr:`linalg.Factor.solve_in_place`).
+          ``t`` (the p past the last step, and dt^2 a on CSR blocks) in
+          the summed form, ``rd`` and ``ga`` in the R form, where the
+          velocity predictor is formed in ``V[j]`` and ``dt v`` in
+          ``D[j]``: both rows are overwritten later in the same step.
+          The summed form's velocity pass allocates one array of ``V``'s
+          shape.  Outputs are passed by position, which is cheaper than
+          ``out=``.  Only ``K.dot`` and ``G.dot`` return a fresh array
+          (``np.dot`` with an output is slower), and each is bound once,
+          which skips the ``@`` operator dispatch and calls the same
+          kernel.
+        * Load rows are solved in place
+          (:attr:`linalg.Factor.solve_in_place`): all at once before the
+          dense summed form's steps, one per step after its reduction
+          otherwise.
         * ``d = rd + beta dt^2 a`` is formed only when beta != 0.  For an
           explicit scheme (beta = 0) ``rd + 0 a`` is ``rd`` bit for bit,
           with one IEEE exception: a displacement of -0.0 stays -0.0
@@ -207,12 +246,27 @@ class EffectiveSolver:
             multiply(c_g, a, t)
             add(v, t, p)
             multiply(c_t, p, p)
-            for Aj, Dj, p_next in zip(A, _rows(D, n), itertools.chain(P[1:], (t,))):
-                d = add(d, p, Dj)
-                subtract(Aj, K_dot(d), Aj)
-                solve(Aj)
-                multiply(c_tt, Aj, t)
-                p = add(p, t, p_next)
+            rows = zip(A, _rows(D, n), itertools.chain(P[1:], (t,)))
+            if self.G is None:
+                for Aj, Dj, p_next in rows:
+                    d = add(d, p, Dj)
+                    subtract(Aj, K_dot(d), Aj)
+                    solve(Aj)
+                    multiply(c_tt, Aj, t)
+                    p = add(p, t, p_next)
+            else:
+                if A.ndim == 2:
+                    solve(A.T)  # every load row at once: Fortran columns
+                else:
+                    for Aj in A:
+                        solve(Aj)
+                multiply(c_tt, A, A)
+                G_dot = self.G.dot
+                for Aj, Dj, p_next in rows:
+                    d = add(d, p, Dj)
+                    subtract(Aj, G_dot(d), Aj)
+                    p = add(p, Aj, p_next)
+                np.divide(A, c_tt, A)
             ga = multiply(c_g, A[n - len(V):])
             np.divide(V, c_t, V)
             add(V, ga, V)
@@ -240,8 +294,12 @@ class EffectiveSolver:
 
 def _rows(X, n: int):
     """The rows that steps 0..n-1 of a sweep write: ``X`` itself when it
-    has n rows, else X[(j - n) mod len(X)] for step j."""
-    return X if len(X) == n else [X[(j - n) % len(X)] for j in range(n)]
+    has n rows, else X[(j - n) mod len(X)] for step j, one view per row
+    of ``X``."""
+    if len(X) == n:
+        return X
+    views = list(X)
+    return [views[(j - n) % len(X)] for j in range(n)]
 
 
 def critical_time_step(M, K, params: NewmarkParams) -> float:

@@ -90,7 +90,7 @@ def _chain_constraints(locations: Sequence[np.ndarray]) -> list[SignedBooleanMat
 
 
 def _glue(
-    parts: Sequence[tuple],
+    parts: list[tuple],
     dt_system: float,
     etas: Sequence[int],
     params: Sequence[NewmarkParams],
@@ -109,12 +109,18 @@ def _glue(
     a ``ValueError`` is raised unless both have one entry per subdomain.
     Every DOF starts at displacement ``d0`` and velocity ``v0``.  The
     other keywords are the :class:`Scenario` fields.
+
+    ``parts`` is emptied: each part leaves the list once its subdomain
+    holds frozen copies of its arrays, so a builder that keeps no other
+    reference to its ``M`` and ``K`` has them freed before the
+    consistent start and the critical-step eigensolves.
     """
     Cs = _chain_constraints([loc for *_, loc in parts])
-    subs = [
-        Subdomain(M=M, K=K, params=p, dt_sub=dt_system / eta, f0=f0, C=C, g=g)
-        for (M, K, f0, g, _), C, eta, p in zip(parts, Cs, etas, params, strict=True)
-    ]
+    subs = []
+    for C, eta, p in zip(Cs, etas, params, strict=True):
+        M, K, f0, g, _ = parts.pop(0)
+        subs.append(Subdomain(M=M, K=K, params=p, dt_sub=dt_system / eta, f0=f0, C=C, g=g))
+    del M, K
     system = initialize_coupled_system(
         subs,
         dt_system,
@@ -262,6 +268,7 @@ def build_bar_1d(
         if i == 2:
             load[-1] = BAR_TIP_LOAD
         parts.append((M, K, load, None, coords[free, None]))
+    del M, K  # the parts hold the only references, which _glue drops
 
     def oracle(t: float) -> float:
         return series_bar_solution(BAR_LENGTH, t)
@@ -322,6 +329,7 @@ def build_plate_2d(
         load[corner] = np.take(PLATE_CORNER_FORCE, comp[corner])
         probes += tuple((i, int(k)) for k in np.flatnonzero(corner))
         parts.append((M, K, load, None, np.column_stack((x, y, comp))))
+    del M, K  # the parts hold the only references, which _glue drops
 
     return _glue(
         parts, dt_system, etas, params, name="plate2d", duration=duration, probes=probes,
@@ -396,6 +404,7 @@ def build_wave_2d(
             probes = ((0, int(np.argmin(dist))),)
         else:
             parts.append((M, K, np.zeros(free.size), None, grid.coords[free]))
+    del M, K  # the parts hold the only references, which _glue drops
 
     return _glue(
         parts, dt_system, etas, params, name="wave2d", duration=duration, probes=probes,

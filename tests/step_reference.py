@@ -36,30 +36,47 @@ from saddle_oracle import interpolate_lambda
 
 def substeps(sub: Subdomain, solver: EffectiveSolver, a, v, d, loads):
     """The states (a, v, d) after each sub-step from (a, v, d), one per
-    load row, each from one ``solver.solve_rows`` with the rows the sweep
-    forms.
+    load row, with the rows and the arithmetic the sweep uses.
 
     Central difference (beta = 0, gamma = 1/2) carries the displacement
     increment p = d_(j+1) - d_j through the system step, from
     p = dt (v + gamma dt a) by p += dt^2 a after each sub-step, and
-    solves with rv = p / dt and rd = d + p (the summed form).  Every
-    other scheme solves with the rows of the paper's history operator R
+    forms the velocity as p / dt + gamma dt a (the summed form).  On a
+    block stored dense it takes dt^2 a as dt^2 M^-1 f - G (d + p), with
+    G = M^-1 (dt^2 K) and the loads solved before the first sub-step
+    (vector loads in one solve, matrix loads one by one), and a as that
+    over dt^2.  On a CSR block it calls ``solver.solve_rows`` with
+    rv = p / dt and rd = d + p.  Every other scheme calls ``solve_rows``
+    with the rows of the paper's history operator R
     (``saddle_oracle.apply_R``): rv = (1 - gamma) dt a + v and
-    rd = (1/2 - beta) dt^2 a + dt v + d.  Both are the same rows in
-    exact arithmetic.
+    rd = (1/2 - beta) dt^2 a + dt v + d.  All are the same step in exact
+    arithmetic.
     """
     dt = sub.dt_sub
     beta, gamma = sub.params.beta, sub.params.gamma
-    summed = sub.params == CENTRAL_DIFFERENCE
-    if summed:
-        p = dt * (v + gamma * dt * a)
-    for f in loads:
-        if summed:
-            a, v, d = solver.solve_rows(f, p / dt, d + p)
-            p = p + dt * dt * a
-        else:
+    if sub.params != CENTRAL_DIFFERENCE:
+        for f in loads:
             rv = (1.0 - gamma) * dt * a + v
             a, v, d = solver.solve_rows(f, rv, (0.5 - beta) * dt * dt * a + dt * v + d)
+            yield a, v, d
+        return
+    p = dt * (v + gamma * dt * a)
+    mass = linalg.cholesky_factor(sub.M)
+    G = linalg.dense_inverse_product(mass, sub.K, dt * dt)
+    if G is None:
+        for f in loads:
+            a, v, d = solver.solve_rows(f, p / dt, d + p)
+            p = p + dt * dt * a
+            yield a, v, d
+        return
+    F = np.array(loads)
+    solved = mass.solve(F.T).T if F.ndim == 2 else [mass.solve(f) for f in F]
+    for f in solved:
+        d = d + p
+        step = dt * dt * f - G @ d  # dt^2 a
+        a = step / (dt * dt)
+        v = p / dt + gamma * dt * a
+        p = p + step
         yield a, v, d
 
 

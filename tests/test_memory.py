@@ -5,12 +5,14 @@ traced figures below count the arrays alive (or at their peak) by their
 exact bytes, independent of the allocator and of the host.
 """
 
+import inspect
 import tracemalloc
 
+import numpy as np
 import pytest
 import scipy.sparse
 
-from mtstep import coupling, linalg, problems
+from mtstep import coupling, fem, linalg, problems
 from mtstep.newmark import EffectiveSolver
 
 
@@ -29,10 +31,10 @@ def traced():
 
 #: What may be alive besides the subdomains and states when the
 #: critical-step eigensolve of the default wave mesh starts: the
-#: builder's own M and K, before they were frozen into the subdomains
-#: (1.19 MB), and its mesh arrays and other objects (0.45 MB), with
-#: 0.26 MB to spare.  The two mass factors take 2.02 MB.
-EIGENSOLVE_SLACK_BYTES = 1_900_000
+#: builder's mesh arrays and other objects (0.44 MB), with 0.26 MB to
+#: spare.  The builder's own M and K (1.19 MB) are freed by then (see
+#: the test below).  The two mass factors take 2.02 MB.
+EIGENSOLVE_SLACK_BYTES = 700_000
 
 
 def test_no_build_factor_is_alive_at_the_critical_step_eigensolve(monkeypatch, traced):
@@ -67,29 +69,79 @@ def test_no_build_factor_is_alive_at_the_critical_step_eigensolve(monkeypatch, t
     assert max(entries) - base <= held + EIGENSOLVE_SLACK_BYTES
 
 
+@pytest.fixture
+def traced_deep():
+    # Enough frames to reach from numpy's allocation up to fem.py.
+    tracemalloc.start(25)
+    yield
+    tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "build", [problems.build_plate_2d, problems.build_wave_2d], ids=["plate2d", "wave2d"]
+)
+def test_no_builder_matrix_is_alive_at_the_critical_step_eigensolve(build, monkeypatch, traced_deep):
+    # The builders reduce every block's M and K with fem.eliminate_dofs,
+    # whose return statement allocates them, and hand them to the glue,
+    # which drops each once its subdomain holds frozen copies.  So when a
+    # critical-step eigensolve starts, no array buffer (numpy's tracemalloc
+    # domain) allocated under that statement is alive.  Before the release
+    # the default wave mesh had 1.18 MB of them alive there.
+    source, first = inspect.getsourcelines(fem.eliminate_dofs)
+    (line,) = [first + k for k, text in enumerate(source) if text.lstrip().startswith("return ")]
+    alive = []
+    eigenvalue = linalg.max_generalized_eigenvalue
+
+    def recorded(K, M):
+        snapshot = tracemalloc.take_snapshot()
+        snapshot = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        snapshot = snapshot.filter_traces([tracemalloc.Filter(True, fem.__file__, line, all_frames=True)])
+        alive.append(sum(trace.size for trace in snapshot.traces))
+        return eigenvalue(K, M)
+
+    monkeypatch.setattr(linalg, "max_generalized_eigenvalue", recorded)
+    build()
+    assert alive and alive == [0] * len(alive)
+
+
 @pytest.mark.parametrize("eta", [1, 10])
 def test_acceleration_form_propagators_hold_only_the_sweep_buffers(eta, monkeypatch, traced):
-    # Building the acceleration-form propagators of the 836-DOF wave2d
-    # block allocates Y and, beside it, at most the sweep's buffers, each
-    # of the (n, N_C) shape: min(eta, 2) alternating velocity and
-    # displacement rows each, and what the loop adds to them.  The R form
-    # adds two scratch arrays, rd and ga, and one transient at a time (the
-    # K product, or the Fortran-order copy the band solve makes): 3 + 2
-    # rows buffers.  The summed form of this central-difference block adds
-    # one scratch array, t, and then the K product or the velocity pass's
-    # copy of the rows: 1 + 3 rows, no more for rows <= 2.  The zero start
-    # is a broadcast and the end velocities are not copied, so nothing else
-    # of that size is allocated.  The rest, the ramp, the index products
-    # and the N_C x N_C interface term, is far below one buffer.
+    # Building the acceleration-form propagators of wave2d's explicit
+    # (central-difference) block allocates Y and, beside it, at most the
+    # sweep's buffers, each of the (n, N_C) shape: min(eta, 2) alternating
+    # velocity and displacement rows each, and what the loop adds to them.
+    # The zero start is a broadcast and the end velocities are not copied,
+    # so nothing else of that size is allocated.
+    # * The default mesh's 836-DOF block is CSR.  The R form adds two
+    #   scratch arrays, rd and ga, and one transient at a time (the K
+    #   product, or the Fortran-order copy the band solve makes): 3 + 2
+    #   rows buffers.  The summed form of this block adds one scratch
+    #   array, t, and then the K product or the velocity pass's copy of
+    #   the rows: 1 + 3 rows, no more for rows <= 2.  The rest, the ramp,
+    #   the index products and the N_C x N_C interface term, is far below
+    #   one buffer: 5 % of one is allowed.
+    # * The 20 x 10 mesh's 45-DOF block is dense.  Its summed form adds t,
+    #   and then one transient at a time: the Fortran-order copy that the
+    #   solve of one load row makes, the G product, or the velocity pass's
+    #   copy of the rows: 1 + 3 rows.  Its buffer is 3.2 KB, so the rest
+    #   (about 2.9 KB, mostly array headers) gets a fixed 4 KiB.
     monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
-    sub = problems.build_wave_2d().system.subdomains[0]
-    # Built before the count: the effective factor is the run's, not the sweep's.
-    solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
-    buffer = sub.n_dofs * sub.n_constraints * 8
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    props = sub.multiplier_propagators(eta, solver)
-    peak = tracemalloc.get_traced_memory()[1] - base
-    assert peak - props.Y.nbytes <= (3 + 2 * min(eta, 2)) * buffer + buffer // 20
-    assert not props.full and props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
-    assert props.interface_term.shape == (sub.n_constraints,) * 2
+    rows = min(eta, 2)
+    for nx, ny in ((90, 45), (20, 10)):
+        sub = problems.build_wave_2d(nx=nx, ny=ny).system.subdomains[0]
+        # Built before the count: the effective factor is the run's, not the sweep's.
+        solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
+        buffer = sub.n_dofs * sub.n_constraints * 8
+        if scipy.sparse.issparse(sub.K):
+            assert sub.n_dofs == 836 and solver.G is None
+            bound = (3 + 2 * rows) * buffer + buffer // 20
+        else:
+            assert sub.n_dofs == 45 and solver.G is not None
+            bound = (1 + 3 * rows) * buffer + 4096
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        props = sub.multiplier_propagators(eta, solver)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert peak - props.Y.nbytes <= bound
+        assert not props.full and props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
+        assert props.interface_term.shape == (sub.n_constraints,) * 2
