@@ -77,12 +77,10 @@ def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
         raise SingularSaddleSystem(str(exc)) from exc
 
     histories = []
-    for st, f, v_new in zip(sys.states, loads, velocities):
+    for sub, st, f, v_new in zip(subs, sys.states, loads, velocities):
         d_new = st.d + dt * v_new
         a_new = (v_new - st.v) / dt
-        histories.append(SubstepHistory(
-            a=a_new[np.newaxis], v=v_new[np.newaxis], d=d_new[np.newaxis], f=f
-        ))
+        histories.append(SubstepHistory(np.array([a_new, v_new, d_new])[:, None], f, sub.C))
     result = SystemStepResult(histories=tuple(histories), lambda_next=lam)
     require_finite(result)
     return result
@@ -96,8 +94,8 @@ def backward_euler_decay(result: SystemStepResult, sys: CoupledSystem) -> float:
     """
     decay = 0.0
     for sub, st, hist in zip(sys.subdomains, sys.states, result.histories):
-        dv = hist.v[-1] - st.v
-        dd = hist.d[-1] - st.d
+        dv = hist.end[1] - st.v
+        dd = hist.end[2] - st.d
         decay -= level_energy([(sub.M, sub.K, dv, dd)]).total
     return decay
 

@@ -47,9 +47,9 @@ solves with L_i), solves the complement for dlam and corrects all
 sub-levels of a subdomain from its stacked multiplier propagators
 (:meth:`Subdomain.multiplier_propagators`).  A :class:`Subdomain` is
 plain data.  Everything derived from the subdomains and dt_system, the
-critical steps, the effective factors, the propagators and the factored
-complement, is fixed for a run, and one :class:`CouplingPlan` per run
-builds each of them once and holds it.
+critical steps, the effective factors, the propagators, the response
+maps and the factored complement, is fixed for a run, and one
+:class:`CouplingPlan` per run builds each of them once and holds it.
 
 The propagators come in two forms, picked by their size.  Up to
 ``FULL_PROPAGATOR_MAX_BYTES`` a subdomain stores the a, v and d
@@ -58,12 +58,26 @@ history.  Above it, only the a responses are stored (a third of the
 memory and of the bytes a step reads); the step takes
 dA = Y_a dlam and adds the dV and dD that the Newmark recurrences give
 for dA from a zero start (:func:`_add_newmark_response`).
+
+A dense central-difference block with a constant load is not swept at
+every step.  Its history over a system step is linear in
+z = (a_n, v_n, d_n, 1, lam_n, dlam), which extends the superposition the
+propagators apply to dlam alone (the free/link split of Prakash and
+Hjelmstad, IJNME 61, 2004).  So the plan sweeps the block's m = 3n + 1 +
+2 N_C unit columns once per run (:meth:`Subdomain.response_map`), and a
+step forms the block's end rows and its rows C d_j as two matrix-vector
+products of that map with z.  The map keeps only those rows, up to
+``RESPONSE_MAP_MAX_BYTES``; a step result forms the block's other rows
+only when they are read (:class:`SubstepHistory`).  CSR blocks, implicit
+schemes, blocks with a time function and larger maps keep the sweep,
+which stays the one definition of a block's history and builds the map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -86,6 +100,26 @@ IC_COMPAT_RTOL = 1e-10
 #: eta = 1000, the plate, wave2d at nx = 30), and less from 2.6 MB on
 #: (wave2d at nx = 60 and 90).
 FULL_PROPAGATOR_MAX_BYTES = 1 << 20
+
+#: Largest response map (:meth:`Subdomain.response_map`) a dense
+#: central-difference block is stepped by: the bytes of the rows the map
+#: keeps, 8 m (3n + (eta - 1) u).  Above it the block keeps the sweep and
+#: its propagators.  Measured per system step, in process, 2 vCPUs,
+#: medians of 100 advances in five alternating runs: the bar's 6-DOF block
+#: (m = 23) at eta = 1000 (0.37 MB) takes 0.16-0.17 ms mapped against
+#: 2.31-2.37 ms swept, and at eta = 3000 (1.1 MB) 0.30-0.33 against
+#: 6.6 ms; the plate's 60- and 72-DOF blocks (N_C = 44, m = 269 and 305)
+#: at eta = 5 (0.56-0.74 MB each) take 294-312 us mapped against 281-297
+#: swept, and at eta = 10 (0.77-1.01 MB) about 8 % less mapped.  The cost
+#: of a sub-step against the bytes a map reads per sub-level sets the
+#: crossover, so no byte count marks it for every block; this budget maps
+#: the bar up to eta = 1416 and leaves the plate at its default eta swept.
+RESPONSE_MAP_MAX_BYTES = 1 << 19
+
+#: Largest of the two (eta, n, m) arrays a response map's build sweeps,
+#: in bytes; a block whose build would need more keeps the sweep.  The
+#: bar's at eta = 1000 are 1.1 MB each.
+RESPONSE_MAP_BUILD_MAX_BYTES = 1 << 22
 
 #: Largest memory a system step may ask for: the (3, eta, n) history,
 #: the (eta + 1, n) loads and the stacked propagators of every subdomain.
@@ -291,20 +325,137 @@ class Subdomain:
         Y = np.empty(_propagator_shape(eta, n, nc))
         full = Y.ndim == 4
         A = Y[0] if full else Y
-        A.fill(0.0)
-        ramp = (np.arange(1, eta + 1) / eta)[:, None]
-        A[:, self.C.dofs, self.C.rows] = ramp * self.C.signs  # the loads (j/eta) C^T
+        solved = solver.G is not None
+        if solved:  # (j/eta) M^-1 C^T, from one solve
+            _ramped(solver.solve(self.C.toarray().T), A)
+        else:
+            A.fill(0.0)
+            A[:, self.C.dofs, self.C.rows] = _ramp(eta)[:, None] * self.C.signs  # (j/eta) C^T
         if full:
             V, D = Y[1], Y[2]
         else:  # alternating rows: a sub-step reads only the one before
             V, D = np.empty((2, min(eta, 2), n, nc))
         zero = np.broadcast_to(0.0, (n, nc))
-        solver.sweep(zero, zero, zero, A, V, D)
+        solver.sweep(zero, zero, zero, A, V, D, solved)
         Y.setflags(write=False)
         # C Y^v by index gather; + 0.0 turns the gather's -1 * 0.0 = -0.0
         # into the +0.0 the dense product C @ V[-1] gives.
         interface_term = self.C.row_products(V[-1].T).T + 0.0
         return MultiplierPropagators(Y, linalg.frozen(interface_term))
+
+    def response_map(self, eta: int, solver: EffectiveSolver) -> "ResponseMap":
+        """This subdomain's history over a system step as a linear map of
+        z = (a_n, v_n, d_n, 1, lam_n, dlam), for a constant load (``g``
+        is ``None``) on a dense central-difference block (``solver.G``
+        is set).
+
+        The history is linear in z, so one sweep of its m = 3n + 1 + 2 N_C
+        unit columns gives it (:meth:`unit_responses`).  The map keeps
+        only what a step's readers read: the end rows and the
+        displacements, at every sub-level but the last, of the DOFs that
+        C touches (:class:`ResponseMap`).  The build sweeps into two
+        (eta, n, m) arrays, for the accelerations and displacements of
+        every sub-level, that live only as long as the call, and into one
+        velocity row.  Each call builds the map anew;
+        :meth:`CouplingPlan.response_map` builds it once per run.
+        """
+        n, nc = self.n_dofs, self.n_constraints
+        m = 3 * n + 1 + 2 * nc
+        A, V, D = np.empty((eta, n, m)), np.empty((1, n, m)), np.empty((eta, n, m))
+        self.unit_responses(solver, A, V, D)
+        dofs = np.unique(self.C.dofs)
+        # + 0.0 as in multiplier_propagators: the dense product's +0.0.
+        interface_term = self.C.row_products(V[-1, :, m - nc:].T).T + 0.0
+        kept = ResponseMap(
+            end=np.concatenate((A[-1], V[-1], D[-1])),
+            constrained=D[:-1, dofs],  # a new array, as fancy indexing makes
+            dofs=dofs,
+            gather=np.searchsorted(dofs, self.C.dofs),
+            interface_term=interface_term,
+        )
+        for x in kept:  # each a new array that nothing else holds
+            x.setflags(write=False)
+        return kept
+
+    def unit_responses(self, solver: EffectiveSolver, A, V, D) -> None:
+        """Sweep the m = 3n + 1 + 2 N_C unit columns of a response map
+        into ``A`` (eta, n, m), ``V`` and ``D``, as :meth:`EffectiveSolver.sweep`
+        writes them; dense central difference only.
+
+        The columns, in the order of z = (a_n, v_n, d_n, 1, lam_n, dlam):
+        unit a, v and d from a zero load, and, from a zero start, the
+        loads f0 and C^T e_k on every sub-level and (j/eta) C^T e_k on
+        sub-level j (the multiplier propagators).  Those loads are fixed
+        columns, constant or scaled per sub-level, so one solve of
+        M^-1 [f0 | C^T] gives every solved load row.
+        """
+        n, nc = self.n_dofs, self.n_constraints
+        fixed = np.zeros((n, 1 + nc))  # [f0 | C^T]
+        fixed[:, 0] = self.f0
+        fixed[self.C.dofs, 1 + self.C.rows] = self.C.signs
+        solved = solver.solve(fixed)
+        A[:, :, :3 * n] = 0.0
+        A[:, :, 3 * n:3 * n + 1 + nc] = solved
+        _ramped(solved[:, 1:], A[:, :, 3 * n + 1 + nc:])
+        start = np.zeros((3, n, A.shape[2]))
+        for k, x in enumerate(start):
+            x[:, k * n:(k + 1) * n] = np.eye(n)
+        solver.sweep(*start, A, V, D, solved=True)
+
+
+def _ramp(eta: int) -> np.ndarray:
+    """The multiplier ramp j/eta at sub-levels j = 1..eta."""
+    return np.arange(1, eta + 1) / eta
+
+
+def _ramped(W: np.ndarray, out: np.ndarray) -> None:
+    """out[j - 1] = (j/eta) W for j = 1..eta = len(out).
+
+    One ``einsum`` pass: a broadcast ``np.multiply`` would allocate
+    numpy's 64 KB iteration buffer beside ``out``.
+    """
+    np.einsum("j,ik->jik", _ramp(len(out)), W, out=out)
+
+
+class ResponseMap(NamedTuple):
+    """A subdomain's history over one system step as a linear map of
+    z = (a_n, v_n, d_n, 1, lam_n, dlam), m = 3n + 1 + 2 N_C numbers.
+
+    ``end`` (3n, m) gives the rows a, v and d at the last sub-level;
+    ``constrained`` (eta - 1, u, m) the displacements, at sub-levels
+    1..eta-1, of the u DOFs ``dofs`` that C touches (increasing), and
+    ``gather`` the position in ``dofs`` of each of C's entries.
+    ``interface_term`` (N_C, N_C) is C Y^v, as in
+    :class:`MultiplierPropagators`.  All are read-only.  See
+    :meth:`Subdomain.response_map`.
+    """
+
+    end: np.ndarray
+    constrained: np.ndarray
+    dofs: np.ndarray
+    gather: np.ndarray
+    interface_term: np.ndarray
+
+    def end_velocity(self, z: np.ndarray) -> np.ndarray:
+        """The velocity at the last sub-level for the inputs ``z``."""
+        n = len(self.end) // 3
+        return self.end[n:2 * n] @ z
+
+    def rows(self, z: np.ndarray, C: SignedBooleanMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """The (3, n) end rows and the (eta, N_C) rows C d_j for ``z``,
+        read-only, from two matrix-vector products.  C d_j at the last
+        sub-level is read from the end rows, so the two agree bit for
+        bit."""
+        end = (self.end @ z).reshape(3, -1)
+        levels = self.constrained.shape[:2]
+        d = np.concatenate((
+            (self.constrained.reshape(-1, len(z)) @ z).reshape(levels), end[2, self.dofs][None]
+        ))
+        out = np.zeros((len(d), C.n_constraints))
+        out[:, C.rows] = C.signs * d[:, self.gather]
+        end.setflags(write=False)
+        out.setflags(write=False)
+        return end, out
 
 
 class MultiplierPropagators(NamedTuple):
@@ -339,8 +490,10 @@ class CouplingPlan:
         S = sum_i C_i Y_i^v
 
     is factored (:meth:`interface_factor`), with Y_i^v the end-of-step
-    velocity response of subdomain i to a unit dlam.  The propagators
-    carry their term C_i Y_i^v, so the plan only adds the terms up.
+    velocity response of subdomain i to a unit dlam.  A block stepped by
+    its response map (:meth:`response_map`) takes that term from its map
+    and builds no propagators.  Propagators and maps carry their term
+    C_i Y_i^v, so the plan only adds the terms up.
     None of these changes from step to step: :attr:`memo` keeps each,
     and other run-constant objects such as the backward-Euler
     :class:`DualSchur`, for the life of the plan.  :meth:`CoupledSystem.apply`
@@ -410,6 +563,27 @@ class CouplingPlan:
             lambda: self.subdomains[k].multiplier_propagators(self.eta[k], self.solver(k)),
         )
 
+    def response_map(self, k: int) -> Optional["ResponseMap"]:
+        """Response map of subdomain ``k``, or ``None`` when its steps
+        sweep: a block that is not dense central difference, has a time
+        function ``g``, or whose map or its build would exceed
+        ``RESPONSE_MAP_MAX_BYTES`` or ``RESPONSE_MAP_BUILD_MAX_BYTES``."""
+        return self.memo(("map", k), lambda: self._build_response_map(k))
+
+    def _build_response_map(self, k: int) -> Optional["ResponseMap"]:
+        sub, eta, solver = self.subdomains[k], self.eta[k], self.solver(k)
+        if solver.G is None or sub.g is not None:
+            return None
+        n, n_c = sub.n_dofs, self.n_constraints
+        u = len(np.unique(sub.C.dofs))
+        m = 3 * n + 1 + 2 * n_c
+        if (
+            8 * m * (3 * n + (eta - 1) * u) > RESPONSE_MAP_MAX_BYTES
+            or 8 * m * eta * n > RESPONSE_MAP_BUILD_MAX_BYTES
+        ):
+            return None
+        return sub.response_map(eta, solver)
+
     def interface_factor(self) -> linalg.Factor:
         """Pivoted LU of the interface Schur complement.
 
@@ -425,7 +599,7 @@ class CouplingPlan:
         n_c = self.n_constraints
         schur = np.zeros((n_c, n_c))
         for k in range(len(self.subdomains)):
-            schur += self.propagators(k).interface_term
+            schur += (self.response_map(k) or self.propagators(k)).interface_term
         try:
             return linalg.lu_factor(schur)
         except linalg.SingularMatrix as exc:
@@ -434,21 +608,71 @@ class CouplingPlan:
             ) from exc
 
 
-@dataclass(frozen=True)
 class SubstepHistory:
-    """One subdomain's sub-levels over one system step, stacked by level.
+    """One subdomain's sub-levels over one system step.
 
-    ``a``, ``v`` and ``d`` have shape (eta, n): row j - 1 is the state at
-    sub-level j = 1..eta, so the last row is the state at the new system
-    level.  ``f`` has shape (eta + 1, n): the loads at sub-levels 0..eta,
-    as :meth:`Subdomain.loads` gives them (read-only for a constant
-    load).
+    Readers read a history through its accessors:
+
+    * ``end``: the (3, n) rows a, v and d at the new system level;
+    * ``constraint_rows``: the (eta, N_C) rows C d_j at sub-levels
+      j = 1..eta;
+    * ``a``, ``v`` and ``d``: the (eta, n) rows of every sub-level, row
+      j - 1 at sub-level j;
+    * ``f``: the (eta + 1, n) loads at sub-levels 0..eta, as
+      :meth:`Subdomain.loads` gives them (read-only for a constant load).
+
+    A history built from its stacked rows (3, eta, n) holds them, and
+    ``end`` and ``constraint_rows`` read them.  A block stepped by its
+    response map holds only its end rows and its rows C d_j, read-only
+    (:meth:`mapped`); its (eta, n) rows are formed on first read, once,
+    read-only, and carry the bits of the end rows and of C d_j, so every
+    reader sees the same value, whichever path formed it.
     """
 
-    a: np.ndarray
-    v: np.ndarray
-    d: np.ndarray
-    f: np.ndarray
+    __slots__ = ("f", "end", "_C", "_rows", "_constraint_rows", "_form_rows")
+
+    def __init__(self, rows: np.ndarray, f: np.ndarray, C: SignedBooleanMatrix):
+        self._rows, self.f, self._C = rows, f, C
+        self.end = rows[:, -1]
+        self._constraint_rows = self._form_rows = None
+
+    @classmethod
+    def mapped(
+        cls, end: np.ndarray, constraint_rows: np.ndarray, f: np.ndarray,
+        form_rows: Callable[[], np.ndarray],
+    ) -> "SubstepHistory":
+        """A history of its end rows and rows C d_j; ``form_rows()``
+        gives the stacked rows (3, eta, n) on first read."""
+        hist = cls.__new__(cls)
+        hist.end, hist._constraint_rows, hist.f = end, constraint_rows, f
+        hist._rows = hist._C = None
+        hist._form_rows = form_rows
+        return hist
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The stacked rows (3, eta, n) of a, v and d."""
+        if self._rows is None:
+            self._rows, self._form_rows = self._form_rows(), None
+        return self._rows
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.rows[1]
+
+    @property
+    def d(self) -> np.ndarray:
+        return self.rows[2]
+
+    @property
+    def constraint_rows(self) -> np.ndarray:
+        if self._constraint_rows is None:
+            return self._C.row_products(self.d)
+        return self._constraint_rows
 
 
 @dataclass(frozen=True)
@@ -538,12 +762,9 @@ class CoupledSystem:
 
     def apply(self, result: SystemStepResult) -> "CoupledSystem":
         """Commit a step result, returning the system at the next level."""
-        # Each state copies its rows: a committed level does not keep the
-        # step's history alive.
-        new_states = tuple(
-            KinematicState(d=hist.d[-1], v=hist.v[-1], a=hist.a[-1])
-            for hist in result.histories
-        )
+        # Each state copies its end rows, once: a committed level does not
+        # keep the step's history alive.
+        new_states = tuple(KinematicState.from_rows(hist.end) for hist in result.histories)
         return replace(
             self,
             states=new_states,
@@ -645,9 +866,7 @@ def require_finite(result: SystemStepResult) -> None:
     Checks the new multiplier and each subdomain's state at the new
     system level.
     """
-    arrays = [result.lambda_next]
-    for hist in result.histories:
-        arrays += (hist.a[-1], hist.v[-1], hist.d[-1])
+    arrays = [result.lambda_next] + [hist.end for hist in result.histories]
     if not all(np.isfinite(x).all() for x in arrays):
         raise NonFiniteState("non-finite multiplier or state at the new system level")
 
@@ -693,13 +912,16 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     """Advance the whole coupled system over one system time-step.
 
     Pure function: the input system is untouched; commit the result with
-    ``sys.apply(result)``.  Each subdomain is swept once with dlam = 0 on
-    preallocated (eta, n) arrays; the N_C x N_C interface complement,
-    factored once per run by the system's plan, gives dlam; and one
-    product with the stacked multiplier propagators corrects every
-    sub-level of a subdomain at once (in the acceleration form, the
-    product gives the accelerations and the Newmark recurrences the
-    rest).
+    ``sys.apply(result)``.  A block with a response map (see
+    :meth:`CouplingPlan.response_map`) takes its gap from the map's end
+    velocity rows with dlam = 0.  Every other subdomain is swept once with
+    dlam = 0 on preallocated (eta, n) arrays.  The N_C x N_C interface
+    complement, factored once per run by the system's plan, gives dlam.
+    A mapped block's end rows and rows C d_j are then two matrix-vector
+    products of its map with z = (a_n, v_n, d_n, 1, lam_n, dlam); a swept
+    block's sub-levels are corrected at once by one product with its
+    stacked multiplier propagators (in the acceleration form, the product
+    gives the accelerations and the Newmark recurrences the rest).
 
     Raises
     ------
@@ -713,26 +935,43 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     lam_n = sys.lambda_current
     n_c = sys.n_constraints
     t_n = sys.t_current
+    plan = sys.plan
 
-    # Forward-eliminate each subdomain with dlam = 0.  H[0], H[1] and
-    # H[2] are the stacked sub-level accelerations, velocities and
-    # displacements.
+    # Forward-eliminate each subdomain with dlam = 0.  A swept block's
+    # H[0], H[1] and H[2] are the stacked sub-level accelerations,
+    # velocities and displacements; a mapped block's z ends in dlam = 0.
     levels = []
     gap = np.zeros(n_c)
     for k, (sub, eta, st) in enumerate(zip(sys.subdomains, sys.eta, sys.states)):
         f = sub.loads(t_n, eta)
+        response = plan.response_map(k)
+        if response is not None:
+            z = np.concatenate((st.a, st.v, st.d, (1.0,), lam_n, np.zeros(n_c)))
+            gap += sub.C.product(response.end_velocity(z))
+            levels.append((z, f))
+            continue
         H = np.empty((3, eta, sub.n_dofs))
         H[0] = 0.0 + f[1:]  # R_i's zero acceleration row plus the loads
         H[0] += sub.C.transpose_product(lam_n)
-        sys.plan.solver(k).sweep(st.a, st.v, st.d, *H)
+        plan.solver(k).sweep(st.a, st.v, st.d, *H)
         levels.append((H, f))
         gap += sub.C.product(H[1, -1])
 
-    dlam = sys.plan.interface_factor().solve(-gap) if n_c else np.zeros(0)
+    dlam = plan.interface_factor().solve(-gap) if n_c else np.zeros(0)
 
-    if n_c:
-        for k, (sub, (H, _)) in enumerate(zip(sys.subdomains, levels)):
-            props = sys.plan.propagators(k)
+    histories = []
+    for k, (sub, eta, (H, f)) in enumerate(zip(sys.subdomains, sys.eta, levels)):
+        response = plan.response_map(k)
+        if response is not None:  # H is the block's z, with dlam = 0 so far
+            z = H
+            z[len(z) - n_c:] = dlam
+            end, constraint_rows = response.rows(z, sub.C)
+            z.setflags(write=False)
+            form_rows = partial(_mapped_rows, sub, eta, plan.solver(k), z, end, constraint_rows)
+            histories.append(SubstepHistory.mapped(end, constraint_rows, f, form_rows))
+            continue
+        if n_c:
+            props = plan.propagators(k)
             Y = props.Y
             if not props.full:
                 dA = (Y.reshape(-1, n_c) @ dlam).reshape(H[0].shape)
@@ -745,10 +984,30 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
                 # numpy takes each one-row product as a dot product,
                 # which a matrix-vector kernel would round differently.
                 H += Y @ dlam
+        histories.append(SubstepHistory(H, f, sub.C))
 
-    result = SystemStepResult(
-        histories=tuple(SubstepHistory(*H, f=f) for H, f in levels),
-        lambda_next=lam_n + dlam,
-    )
+    result = SystemStepResult(histories=tuple(histories), lambda_next=lam_n + dlam)
     require_finite(result)
     return result
+
+
+def _mapped_rows(sub: Subdomain, eta: int, solver: EffectiveSolver, z, end, constraint_rows):
+    """The stacked rows (3, eta, n), read-only, of a mapped block's step
+    for the inputs ``z``.
+
+    The whole map, every sub-level's rows of every unit column, is swept
+    again (:meth:`Subdomain.unit_responses`, 3 eta n m floats, alive only
+    for the call) and multiplied by z.  The end rows and the displacements
+    of the DOFs C touches are then the ones the step formed from the kept
+    map (``end`` and ``constraint_rows``), so every reader reads the same
+    bits whichever path formed them.
+    """
+    C = sub.C
+    responses = np.empty((3, eta, sub.n_dofs, len(z)))
+    sub.unit_responses(solver, *responses)
+    H = (responses.reshape(-1, len(z)) @ z).reshape(responses.shape[:3])
+    del responses
+    H[:, -1] = end
+    H[2][:, C.dofs] = C.signs * constraint_rows[:, C.rows]
+    H.setflags(write=False)
+    return H

@@ -155,7 +155,7 @@ def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
             jump_V = _add_in_order(_half_forms(sub.K, _jumps(st_n.d, hist.d)))
             out -= coeff_V * jump_V
         if coeff:
-            system_jump_T = _half_form(sub.M, hist.a[-1]) - _half_form(sub.M, st_n.a)
+            system_jump_T = _half_form(sub.M, hist.end[0]) - _half_form(sub.M, st_n.a)
             out -= coeff * system_jump_T
         if coeff_T:
             jump_T = _add_in_order(_half_forms(sub.M, _jumps(st_n.a, hist.a)))
@@ -170,11 +170,12 @@ def energy_interface(step: SystemStepResult, sys: CoupledSystem) -> float:
     works = []
     for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
         gamma = sub.params.gamma
-        eta = len(hist.d)
+        rows = hist.constraint_rows  # C_i d_j
+        eta = len(rows)
         w = np.arange(eta + 1) / eta  # lam^(n+j/eta) = (1 - w_j) lam^n + w_j lam^(n+1)
         lam = np.multiply.outer(1.0 - w, lam_n) + np.multiply.outer(w, lam_np1)
         lam_w = (1.0 - gamma) * lam[:-1] + gamma * lam[1:]
-        jumps = sub.C.row_products(_jumps(st_n.d, hist.d))  # rows C_i [d_i]_j
+        jumps = _jumps(sub.C.product(st_n.d), rows)  # rows C_i [d_i]_j
         works.append(np.einsum("ij,ij->i", lam_w, jumps))
     return _add_in_order(*works)
 
@@ -199,7 +200,7 @@ def step_energy_report(
 ) -> EnergyBreakdown:
     """Energy at the new level plus the per-step split terms."""
     energy = level_energy([
-        (sub.M, sub.K, hist.v[-1], hist.d[-1])
+        (sub.M, sub.K, hist.end[1], hist.end[2])
         for sub, hist in zip(sys_before.subdomains, step.histories)
     ])
     return replace(

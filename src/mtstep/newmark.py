@@ -75,6 +75,16 @@ class KinematicState:
         for name, x in zip("dva", (d, v, a)):
             object.__setattr__(self, name, x)
 
+    @classmethod
+    def from_rows(cls, rows) -> "KinematicState":
+        """The state whose a, v and d are the rows of the (3, n) array
+        ``rows``: views of one read-only copy, made with the bits of the
+        three copies the constructor makes."""
+        state = object.__new__(cls)
+        for name, x in zip("avd", linalg.frozen(rows)):
+            object.__setattr__(state, name, x)
+        return state
+
     @property
     def size(self) -> int:
         return self.d.shape[0]
@@ -111,6 +121,11 @@ class EffectiveSolver:
         if params == CENTRAL_DIFFERENCE:
             self.G = linalg.dense_inverse_product(self._factor, K, self.dt * self.dt)
 
+    def solve(self, b):
+        """(M + beta dt^2 K)^-1 b, in a new array, for a vector or a matrix
+        of stacked columns ``b``: one call of the factor."""
+        return self._factor.solve(b)
+
     def solve_rows(self, ra, rv, rd):
         """Solve the lower-triangular-in-structure step equations.
 
@@ -122,18 +137,20 @@ class EffectiveSolver:
         v = rv + self.params.gamma * self.dt * a
         return a, v, d
 
-    def sweep(self, a, v, d, A, V, D) -> None:
+    def sweep(self, a, v, d, A, V, D, solved: bool = False) -> None:
         """Advance ``len(A)`` steps from the state (a, v, d), in place.
 
-        On entry ``A[j]`` holds the acceleration-row load of step j + 1;
-        on return ``A``, ``V`` and ``D`` hold the state after each step.
-        States are vectors, or matrices of stacked columns.  The inputs
-        ``a``, ``v``, ``d`` are only read.
+        On entry ``A[j]`` holds the acceleration-row load of step j + 1
+        (with ``solved``, on a block where :attr:`G` is set, M^-1 times
+        that load); on return ``A``, ``V`` and ``D`` hold the state after
+        each step.  States are vectors, or matrices of stacked columns.
+        The inputs ``a``, ``v``, ``d`` are only read.
 
         ``V`` and ``D`` are arrays of ``len(A)`` rows, or of fewer: step
         j then writes row (j - len(A)) mod len(V), so the last rows hold
         the last steps, in order.  The acceleration-form propagators keep
-        two such alternating rows each.  Each step reads the rows of the
+        two such alternating rows each, and a response map's build one
+        velocity row.  Each step reads the rows of the
         step before, so every scheme but central difference needs two
         rows when there are two or more steps; central difference needs
         one.
@@ -158,11 +175,16 @@ class EffectiveSolver:
 
         * Dense (fewer than ``linalg.SPARSE_MIN_DOFS`` rows, where
           :attr:`G` is set): every load row is solved before the first
-          step, in one call of the factor for vector states (the rows of
-          ``A`` are the Fortran columns of ``A.T``) and in one call per
-          row for stacked columns, then scaled by dt^2 in one pass.  A
-          step then makes 3 numpy calls and one product with the n x n
-          G, and no solve:
+          step, then scaled by dt^2 in one pass.  For vector states the
+          sweep solves them in one call of the factor (the rows of ``A``
+          are the Fortran columns of ``A.T``).  Stacked columns would
+          take one call per row, so a caller whose loads are a few fixed
+          columns, constant or scaled per row, solves those columns once
+          (:meth:`solve`), writes the solved rows into ``A`` and passes
+          ``solved=True``: the response maps and propagators of
+          :mod:`mtstep.coupling` do, so their builds call the factor
+          once, whatever the number of steps.  A step then makes 3 numpy
+          calls and one product with the n x n G, and no solve:
 
               D[j] = d + p
               A[j] = dt^2 M^-1 f_(j+1) - G D[j]    (dt^2 a_(j+1)),
@@ -223,9 +245,9 @@ class EffectiveSolver:
           which skips the ``@`` operator dispatch and calls the same
           kernel.
         * Load rows are solved in place
-          (:attr:`linalg.Factor.solve_in_place`): all at once before the
-          dense summed form's steps, one per step after its reduction
-          otherwise.
+          (:attr:`linalg.Factor.solve_in_place`): before the dense summed
+          form's steps (unless the caller solved them), one per step
+          after its reduction otherwise.
         * ``d = rd + beta dt^2 a`` is formed only when beta != 0.  For an
           explicit scheme (beta = 0) ``rd + 0 a`` is ``rd`` bit for bit,
           with one IEEE exception: a displacement of -0.0 stays -0.0
@@ -234,6 +256,8 @@ class EffectiveSolver:
           next step).  Neither arises from the finite, +0.0 initial
           states the scenario builders make.
         """
+        if solved and self.G is None:
+            raise ValueError("only a dense central-difference sweep takes solved loads")
         dt, n = self.dt, len(A)
         beta, gamma = self.params.beta, self.params.gamma
         K_dot, solve = self.K.dot, self._factor.solve_in_place
@@ -255,7 +279,9 @@ class EffectiveSolver:
                     multiply(c_tt, Aj, t)
                     p = add(p, t, p_next)
             else:
-                if A.ndim == 2:
+                if solved:  # the caller solved the load rows
+                    pass
+                elif A.ndim == 2:
                     solve(A.T)  # every load row at once: Fortran columns
                 else:
                     for Aj in A:

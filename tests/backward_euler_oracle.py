@@ -41,10 +41,9 @@ def backward_euler_kkt_step(sys: CoupledSystem) -> SystemStepResult:
     sol = np.linalg.solve(kkt, rhs)
 
     histories = []
-    for st, f, lo, hi in zip(sys.states, loads, offsets, offsets[1:]):
+    for sub, st, f, lo, hi in zip(sys.subdomains, sys.states, loads, offsets, offsets[1:]):
         v = sol[lo:hi]
         histories.append(SubstepHistory(
-            a=((v - st.v) / dt)[np.newaxis], v=v[np.newaxis],
-            d=(st.d + dt * v)[np.newaxis], f=f,
+            np.array([(v - st.v) / dt, v, st.d + dt * v])[:, None], f, sub.C
         ))
     return SystemStepResult(histories=tuple(histories), lambda_next=sol[total:])

@@ -34,7 +34,7 @@ from mtstep.problems import Scenario
 from saddle_oracle import interpolate_lambda
 
 
-def substeps(sub: Subdomain, solver: EffectiveSolver, a, v, d, loads):
+def substeps(sub: Subdomain, solver: EffectiveSolver, a, v, d, loads, solved=False):
     """The states (a, v, d) after each sub-step from (a, v, d), one per
     load row, with the rows and the arithmetic the sweep uses.
 
@@ -44,8 +44,8 @@ def substeps(sub: Subdomain, solver: EffectiveSolver, a, v, d, loads):
     forms the velocity as p / dt + gamma dt a (the summed form).  On a
     block stored dense it takes dt^2 a as dt^2 M^-1 f - G (d + p), with
     G = M^-1 (dt^2 K) and the loads solved before the first sub-step
-    (vector loads in one solve, matrix loads one by one), and a as that
-    over dt^2.  On a CSR block it calls ``solver.solve_rows`` with
+    (vector loads in one solve, matrix loads one by one; with ``solved``
+    the load rows are M^-1 f already), and a as that over dt^2.  On a CSR block it calls ``solver.solve_rows`` with
     rv = p / dt and rd = d + p.  Every other scheme calls ``solve_rows``
     with the rows of the paper's history operator R
     (``saddle_oracle.apply_R``): rv = (1 - gamma) dt a + v and
@@ -70,8 +70,9 @@ def substeps(sub: Subdomain, solver: EffectiveSolver, a, v, d, loads):
             yield a, v, d
         return
     F = np.array(loads)
-    solved = mass.solve(F.T).T if F.ndim == 2 else [mass.solve(f) for f in F]
-    for f in solved:
+    if not solved:
+        F = mass.solve(F.T).T if F.ndim == 2 else [mass.solve(f) for f in F]
+    for f in F:
         d = d + p
         step = dt * dt * f - G @ d  # dt^2 a
         a = step / (dt * dt)
@@ -123,46 +124,93 @@ class ReferenceStep(NamedTuple):
 
 
 def propagators(sub: Subdomain, eta: int) -> list[tuple[np.ndarray, ...]]:
-    """``Y[j - 1] = (aY, vY, dY)``: the response at sub-level j to a unit dlam."""
+    """``Y[j - 1] = (aY, vY, dY)``: the response at sub-level j to a unit dlam.
+
+    On a dense central-difference block the loads are M^-1 C^T, solved
+    once, times j/eta; otherwise (j/eta) C^T.
+    """
     solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
     n, nc = sub.n_dofs, sub.n_constraints
     Ct = sub.C.toarray().T
     zero = np.zeros((n, nc))
+    solved = solver.G is not None
+    if solved:
+        Ct = linalg.cholesky_factor(sub.M).solve(Ct)
     # R's zero acceleration row plus the ramp load: 0.0 + x, which turns
     # a -0.0 load into +0.0.
     loads = [0.0 + (j / eta) * Ct for j in range(1, eta + 1)]
-    return list(substeps(sub, solver, zero, zero, zero, loads))
+    return list(substeps(sub, solver, zero, zero, zero, loads, solved))
+
+
+def response_columns(sub: Subdomain, eta: int) -> list[tuple[np.ndarray, ...]]:
+    """``R[j - 1] = (aR, vR, dR)``, each (n, m): the responses at sub-level
+    j of the m = 3n + 1 + 2 N_C unit columns of a response map, in the
+    order of z = (a_n, v_n, d_n, 1, lam_n, dlam).
+
+    Unit a, v and d from a zero load; from a zero start the loads f0 and
+    C^T e_k on every sub-level and (j/eta) C^T e_k on sub-level j, each
+    solved as M^-1 [f0 | C^T], once, times its factor.
+    """
+    solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
+    n, nc = sub.n_dofs, sub.n_constraints
+    fixed = np.zeros((n, 1 + nc))
+    fixed[:, 0] = sub.f0
+    fixed[:, 1:] = sub.C.toarray().T
+    W = linalg.cholesky_factor(sub.M).solve(fixed)
+    zero = np.zeros((n, 3 * n))
+    loads = [np.hstack((zero, W, (j / eta) * W[:, 1:])) for j in range(1, eta + 1)]
+    start = [np.zeros((n, 3 * n + 1 + 2 * nc)) for _ in range(3)]
+    for k, x in enumerate(start):
+        x[:, k * n:(k + 1) * n] = np.eye(n)
+    return list(substeps(sub, solver, *start, loads, solved=True))
 
 
 def reference_step(sys: CoupledSystem) -> ReferenceStep:
-    """One system step, sub-level by sub-level, through the Schur complement."""
+    """One system step, sub-level by sub-level, through the Schur complement.
+
+    A block that the run's plan steps by its response map is stepped
+    here by its unit responses (:func:`response_columns`), level by
+    level, times z; every other block is swept free and corrected by its
+    propagators.
+    """
     lam_n = sys.lambda_current
     n_c = sys.n_constraints
     base = []
     gap = np.zeros(n_c)
-    for sub, eta, st in zip(sys.subdomains, sys.eta, sys.states):
+    schur = np.zeros((n_c, n_c))
+    for k, (sub, eta, st) in enumerate(zip(sys.subdomains, sys.eta, sys.states)):
+        if sys.plan.response_map(k) is not None:
+            R = response_columns(sub, eta)
+            z = np.concatenate((st.a, st.v, st.d, [1.0], lam_n, np.zeros(n_c)))
+            gap += sub.C.toarray() @ (R[-1][1] @ z)
+            schur += sub.C.toarray() @ R[-1][1][:, len(z) - n_c:]
+            base.append((True, R, z))
+            continue
         solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
         Ct_lam = sub.C.toarray().T @ lam_n
         f = sub.loads(sys.t_current, eta)
         loads = [0.0 + f[j] + Ct_lam for j in range(1, eta + 1)]
         hist = list(substeps(sub, solver, st.a, st.v, st.d, loads))
-        base.append(hist)
+        Y = propagators(sub, eta)
         gap += sub.C.toarray() @ hist[-1][1]
-
-    schur = np.zeros((n_c, n_c))
-    Ys = [propagators(sub, eta) for sub, eta in zip(sys.subdomains, sys.eta)]
-    for sub, Y in zip(sys.subdomains, Ys):
         schur += sub.C.toarray() @ Y[-1][1]
+        base.append((False, hist, Y))
     dlam = np.linalg.solve(schur, -gap) if n_c else np.zeros(0)
 
-    new_states = tuple(
-        tuple(
-            KinematicState(d=d + dY @ dlam, v=v + vY @ dlam, a=a + aY @ dlam)
-            for (a, v, d), (aY, vY, dY) in zip(hist, Y)
-        )
-        for hist, Y in zip(base, Ys)
-    )
-    return ReferenceStep(new_states=new_states, lambda_next=lam_n + dlam)
+    new_states = []
+    for mapped, levels, extra in base:
+        if mapped:  # the response columns and z
+            z = extra.copy()
+            z[len(z) - n_c:] = dlam
+            new_states.append(tuple(
+                KinematicState(d=dR @ z, v=vR @ z, a=aR @ z) for aR, vR, dR in levels
+            ))
+        else:  # the free sweep and the propagators
+            new_states.append(tuple(
+                KinematicState(d=d + dY @ dlam, v=v + vY @ dlam, a=a + aY @ dlam)
+                for (a, v, d), (aY, vY, dY) in zip(levels, extra)
+            ))
+    return ReferenceStep(new_states=tuple(new_states), lambda_next=lam_n + dlam)
 
 
 def _quad(A, x: np.ndarray) -> float:

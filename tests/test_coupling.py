@@ -559,7 +559,19 @@ def test_every_held_array_is_read_only(name, monkeypatch):
         props = sys1.plan.propagators(k)
         assert props.full == (form == "full")
         records += [(f"subdomain {k}", sub), (f"C {k}", sub.C), (f"propagators {k}", props)]
+        if sys1.plan.response_map(k) is not None:
+            records.append((f"map {k}", sys1.plan.response_map(k)))
     arrays = [pair for name, record in records for pair in _held_arrays(name, record)]
+    # A mapped block's step result holds its end rows and its rows C d_j,
+    # and forms its (3, eta, n) rows once, on first read.
+    mapped = [k for k in range(len(sys1.subdomains)) if sys1.plan.response_map(k) is not None]
+    assert bool(mapped) == (name == "bar1d")
+    result = advance_system_step(sys1)
+    for k in mapped:
+        hist = result.histories[k]
+        arrays += [(f"history {k}.{key}", getattr(hist, key))
+                   for key in ("end", "constraint_rows", "rows")]
+        assert {f"map {k}.{key}" for key in coupling.ResponseMap._fields} <= {n for n, _ in arrays}
     names = {name for name, _ in arrays}
     for k in range(len(sys1.subdomains)):
         for field_name in ("M", "K", "f0"):
@@ -592,27 +604,44 @@ def test_interface_factor_built_once_per_run(monkeypatch):
 
 def test_each_derived_object_is_built_once_per_run(tmp_path, monkeypatch):
     # A five-step plate2d run builds one effective factor and one set of
-    # propagators per subdomain, four of each: the steps read them from
-    # the run's plan and build nothing.
-    calls = {"propagators": 0, "solver": 0}
+    # propagators per subdomain, four of each, and no response map (its
+    # maps exceed RESPONSE_MAP_MAX_BYTES): the steps read them from the
+    # run's plan and build nothing.
+    calls = {"propagators": 0, "solver": 0, "maps": 0}
     build_propagators = Subdomain.multiplier_propagators
+    build_map = Subdomain.response_map
     init_solver = EffectiveSolver.__init__
 
     def counted_propagators(self, *args):
         calls["propagators"] += 1
         return build_propagators(self, *args)
 
+    def counted_map(self, *args):
+        calls["maps"] += 1
+        return build_map(self, *args)
+
     def counted_init(self, *args):
         calls["solver"] += 1
         init_solver(self, *args)
 
     monkeypatch.setattr(Subdomain, "multiplier_propagators", counted_propagators)
+    monkeypatch.setattr(Subdomain, "response_map", counted_map)
     monkeypatch.setattr(EffectiveSolver, "__init__", counted_init)
     cfg_path = tmp_path / "plate.cfg"
     cfg_path.write_text(f"scenario=plate2d\nduration=0.5\noutput={tmp_path / 'plate.csv'}\n")
     assert cli.main(["run", str(cfg_path)]) == cli.EXIT_OK
     assert len((tmp_path / "plate.csv").read_text().splitlines()) == 1 + 6
-    assert calls == {"propagators": 4, "solver": 4}
+    assert calls == {"propagators": 4, "solver": 4, "maps": 0}
+    # A six-step bar1d run at eta = 1000 steps its dense central-difference
+    # block by the one response map its plan builds, and sweeps the other
+    # two: no map and no propagators for the mapped block, none per step.
+    calls.update(dict.fromkeys(calls, 0))
+    cfg_path.write_text(
+        f"scenario=bar1d\nsubdomain.2.eta=1000\nduration=0.005\noutput={tmp_path / 'bar.csv'}\n"
+    )
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_OK
+    assert len((tmp_path / "bar.csv").read_text().splitlines()) == 1 + 6
+    assert calls == {"propagators": 2, "solver": 3, "maps": 1}
 
 
 def test_a_plan_owns_what_it_derives():

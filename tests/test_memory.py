@@ -145,3 +145,25 @@ def test_acceleration_form_propagators_hold_only_the_sweep_buffers(eta, monkeypa
         assert peak - props.Y.nbytes <= bound
         assert not props.full and props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
         assert props.interface_term.shape == (sub.n_constraints,) * 2
+
+
+@pytest.mark.parametrize("eta", [10, 1000])
+def test_response_map_build_holds_two_sweep_arrays(eta, traced):
+    # Building the bar's response map (6 DOFs, m = 23 unit columns)
+    # allocates the rows it keeps and, beside them, at most the sweep's two
+    # (eta, n, m) arrays, the accelerations and displacements of every
+    # sub-level, and a few arrays of one (n, m) row each: the zero start
+    # (three rows), the one velocity row, the summed form's scratch t and
+    # one transient at a time (the G product, or the velocity pass's row).
+    # Eight rows are allowed; measured 5.0 (eta = 1000) and 5.7 (eta = 10),
+    # with the solved loads and the index arrays.
+    sub = problems.build_bar_1d(etas=(1, eta, 1)).system.subdomains[1]
+    solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
+    n, m = sub.n_dofs, 3 * sub.n_dofs + 1 + 2 * sub.n_constraints
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    kept = sub.response_map(eta, solver)
+    peak = tracemalloc.get_traced_memory()[1] - base
+    assert kept.end.shape == (3 * n, m) and kept.constrained.shape == (eta - 1, 2, m)
+    row = n * m * 8
+    assert peak - sum(x.nbytes for x in kept) <= 2 * eta * row + 8 * row

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mtstep import linalg, problems
+from mtstep import coupling, linalg, problems
 from mtstep.baselines import merged_newmark_reference
 from mtstep.coupling import (
     Subdomain,
@@ -293,13 +293,15 @@ def _decimal_substeps(sub, st, loads):
 def _block_sweeps(build, index, system_steps):
     """Central-difference block ``index`` of the system ``build()`` makes,
     after ``system_steps`` coupled steps, swept over the next system step
-    with its loads: (sub, [sweep, R form, 34-digit reference]), each
-    (a, v, d) stacked as (3, eta, n).
+    with its loads: (sub, [sweep, R form, response map, 34-digit
+    reference]), each (a, v, d) stacked as (3, eta, n).
 
     The sweep runs in the summed form (with G = M^-1 (dt^2 K) and the
     loads solved first, both blocks being stored dense); the R form is
-    ``apply_R`` plus ``solve_rows``, and the reference is
-    :func:`_decimal_substeps` from the same float inputs.
+    ``apply_R`` plus ``solve_rows``; the response map's rows are the ones
+    a mapped step's history reads, its kept end rows and rows C d_j and
+    the rest formed from the whole map, with dlam = 0; and the reference
+    is :func:`_decimal_substeps` from the same float inputs.
     """
     system = build()
     for _ in range(system_steps):
@@ -318,7 +320,11 @@ def _block_sweeps(build, index, system_steps):
         a, v, d = solver.solve_rows(ra + f, rv, rd)
         rows.append((a, v, d))
     r_form = np.array(rows).transpose(1, 0, 2)
-    return sub, [np.array([A, V, D]), r_form, _decimal_substeps(sub, st, loads)]
+    eta, n_c = system.eta[index], sub.n_constraints
+    z = np.concatenate((st.a, st.v, st.d, [1.0], system.lambda_current, np.zeros(n_c)))
+    end, constraint_rows = sub.response_map(eta, solver).rows(z, sub.C)
+    mapped = coupling._mapped_rows(sub, eta, solver, z, end, constraint_rows)
+    return sub, [np.array([A, V, D]), r_form, mapped, _decimal_substeps(sub, st, loads)]
 
 
 #: The dense central-difference blocks the accuracy tests sweep: the
@@ -336,10 +342,11 @@ def test_central_difference_substeps_keep_their_accuracy():
     # rounds each entry a few times and the stable recurrence
     # (omega dt < 2) does not amplify an error, so the error grows at
     # most linearly: eta sub-steps x 4 ulp of each quantity's largest
-    # magnitude bound both the sweep's summed form and the R-form rows of
-    # solve_rows.  Measured, as fractions of the bound: at most 5.7e-3
-    # (bar) and 0.36 (plate) for the sweep, 5.8e-3 and 0.20 for the R
-    # form.
+    # magnitude bound the sweep's summed form, the R-form rows of
+    # solve_rows and the response map's rows (each of its unit columns is
+    # such a sweep, and z combines them).  Measured, as fractions of the
+    # bound: at most 5.7e-3 (bar) and 0.36 (plate) for the sweep, 5.8e-3
+    # and 0.20 for the R form, 8.1e-3 and 0.34 for the map.
     for build, index in ACCURACY_BLOCKS:
         _, (*forms, ref) = _block_sweeps(build, index, 0)
         bound = ref.shape[1] * 4 * np.finfo(float).eps
@@ -364,7 +371,8 @@ def test_central_difference_substeps_keep_their_accuracy_in_motion():
     #   error into a velocity error up to omega times as large:
     #   e_v <= n u (max|v| + omega_max X).
     # Measured, as fractions of these bounds: at most 2.6e-3 on the bar
-    # and 0.045 on the plate, for the summed form and the R form alike.
+    # and 0.061 on the plate, for the summed form and the R form alike,
+    # and 2.2e-3 and 0.15 for the response map.
     # The lambda_max term is what the t = 0 bound of n x 4 ulp of max|a|
     # leaves out: against that bound the bar's a reads up to 0.93 here,
     # the plate's up to 1.4.

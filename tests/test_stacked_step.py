@@ -11,10 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mtstep import coupling, diagnostics, problems
 from mtstep.coupling import advance_system_step
-from mtstep.newmark import AVERAGE_ACCELERATION, NewmarkParams
+from mtstep.newmark import AVERAGE_ACCELERATION, CENTRAL_DIFFERENCE, EffectiveSolver, NewmarkParams
 import step_reference
 from glue_reference import signed_boolean
 
@@ -336,3 +337,76 @@ def test_propagators_keep_the_bits_of_the_reference(build, acceleration_form, mo
         assert got.shape == want[: len(got)].shape
         assert got.tobytes() == want[: len(got)].tobytes()
         assert props.interface_term.tobytes() == (sub.C.toarray() @ reference[-1][1]).tobytes()
+
+
+def _sdof3_explicit_middle():
+    # The middle mass, whose one DOF sits in both constraint rows, in
+    # central difference (eta = 2): a mapped block with u = 1 < N_C = 2.
+    params = (AVERAGE_ACCELERATION, CENTRAL_DIFFERENCE, AVERAGE_ACCELERATION)
+    return problems.build_sdof3(params=params).system
+
+
+@pytest.mark.parametrize(
+    "build, mapped",
+    [(_bar, [1]), (_sdof3_explicit_middle, [1]), (_plate, [])],
+    ids=["bar_eta1000", "sdof3_explicit_middle", "plate"],
+)
+def test_every_reader_sees_the_same_bits(build, mapped):
+    # A history's end rows, its rows C d_j and its (3, eta, n) rows agree
+    # bit for bit, whichever is read first: on a mapped block the first
+    # two come from the kept map and the rows are formed on first read,
+    # once, read-only; on a swept block all three read the swept rows.
+    # The committed level holds the end rows' bits.
+    sys = build()
+    sys = sys.apply(advance_system_step(sys))
+    assert [k for k in range(len(sys.subdomains)) if sys.plan.response_map(k)] == mapped
+    rows_first, end_first = advance_system_step(sys), advance_system_step(sys)
+    for k, sub in enumerate(sys.subdomains):
+        first = rows_first.histories[k]
+        rows = first.rows
+        assert first.rows is rows and first.a is not None
+        second = end_first.histories[k]
+        end, constraint_rows = second.end, second.constraint_rows
+        for hist in (first, second):
+            assert hist.rows.shape == (3, sys.eta[k], sub.n_dofs)
+            assert hist.rows[:, -1].tobytes() == end.tobytes() == hist.end.tobytes()
+            assert hist.constraint_rows.tobytes() == constraint_rows.tobytes()
+            assert sub.C.row_products(hist.d).tobytes() == constraint_rows.tobytes()
+            assert hist.rows.tobytes() == rows.tobytes()
+            if k in mapped:
+                assert not any(x.flags.writeable for x in (hist.rows, hist.end, hist.constraint_rows))
+        state = sys.apply(end_first).states[k]
+        assert np.array([state.a, state.v, state.d]).tobytes() == end.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, index, eta",
+    [(_bar, 1, 10), (_bar, 1, 1000), (_plate, 1, 5)],
+    ids=["bar_eta10", "bar_eta1000", "plate"],
+)
+def test_a_dense_central_difference_build_solves_once(build, index, eta, monkeypatch):
+    # The loads of a response map's unit columns and of the propagators
+    # are fixed columns, constant or scaled by j/eta, so their builds call
+    # the factor once, on the (n, 1 + N_C) columns [f0 | C^T] or the
+    # (n, N_C) columns C^T, whatever eta (not once per sub-level).  The
+    # LAPACK routine is bound when the factor is built, so it is counted
+    # from there, and only during the builds.
+    sub = build().subdomains[index]
+    assert sub.params == CENTRAL_DIFFERENCE
+    solves = []
+    potrs = scipy.linalg.lapack.dpotrs
+
+    def counted(c, b, *args):
+        solves.append(b.shape)
+        return potrs(c, b, *args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", counted)
+    solver = EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
+    n, n_c = sub.n_dofs, sub.n_constraints
+    for build_one, shape in (
+        (sub.response_map, (n, 1 + n_c)),
+        (sub.multiplier_propagators, (n, n_c)),
+    ):
+        solves.clear()
+        build_one(eta, solver)
+        assert solves == [shape]
