@@ -78,8 +78,8 @@ class KinematicState:
     @classmethod
     def from_rows(cls, rows) -> "KinematicState":
         """The state whose a, v and d are the rows of the (3, n) array
-        ``rows``: views of one read-only copy, made with the bits of the
-        three copies the constructor makes."""
+        ``rows``: views of one private read-only copy, with the bits the
+        constructor's three copies would hold."""
         state = object.__new__(cls)
         for name, x in zip("avd", linalg.frozen(rows)):
             object.__setattr__(state, name, x)

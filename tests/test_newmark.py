@@ -21,6 +21,7 @@ from mtstep.newmark import (
     NewmarkParams,
     critical_time_step,
 )
+import decimal_oracle
 from glue_reference import signed_boolean
 from saddle_oracle import apply_R
 
@@ -247,47 +248,21 @@ def test_effective_solver_rejects_singular_effective_matrix():
         EffectiveSolver(M, K, CENTRAL_DIFFERENCE, 0.1)
 
 
-def _decimal_inverse(E):
-    """Gauss-Jordan inverse of a square list-of-lists of Decimals."""
-    n = len(E)
-    aug = [list(row) + [Decimal(int(i == j)) for j in range(n)] for i, row in enumerate(E)]
-    for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(aug[r][c]))
-        aug[c], aug[p] = aug[p], aug[c]
-        aug[c] = [x / aug[c][c] for x in aug[c]]
-        for r in range(n):
-            if r != c:
-                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def _decimal_substeps(sub, st, loads):
-    """(a, v, d) after each Newmark sub-step of ``sub``, at 34 digits.
+    """(a, v, d) after each Newmark sub-step of ``sub``, at 34 digits,
+    stacked as (3, steps, n) floats.
 
     Starts from the exact values of the float inputs and applies the
-    paper's R-form rows, which equal the rows of the sweep's summed form
-    in exact arithmetic.
+    paper's R-form rows (:func:`decimal_oracle.substeps`), which equal the
+    rows of the sweep's summed form in exact arithmetic.
     """
+    exact = decimal_oracle.exact
     with localcontext() as ctx:
-        ctx.prec = 34
-        exact = lambda x: [Decimal(float(e)) for e in x]  # noqa: E731
-        M, K = [exact(row) for row in sub.M], [exact(row) for row in sub.K]
-        dt, beta, gamma = (Decimal(x) for x in (sub.dt_sub, sub.params.beta, sub.params.gamma))
-        c_a = beta * dt * dt
-        inv = _decimal_inverse(
-            [[m + c_a * k for m, k in zip(M_row, K_row)] for M_row, K_row in zip(M, K)]
-        )
-        a, v, d = exact(st.a), exact(st.v), exact(st.d)
-        out = []
-        for f in loads:
-            rv = [(1 - gamma) * dt * x + y for x, y in zip(a, v)]
-            rd = [(Decimal("0.5") - beta) * dt * dt * x + dt * y + z for x, y, z in zip(a, v, d)]
-            rhs = [fi - sum(k * r for k, r in zip(row, rd)) for fi, row in zip(exact(f), K)]
-            a = [sum(e * r for e, r in zip(row, rhs)) for row in inv]
-            v = [r + gamma * dt * x for r, x in zip(rv, a)]
-            d = [r + c_a * x for r, x in zip(rd, a)]
-            out.append([[float(x) for x in row] for row in (a, v, d)])
-    return np.array(out).transpose(1, 0, 2)  # (3, steps, n)
+        ctx.prec = decimal_oracle.PRECISION
+        c_a = Decimal(sub.dt_sub) ** 2 * Decimal(sub.params.beta)
+        inv = decimal_oracle.inverse(exact(sub.M) + c_a * exact(sub.K))
+        out = decimal_oracle.history(sub, inv, exact(st.a), exact(st.v), exact(st.d), exact(loads))
+    return decimal_oracle.to_float(out)
 
 
 def _block_sweeps(build, index, system_steps):
