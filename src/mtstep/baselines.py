@@ -80,7 +80,7 @@ def backward_euler_step(sys: CoupledSystem) -> SystemStepResult:
     for sub, st, f, v_new in zip(subs, sys.states, loads, velocities):
         d_new = st.d + dt * v_new
         a_new = (v_new - st.v) / dt
-        histories.append(SubstepHistory(np.array([a_new, v_new, d_new])[:, None], f, sub.C))
+        histories.append(SubstepHistory.swept(np.array([a_new, v_new, d_new])[:, None], f, sub.C))
     result = SystemStepResult(histories=tuple(histories), lambda_next=lam)
     require_finite(result)
     return result

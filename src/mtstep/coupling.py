@@ -35,7 +35,7 @@ solves it densely as a check.  The consistent start (blocks M_i) and
 the backward-Euler baseline (blocks M_i / dt + dt K_i) solve through
 :class:`DualSchur`.
 
-Each subdomain's sub-levels of one system step are kept as stacked
+A swept subdomain's sub-levels of one system step are kept as stacked
 (eta_i, n_i) arrays (:class:`SubstepHistory`), not as eta_i state
 objects.  Loads are data, f_i(t) = g_i(t) f0_i with a fixed vector f0_i
 and an optional scalar time function g_i, so a step forms all eta_i + 1
@@ -67,17 +67,17 @@ Hjelmstad, IJNME 61, 2004).  So the plan sweeps the block's m = 3n + 1 +
 2 N_C unit columns once per run (:meth:`Subdomain.response_map`), and a
 step forms the block's end rows and its rows C d_j as two matrix-vector
 products of that map with z.  The map keeps only those rows, up to
-``RESPONSE_MAP_MAX_BYTES``; a step result forms the block's other rows
-only when they are read (:class:`SubstepHistory`).  CSR blocks, implicit
-schemes, blocks with a time function and larger maps keep the sweep,
-which stays the one definition of a block's history and builds the map.
+``RESPONSE_MAP_MAX_BYTES``, and a step result holds only those rows of
+the block (:class:`SubstepHistory`): every reader of a mapped block
+reads its end rows and its rows C d_j.  CSR blocks, implicit schemes,
+blocks with a time function and larger maps keep the sweep, which stays
+the one definition of a block's history and builds the map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -350,19 +350,32 @@ class Subdomain:
         is set).
 
         The history is linear in z, so one sweep of its m = 3n + 1 + 2 N_C
-        unit columns gives it (:meth:`unit_responses`).  The map keeps
-        only what a step's readers read: the end rows and the
-        displacements, at every sub-level but the last, of the DOFs that
-        C touches (:class:`ResponseMap`).  The build sweeps into two
-        (eta, n, m) arrays, for the accelerations and displacements of
-        every sub-level, that live only as long as the call, and into one
+        unit columns gives it.  The columns, in the order of z: unit a,
+        v and d from a zero load, and, from a zero start, the loads f0
+        and C^T e_k on every sub-level and (j/eta) C^T e_k on sub-level j
+        (the multiplier propagators).  Those loads are fixed columns,
+        constant or scaled per sub-level, so one solve of M^-1 [f0 | C^T]
+        gives every solved load row.  The map keeps only what a step's
+        readers read: the end rows and the displacements, at every
+        sub-level but the last, of the DOFs that C touches
+        (:class:`ResponseMap`).  The build sweeps into two (eta, n, m)
+        arrays, for the accelerations and displacements of every
+        sub-level, that live only as long as the call, and into one
         velocity row.  Each call builds the map anew;
         :meth:`CouplingPlan.response_map` builds it once per run.
         """
         n, nc = self.n_dofs, self.n_constraints
         m = 3 * n + 1 + 2 * nc
         A, V, D = np.empty((eta, n, m)), np.empty((1, n, m)), np.empty((eta, n, m))
-        self.unit_responses(solver, A, V, D)
+        fixed = np.zeros((n, 1 + nc))  # [f0 | C^T]
+        fixed[:, 0] = self.f0
+        fixed[self.C.dofs, 1 + self.C.rows] = self.C.signs
+        solved = solver.solve(fixed)
+        A[:, :, :3 * n] = 0.0
+        A[:, :, 3 * n:3 * n + 1 + nc] = solved
+        _ramped(solved[:, 1:], A[:, :, 3 * n + 1 + nc:])
+        # Unit starts: a, v and d are the identity in columns k n..(k + 1) n.
+        solver.sweep(*np.eye(3 * n, m).reshape(3, n, m), A, V, D, solved=True)
         dofs = np.unique(self.C.dofs)
         # + 0.0 as in multiplier_propagators: the dense product's +0.0.
         interface_term = self.C.row_products(V[-1, :, m - nc:].T).T + 0.0
@@ -376,31 +389,6 @@ class Subdomain:
         for x in kept:  # each a new array that nothing else holds
             x.setflags(write=False)
         return kept
-
-    def unit_responses(self, solver: EffectiveSolver, A, V, D) -> None:
-        """Sweep the m = 3n + 1 + 2 N_C unit columns of a response map
-        into ``A`` (eta, n, m), ``V`` and ``D``, as :meth:`EffectiveSolver.sweep`
-        writes them; dense central difference only.
-
-        The columns, in the order of z = (a_n, v_n, d_n, 1, lam_n, dlam):
-        unit a, v and d from a zero load, and, from a zero start, the
-        loads f0 and C^T e_k on every sub-level and (j/eta) C^T e_k on
-        sub-level j (the multiplier propagators).  Those loads are fixed
-        columns, constant or scaled per sub-level, so one solve of
-        M^-1 [f0 | C^T] gives every solved load row.
-        """
-        n, nc = self.n_dofs, self.n_constraints
-        fixed = np.zeros((n, 1 + nc))  # [f0 | C^T]
-        fixed[:, 0] = self.f0
-        fixed[self.C.dofs, 1 + self.C.rows] = self.C.signs
-        solved = solver.solve(fixed)
-        A[:, :, :3 * n] = 0.0
-        A[:, :, 3 * n:3 * n + 1 + nc] = solved
-        _ramped(solved[:, 1:], A[:, :, 3 * n + 1 + nc:])
-        start = np.zeros((3, n, A.shape[2]))
-        for k, x in enumerate(start):
-            x[:, k * n:(k + 1) * n] = np.eye(n)
-        solver.sweep(*start, A, V, D, solved=True)
 
 
 def _ramp(eta: int) -> np.ndarray:
@@ -608,79 +596,41 @@ class CouplingPlan:
             ) from exc
 
 
+@dataclass(frozen=True)
 class SubstepHistory:
-    """One subdomain's sub-levels over one system step.
-
-    Readers read a history through its accessors:
+    """What one system step forms of one subdomain.
 
     * ``end``: the (3, n) rows a, v and d at the new system level;
     * ``constraint_rows``: the (eta, N_C) rows C d_j at sub-levels
-      j = 1..eta;
-    * ``a``, ``v`` and ``d``: the (eta, n) rows of every sub-level, row
-      j - 1 at sub-level j;
+      j = 1..eta, formed once, when the history is made;
     * ``f``: the (eta + 1, n) loads at sub-levels 0..eta, as
-      :meth:`Subdomain.loads` gives them (read-only for a constant load).
+      :meth:`Subdomain.loads` gives them (read-only for a constant load);
+    * ``rows``: the stacked (3, eta, n) rows a, v and d of a swept block,
+      row j - 1 at sub-level j, or ``None`` for a block stepped by its
+      response map, which forms only its end rows and its rows C d_j
+      (both read-only).
 
-    A history built from its stacked rows (3, eta, n) holds them, and
-    ``end`` and ``constraint_rows`` read them.  A block stepped by its
-    response map holds only its end rows and its rows C d_j, read-only
-    (:meth:`mapped`); its (eta, n) rows are formed on first read, once,
-    read-only, and carry the bits of the end rows and of C d_j, so every
-    reader sees the same value, whichever path formed it.
+    :meth:`swept` builds a history from its stacked rows; ``end`` is then
+    a view of them.
     """
 
-    __slots__ = ("f", "end", "_C", "_rows", "_constraint_rows", "_form_rows")
-
-    def __init__(self, rows: np.ndarray, f: np.ndarray, C: SignedBooleanMatrix):
-        self._rows, self.f, self._C = rows, f, C
-        self.end = rows[:, -1]
-        self._constraint_rows = self._form_rows = None
+    end: np.ndarray
+    constraint_rows: np.ndarray
+    f: np.ndarray
+    rows: Optional[np.ndarray] = None
 
     @classmethod
-    def mapped(
-        cls, end: np.ndarray, constraint_rows: np.ndarray, f: np.ndarray,
-        form_rows: Callable[[], np.ndarray],
-    ) -> "SubstepHistory":
-        """A history of its end rows and rows C d_j; ``form_rows()``
-        gives the stacked rows (3, eta, n) on first read."""
-        hist = cls.__new__(cls)
-        hist.end, hist._constraint_rows, hist.f = end, constraint_rows, f
-        hist._rows = hist._C = None
-        hist._form_rows = form_rows
-        return hist
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The stacked rows (3, eta, n) of a, v and d."""
-        if self._rows is None:
-            self._rows, self._form_rows = self._form_rows(), None
-        return self._rows
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.rows[0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.rows[1]
-
-    @property
-    def d(self) -> np.ndarray:
-        return self.rows[2]
-
-    @property
-    def constraint_rows(self) -> np.ndarray:
-        if self._constraint_rows is None:
-            return self._C.row_products(self.d)
-        return self._constraint_rows
+    def swept(cls, rows: np.ndarray, f: np.ndarray, C: SignedBooleanMatrix) -> "SubstepHistory":
+        """The history of the stacked rows (3, eta, n) and loads ``f``."""
+        return cls(rows[:, -1], C.row_products(rows[2]), f, rows)
 
 
 @dataclass(frozen=True)
 class SystemStepResult:
     """Sub-level histories and the new multiplier from one system step.
 
-    ``histories[i]`` holds the eta_i sub-levels of subdomain i as stacked
-    arrays (:class:`SubstepHistory`); only the last level becomes a
+    ``histories[i]`` holds what the step forms of subdomain i
+    (:class:`SubstepHistory`); only its end rows become a
     :class:`KinematicState`, when :meth:`CoupledSystem.apply` commits the
     step.
     """
@@ -918,10 +868,12 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     dlam = 0 on preallocated (eta, n) arrays.  The N_C x N_C interface
     complement, factored once per run by the system's plan, gives dlam.
     A mapped block's end rows and rows C d_j are then two matrix-vector
-    products of its map with z = (a_n, v_n, d_n, 1, lam_n, dlam); a swept
-    block's sub-levels are corrected at once by one product with its
-    stacked multiplier propagators (in the acceleration form, the product
-    gives the accelerations and the Newmark recurrences the rest).
+    products of its map with z = (a_n, v_n, d_n, 1, lam_n, dlam), and its
+    history holds only those.  A swept block's sub-levels are corrected at
+    once by one product with its stacked multiplier propagators (in the
+    acceleration form, the product gives the accelerations and the
+    Newmark recurrences the rest), and its history holds them and the
+    rows C d_j formed from them (:meth:`SubstepHistory.swept`).
 
     Raises
     ------
@@ -960,15 +912,11 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     dlam = plan.interface_factor().solve(-gap) if n_c else np.zeros(0)
 
     histories = []
-    for k, (sub, eta, (H, f)) in enumerate(zip(sys.subdomains, sys.eta, levels)):
+    for k, (sub, (H, f)) in enumerate(zip(sys.subdomains, levels)):
         response = plan.response_map(k)
         if response is not None:  # H is the block's z, with dlam = 0 so far
-            z = H
-            z[len(z) - n_c:] = dlam
-            end, constraint_rows = response.rows(z, sub.C)
-            z.setflags(write=False)
-            form_rows = partial(_mapped_rows, sub, eta, plan.solver(k), z, end, constraint_rows)
-            histories.append(SubstepHistory.mapped(end, constraint_rows, f, form_rows))
+            H[len(H) - n_c:] = dlam
+            histories.append(SubstepHistory(*response.rows(H, sub.C), f))
             continue
         if n_c:
             props = plan.propagators(k)
@@ -984,30 +932,9 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
                 # numpy takes each one-row product as a dot product,
                 # which a matrix-vector kernel would round differently.
                 H += Y @ dlam
-        histories.append(SubstepHistory(H, f, sub.C))
+        histories.append(SubstepHistory.swept(H, f, sub.C))
 
     result = SystemStepResult(histories=tuple(histories), lambda_next=lam_n + dlam)
     require_finite(result)
     return result
 
-
-def _mapped_rows(sub: Subdomain, eta: int, solver: EffectiveSolver, z, end, constraint_rows):
-    """The stacked rows (3, eta, n), read-only, of a mapped block's step
-    for the inputs ``z``.
-
-    The whole map, every sub-level's rows of every unit column, is swept
-    again (:meth:`Subdomain.unit_responses`, 3 eta n m floats, alive only
-    for the call) and multiplied by z.  The end rows and the displacements
-    of the DOFs C touches are then the ones the step formed from the kept
-    map (``end`` and ``constraint_rows``), so every reader reads the same
-    bits whichever path formed them.
-    """
-    C = sub.C
-    responses = np.empty((3, eta, sub.n_dofs, len(z)))
-    sub.unit_responses(solver, *responses)
-    H = (responses.reshape(-1, len(z)) @ z).reshape(responses.shape[:3])
-    del responses
-    H[:, -1] = end
-    H[2][:, C.dofs] = C.signs * constraint_rows[:, C.rows]
-    H.setflags(write=False)
-    return H

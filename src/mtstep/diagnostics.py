@@ -28,16 +28,22 @@ vanish when every subdomain uses average acceleration without subcycling
 gamma > 1/2, beta = gamma/2.
 
 With non-zero loads the balance extends by the external work term
-computed by :func:`external_work`, from the sub-level loads the step
-evaluated.
+computed by :func:`external_work`.  For a constant load the term
+telescopes to f0_i^T (d_i^(n+1) - d_i^n); a time-varying load is weighed
+sub-level by sub-level with the loads the step evaluated.
 
-The terms are computed from a step's stacked sub-level histories
-(:class:`mtstep.coupling.SubstepHistory`): the jumps [x]_j are one
-``np.diff`` of a history, the quadratic forms of all sub-levels come from
-one product ``M_i X^T`` or ``K_i X^T`` per subdomain (dense or sparse),
-and the interpolated multipliers from one weight vector j/eta_i.  The
-per-level terms are then added in level order, subdomain by subdomain,
-so the sums do not depend on how a vectorised reduction would group them.
+The terms are computed from what a step forms of each subdomain
+(:class:`mtstep.coupling.SubstepHistory`): its end rows, its rows C_i d_j
+and, for a swept block, its stacked sub-level rows.  The jumps [x]_j are
+one ``np.diff`` of a history, the quadratic forms of all sub-levels come
+from one product ``M_i X^T`` or ``K_i X^T`` per subdomain (dense or
+sparse), and the interpolated multipliers from one weight vector j/eta_i.
+A block stepped by its response map is central difference (gamma = 1/2,
+beta = 0), whose sub-level terms of e_algorithm have zero coefficients,
+and carries a constant load, so no term reads sub-level rows it does not
+hold.  The per-level terms are added in level order, subdomain by
+subdomain, so the sums do not depend on how a vectorised reduction would
+group them.
 """
 
 from __future__ import annotations
@@ -152,13 +158,13 @@ def energy_algorithm(step: SystemStepResult, sys: CoupledSystem) -> float:
         coeff = dt_i * dt_i * (beta - 0.5 * gamma)
         coeff_T = coeff * (2.0 * gamma - 1.0)
         if coeff_V:
-            jump_V = _add_in_order(_half_forms(sub.K, _jumps(st_n.d, hist.d)))
+            jump_V = _add_in_order(_half_forms(sub.K, _jumps(st_n.d, hist.rows[2])))
             out -= coeff_V * jump_V
         if coeff:
             system_jump_T = _half_form(sub.M, hist.end[0]) - _half_form(sub.M, st_n.a)
             out -= coeff * system_jump_T
         if coeff_T:
-            jump_T = _add_in_order(_half_forms(sub.M, _jumps(st_n.a, hist.a)))
+            jump_T = _add_in_order(_half_forms(sub.M, _jumps(st_n.a, hist.rows[0])))
             out -= coeff_T * jump_T
     return out
 
@@ -181,17 +187,25 @@ def energy_interface(step: SystemStepResult, sys: CoupledSystem) -> float:
 
 
 def external_work(step: SystemStepResult, sys: CoupledSystem) -> float:
-    """gamma-weighted work of the external loads over one system step.
+    """gamma-weighted work of the external loads over one system step,
+
+        sum_i sum_j ((1 - gamma_i) f_i^(n+j/eta_i) + gamma_i f_i^(n+(j+1)/eta_i))^T [d_i]_j.
 
     Extends the f = 0 balance identity: E^(n+1) - E^(n) = e_algorithm +
-    e_interface + external_work.  The loads are the ones the step
-    evaluated, carried by its histories.
+    e_interface + external_work.  A constant load (``g`` is ``None``)
+    weighs every jump by f0_i, so its sum telescopes to
+    f0_i^T (d_i^(n+1) - d_i^n), formed from the end rows alone.  A
+    time-varying load reads the loads the step evaluated, carried by its
+    history, and the sub-level rows; no mapped block has one.
     """
     works = []
     for sub, st_n, hist in zip(sys.subdomains, sys.states, step.histories):
+        if sub.g is None:
+            works.append([float(sub.f0 @ (hist.end[2] - st_n.d))])
+            continue
         gamma = sub.params.gamma
         f_w = (1.0 - gamma) * hist.f[:-1] + gamma * hist.f[1:]
-        works.append(np.einsum("ij,ij->i", f_w, _jumps(st_n.d, hist.d)))
+        works.append(np.einsum("ij,ij->i", f_w, _jumps(st_n.d, hist.rows[2])))
     return _add_in_order(*works)
 
 

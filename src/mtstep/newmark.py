@@ -143,8 +143,9 @@ class EffectiveSolver:
         On entry ``A[j]`` holds the acceleration-row load of step j + 1
         (with ``solved``, on a block where :attr:`G` is set, M^-1 times
         that load); on return ``A``, ``V`` and ``D`` hold the state after
-        each step.  States are vectors, or matrices of stacked columns.
-        The inputs ``a``, ``v``, ``d`` are only read.
+        each step.  States are vectors, or matrices of stacked columns;
+        stacked columns on a block where :attr:`G` is set must come with
+        ``solved`` loads.  The inputs ``a``, ``v``, ``d`` are only read.
 
         ``V`` and ``D`` are arrays of ``len(A)`` rows, or of fewer: step
         j then writes row (j - len(A)) mod len(V), so the last rows hold
@@ -178,13 +179,14 @@ class EffectiveSolver:
           step, then scaled by dt^2 in one pass.  For vector states the
           sweep solves them in one call of the factor (the rows of ``A``
           are the Fortran columns of ``A.T``).  Stacked columns would
-          take one call per row, so a caller whose loads are a few fixed
-          columns, constant or scaled per row, solves those columns once
-          (:meth:`solve`), writes the solved rows into ``A`` and passes
-          ``solved=True``: the response maps and propagators of
-          :mod:`mtstep.coupling` do, so their builds call the factor
-          once, whatever the number of steps.  A step then makes 3 numpy
-          calls and one product with the n x n G, and no solve:
+          take one call per row, so the sweep takes them only solved: a
+          caller whose loads are a few fixed columns, constant or scaled
+          per row, solves those columns once (:meth:`solve`), writes the
+          solved rows into ``A`` and passes ``solved=True``, as the
+          response maps and propagators of :mod:`mtstep.coupling` do, so
+          their builds call the factor once, whatever the number of
+          steps.  A step then makes 3 numpy calls and one product with
+          the n x n G, and no solve:
 
               D[j] = d + p
               A[j] = dt^2 M^-1 f_(j+1) - G D[j]    (dt^2 a_(j+1)),
@@ -258,6 +260,8 @@ class EffectiveSolver:
         """
         if solved and self.G is None:
             raise ValueError("only a dense central-difference sweep takes solved loads")
+        if A.ndim > 2 and self.G is not None and not solved:
+            raise ValueError("a dense central-difference sweep takes stacked columns solved")
         dt, n = self.dt, len(A)
         beta, gamma = self.params.beta, self.params.gamma
         K_dot, solve = self.K.dot, self._factor.solve_in_place
@@ -279,13 +283,8 @@ class EffectiveSolver:
                     multiply(c_tt, Aj, t)
                     p = add(p, t, p_next)
             else:
-                if solved:  # the caller solved the load rows
-                    pass
-                elif A.ndim == 2:
-                    solve(A.T)  # every load row at once: Fortran columns
-                else:
-                    for Aj in A:
-                        solve(Aj)
+                if not solved:  # every load row at once: Fortran columns
+                    solve(A.T)
                 multiply(c_tt, A, A)
                 G_dot = self.G.dot
                 for Aj, Dj, p_next in rows:

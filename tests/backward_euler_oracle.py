@@ -43,7 +43,7 @@ def backward_euler_kkt_step(sys: CoupledSystem) -> SystemStepResult:
     histories = []
     for sub, st, f, lo, hi in zip(sys.subdomains, sys.states, loads, offsets, offsets[1:]):
         v = sol[lo:hi]
-        histories.append(SubstepHistory(
+        histories.append(SubstepHistory.swept(
             np.array([(v - st.v) / dt, v, st.d + dt * v])[:, None], f, sub.C
         ))
     return SystemStepResult(histories=tuple(histories), lambda_next=sol[total:])

@@ -192,7 +192,7 @@ def advance_monolithic(sys: CoupledSystem) -> SystemStepResult:
         levels = X[offset:offset + 3 * n * eta].reshape(eta, 3, n)  # (a, v, d) blocks
         f = sub.loads(sys.t_current, eta)
         histories.append(
-            SubstepHistory(levels.transpose(1, 0, 2), f, sub.C)
+            SubstepHistory.swept(levels.transpose(1, 0, 2), f, sub.C)
         )
         offset += 3 * n * eta
     return SystemStepResult(

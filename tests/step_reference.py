@@ -43,9 +43,10 @@ def substeps(sub: Subdomain, solver: EffectiveSolver, a, v, d, loads, solved=Fal
     p = dt (v + gamma dt a) by p += dt^2 a after each sub-step, and
     forms the velocity as p / dt + gamma dt a (the summed form).  On a
     block stored dense it takes dt^2 a as dt^2 M^-1 f - G (d + p), with
-    G = M^-1 (dt^2 K) and the loads solved before the first sub-step
-    (vector loads in one solve, matrix loads one by one; with ``solved``
-    the load rows are M^-1 f already), and a as that over dt^2.  On a CSR block it calls ``solver.solve_rows`` with
+    G = M^-1 (dt^2 K) and vector loads solved in one call before the
+    first sub-step (with ``solved``, which stacked-column loads need, the
+    load rows are M^-1 f already), and a as that over dt^2.  On a CSR
+    block it calls ``solver.solve_rows`` with
     rv = p / dt and rd = d + p.  Every other scheme calls ``solve_rows``
     with the rows of the paper's history operator R
     (``saddle_oracle.apply_R``): rv = (1 - gamma) dt a + v and
@@ -71,7 +72,7 @@ def substeps(sub: Subdomain, solver: EffectiveSolver, a, v, d, loads, solved=Fal
         return
     F = np.array(loads)
     if not solved:
-        F = mass.solve(F.T).T if F.ndim == 2 else [mass.solve(f) for f in F]
+        F = mass.solve(F.T).T
     for f in F:
         d = d + p
         step = dt * dt * f - G @ d  # dt^2 a
@@ -84,7 +85,7 @@ def substeps(sub: Subdomain, solver: EffectiveSolver, a, v, d, loads, solved=Fal
 def sublevel_states(result: SystemStepResult) -> tuple[tuple[KinematicState, ...], ...]:
     """Per subdomain, the eta sub-level states of a step, last one at the new level."""
     return tuple(
-        tuple(KinematicState(d=d, v=v, a=a) for a, v, d in zip(h.a, h.v, h.d))
+        tuple(KinematicState(d=d, v=v, a=a) for a, v, d in zip(*h.rows))
         for h in result.histories
     )
 

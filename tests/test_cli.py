@@ -246,7 +246,7 @@ def test_exit_code_level_breaking_the_constraint(tmp_path, monkeypatch, capsys):
         result = step(sys_state)
         calls.append(sys_state.t_current)
         if len(calls) == 3:
-            result.histories[-1].v[-1] += 1.0
+            result.histories[-1].end[1] += 1.0
         return result
 
     monkeypatch.setattr(cli, "advance_system_step", breaks_the_constraint)

@@ -562,15 +562,18 @@ def test_every_held_array_is_read_only(name, monkeypatch):
         if sys1.plan.response_map(k) is not None:
             records.append((f"map {k}", sys1.plan.response_map(k)))
     arrays = [pair for name, record in records for pair in _held_arrays(name, record)]
-    # A mapped block's step result holds its end rows and its rows C d_j,
-    # and forms its (3, eta, n) rows once, on first read.
+    # A mapped block's step result holds its end rows, its rows C d_j and
+    # its loads, and no sub-level rows.
     mapped = [k for k in range(len(sys1.subdomains)) if sys1.plan.response_map(k) is not None]
     assert bool(mapped) == (name == "bar1d")
     result = advance_system_step(sys1)
     for k in mapped:
         hist = result.histories[k]
-        arrays += [(f"history {k}.{key}", getattr(hist, key))
-                   for key in ("end", "constraint_rows", "rows")]
+        assert hist.rows is None
+        arrays += _held_arrays(f"history {k}", hist)
+        assert {f"history {k}.{key}" for key in ("end", "constraint_rows", "f")} <= {
+            n for n, _ in arrays
+        }
         assert {f"map {k}.{key}" for key in coupling.ResponseMap._fields} <= {n for n, _ in arrays}
     names = {name for name, _ in arrays}
     for k in range(len(sys1.subdomains)):

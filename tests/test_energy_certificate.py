@@ -96,7 +96,7 @@ def certificate(sys):
     for states, lam in basis:
         result = advance_system_step(replace(sys, states=states, lambda_current=lam))
         stepped.append([
-            KinematicState(d=h.d[-1], v=h.v[-1], a=h.a[-1]) for h in result.histories
+            KinematicState.from_rows(h.end) for h in result.histories
         ])
     Q0 = gram(sys.subdomains, [states for states, _ in basis])
     Q1 = gram(sys.subdomains, stepped)

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from mtstep import coupling, fem, linalg, problems
+from mtstep import coupling, diagnostics, fem, linalg, problems
+from mtstep.coupling import advance_system_step
 from mtstep.newmark import EffectiveSolver
+import step_reference
 
 
 def _nbytes(A) -> int:
@@ -167,3 +169,25 @@ def test_response_map_build_holds_two_sweep_arrays(eta, traced):
     assert kept.end.shape == (3 * n, m) and kept.constrained.shape == (eta - 1, 2, m)
     row = n * m * 8
     assert peak - sum(x.nbytes for x in kept) <= 2 * eta * row + 8 * row
+
+
+def test_external_work_reads_only_what_a_step_forms(traced):
+    # The bar at eta = 1000 steps its middle block by its response map, so
+    # that block's history holds its end rows and rows C d_j and no
+    # sub-level rows.  Every block's load is constant, and its work
+    # telescopes to f0^T (d^(n+1) - d^n): the external work reads the end
+    # rows and allocates a few n-vectors, under 64 KiB, where the mapped
+    # block's (3, eta, n) rows alone would take 144 KB.  It stays within
+    # 1e-12 of the energy of the per-sub-level sum.
+    sys = problems.build_bar_1d(etas=(1, 1000, 1)).system
+    sys = sys.apply(advance_system_step(sys))
+    result = advance_system_step(sys)
+    assert [hist.rows is None for hist in result.histories] == [False, True, False]
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    work = diagnostics.external_work(result, sys)
+    assert tracemalloc.get_traced_memory()[1] - base < 64 * 1024
+    scale = max(diagnostics.total_energy(level).total for level in (sys, sys.apply(result)))
+    reference = step_reference.external_work(step_reference.reference_step(sys), sys)
+    assert work != 0.0 and scale > 0.0
+    assert abs(work - reference) <= 1e-12 * scale

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mtstep import coupling, linalg, problems
+from mtstep import linalg, problems
 from mtstep.baselines import merged_newmark_reference
 from mtstep.coupling import (
     Subdomain,
@@ -268,15 +268,16 @@ def _decimal_substeps(sub, st, loads):
 def _block_sweeps(build, index, system_steps):
     """Central-difference block ``index`` of the system ``build()`` makes,
     after ``system_steps`` coupled steps, swept over the next system step
-    with its loads: (sub, [sweep, R form, response map, 34-digit
-    reference]), each (a, v, d) stacked as (3, eta, n).
+    with its loads: (sub, [sweep, R form], response map, 34-digit
+    reference), the sweeps and the reference each (a, v, d) stacked as
+    (3, eta, n).
 
     The sweep runs in the summed form (with G = M^-1 (dt^2 K) and the
     loads solved first, both blocks being stored dense); the R form is
-    ``apply_R`` plus ``solve_rows``; the response map's rows are the ones
-    a mapped step's history reads, its kept end rows and rows C d_j and
-    the rest formed from the whole map, with dlam = 0; and the reference
-    is :func:`_decimal_substeps` from the same float inputs.
+    ``apply_R`` plus ``solve_rows``; the response map's are the rows a
+    mapped step forms, its end rows (3, n) and rows C d_j (eta, N_C),
+    with dlam = 0; and the reference is :func:`_decimal_substeps` from
+    the same float inputs.
     """
     system = build()
     for _ in range(system_steps):
@@ -297,9 +298,22 @@ def _block_sweeps(build, index, system_steps):
     r_form = np.array(rows).transpose(1, 0, 2)
     eta, n_c = system.eta[index], sub.n_constraints
     z = np.concatenate((st.a, st.v, st.d, [1.0], system.lambda_current, np.zeros(n_c)))
-    end, constraint_rows = sub.response_map(eta, solver).rows(z, sub.C)
-    mapped = coupling._mapped_rows(sub, eta, solver, z, end, constraint_rows)
-    return sub, [np.array([A, V, D]), r_form, mapped, _decimal_substeps(sub, st, loads)]
+    mapped = sub.response_map(eta, solver).rows(z, sub.C)
+    return sub, [np.array([A, V, D]), r_form], mapped, _decimal_substeps(sub, st, loads)
+
+
+def _check_forms(sub, forms, mapped, ref, bounds):
+    """Every sub-level (a, v, d) of each swept form, the map's end rows
+    and its rows C d_j against the reference ``ref``, each quantity
+    within its bound; C d_j within the displacement bound, as each row
+    of C has one entry of magnitude 1."""
+    for got in forms:
+        for x, x_ref, bound in zip(got, ref, bounds):
+            assert np.abs(x - x_ref).max() <= bound
+    end, constraint_rows = mapped
+    for x, x_ref, bound in zip(end, ref[:, -1], bounds):
+        assert np.abs(x - x_ref).max() <= bound
+    assert np.abs(constraint_rows - sub.C.row_products(ref[2])).max() <= bounds[2]
 
 
 #: The dense central-difference blocks the accuracy tests sweep: the
@@ -318,18 +332,15 @@ def test_central_difference_substeps_keep_their_accuracy():
     # (omega dt < 2) does not amplify an error, so the error grows at
     # most linearly: eta sub-steps x 4 ulp of each quantity's largest
     # magnitude bound the sweep's summed form, the R-form rows of
-    # solve_rows and the response map's rows (each of its unit columns is
-    # such a sweep, and z combines them).  Measured, as fractions of the
-    # bound: at most 5.7e-3 (bar) and 0.36 (plate) for the sweep, 5.8e-3
-    # and 0.20 for the R form, 8.1e-3 and 0.34 for the map.
+    # solve_rows and the response map's end rows and rows C d_j (each of
+    # its unit columns is such a sweep, and z combines them).  Measured,
+    # as fractions of the bound: at most 5.7e-3 (bar) and 0.36 (plate)
+    # for the sweep, 5.8e-3 and 0.20 for the R form.
     for build, index in ACCURACY_BLOCKS:
-        _, (*forms, ref) = _block_sweeps(build, index, 0)
-        bound = ref.shape[1] * 4 * np.finfo(float).eps
-        for got in forms:
-            for x, x_ref in zip(got, ref):
-                scale = np.abs(x_ref).max()
-                assert scale > 0.0
-                assert np.abs(x - x_ref).max() <= bound * scale
+        sub, forms, mapped, ref = _block_sweeps(build, index, 0)
+        scales = np.abs(ref).max(axis=(1, 2))
+        assert (scales > 0.0).all()
+        _check_forms(sub, forms, mapped, ref, ref.shape[1] * 4 * np.finfo(float).eps * scales)
 
 
 def test_central_difference_substeps_keep_their_accuracy_in_motion():
@@ -346,13 +357,12 @@ def test_central_difference_substeps_keep_their_accuracy_in_motion():
     #   error into a velocity error up to omega times as large:
     #   e_v <= n u (max|v| + omega_max X).
     # Measured, as fractions of these bounds: at most 2.6e-3 on the bar
-    # and 0.061 on the plate, for the summed form and the R form alike,
-    # and 2.2e-3 and 0.15 for the response map.
+    # and 0.061 on the plate, for the summed form and the R form alike.
     # The lambda_max term is what the t = 0 bound of n x 4 ulp of max|a|
     # leaves out: against that bound the bar's a reads up to 0.93 here,
     # the plate's up to 1.4.
     for build, index in ACCURACY_BLOCKS:
-        sub, (*forms, ref) = _block_sweeps(build, index, 5)
+        sub, forms, mapped, ref = _block_sweeps(build, index, 5)
         lam = linalg.max_generalized_eigenvalue(sub.K, sub.M)
         n = ref.shape[1]
         u = n * 4 * np.finfo(float).eps
@@ -360,6 +370,4 @@ def test_central_difference_substeps_keep_their_accuracy_in_motion():
         X = top_d + n * sub.dt_sub * top_v
         bounds = (u * (top_a + lam * X), u * (top_v + math.sqrt(lam) * X), u * X)
         assert top_v > 0.0
-        for got in forms:
-            for x, x_ref, bound in zip(got, ref, bounds):
-                assert np.abs(x - x_ref).max() <= bound
+        _check_forms(sub, forms, mapped, ref, bounds)

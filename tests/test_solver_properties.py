@@ -158,11 +158,19 @@ def test_coupled_step_keeps_its_invariants(case):
         for _ in range(STEPS):
             result = advance_system_step(sys)
             ref = advance_monolithic(sys)
-            for name in ("a", "v", "d"):  # each over every sub-level of every subdomain
+            # a, v and d, each over every sub-level of every swept block and
+            # the end rows of every mapped one, and every block's rows C d_j.
+            for k in range(3):
                 _close(*(
-                    np.concatenate([getattr(h, name).ravel() for h in step.histories])
-                    for step in (result, ref)
+                    np.concatenate([
+                        (x.end[k] if h.rows is None else x.rows[k]).ravel()
+                        for h, x in zip(result.histories, step.histories)
+                    ]) for step in (result, ref)
                 ), 1e-8)
+            _close(*(
+                np.concatenate([h.constraint_rows.ravel() for h in step.histories])
+                for step in (result, ref)
+            ), 1e-8)
             _close(result.lambda_next, ref.lambda_next, 1e-8)
 
             report = diagnostics.step_energy_report(result, sys)

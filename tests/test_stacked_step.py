@@ -32,26 +32,31 @@ def _sdof3():
     return problems.build_sdof3().system
 
 
-def _close(x, ref, rtol):
-    """|x - ref| <= rtol times the largest magnitude of ref."""
-    scale = max(np.abs(ref).max(initial=0.0), np.finfo(float).tiny)
+def _close(x, ref, rtol, of=None):
+    """|x - ref| <= rtol times the largest magnitude of ``of`` (default ref)."""
+    scale = max(np.abs(ref if of is None else of).max(initial=0.0), np.finfo(float).tiny)
     assert np.abs(np.asarray(x) - ref).max(initial=0.0) <= rtol * scale
 
 
 def _check_against_reference(sys, n_steps):
     # From the same system value each step: sub-level states and dlam to
     # 1e-13 of their scale, and the energy split to 1e-12 of the energy.
+    # A mapped block forms only its end rows and its rows C d_j; they are
+    # held to the same bounds, each quantity at the scale of its whole
+    # reference history.
     for _ in range(n_steps):
         result = advance_system_step(sys)
         ref = step_reference.reference_step(sys)
-        for hist, ref_hist in zip(result.histories, ref.new_states):
-            assert hist.d.shape == (len(ref_hist), ref_hist[0].size)
-            for name in ("a", "v", "d"):
-                _close(
-                    getattr(hist, name),
-                    np.array([getattr(st, name) for st in ref_hist]),
-                    1e-13,
-                )
+        for sub, hist, ref_hist in zip(sys.subdomains, result.histories, ref.new_states):
+            want = np.array([(st.a, st.v, st.d) for st in ref_hist]).transpose(1, 0, 2)
+            if hist.rows is None:
+                for x, x_ref in zip(hist.end, want):
+                    _close(x, x_ref[-1], 1e-13, of=x_ref)
+                _close(hist.constraint_rows, sub.C.row_products(want[2]), 1e-13, of=want[2])
+                continue
+            assert hist.rows.shape == want.shape
+            for x, x_ref in zip(hist.rows, want):
+                _close(x, x_ref, 1e-13)
         lam_n = sys.lambda_current
         _close(result.lambda_next - lam_n, ref.lambda_next - lam_n, 1e-13)
 
@@ -156,7 +161,9 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
     # one sub-step at a time with the sweep's own rows
     # (``step_reference.substeps``, the summed form on the
     # central-difference blocks), for vector and stacked-column states,
-    # and only reads its initial state.  The cases cover the sweep's one
+    # and only reads its initial state.  A dense central-difference block
+    # takes stacked columns only as solved loads, and refuses them
+    # unsolved.  The cases cover the sweep's one
     # loop on explicit (beta = 0) and implicit blocks, each dense and CSR
     # (plate and bar explicit dense, wave2d_explicit_sparse (836 DOFs)
     # explicit CSR, sdof3 and plate_implicit implicit dense, wave2d_sparse
@@ -171,16 +178,23 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
     rng = np.random.default_rng(7)
     for shape in ((sub.n_dofs,), (sub.n_dofs, 3)):
         loads = rng.standard_normal((6, *shape))
+        # A dense central-difference sweep takes stacked columns solved.
+        solved = solver.G is not None and len(shape) == 2
+        if solved:
+            with pytest.raises(ValueError):
+                solver.sweep(*loads[:3], loads.copy(), *np.empty((2, *loads.shape)))
+            loads = np.array([solver.solve(f) for f in loads])
         a0, v0, d0 = (rng.standard_normal(shape) for _ in range(3))
         initial = (a0.copy(), v0.copy(), d0.copy())
         A, V, D = loads.copy(), np.empty_like(loads), np.empty_like(loads)
         if rows == "alternating":
             V, D = np.empty((2, 2, *shape))
-        solver.sweep(a0, v0, d0, A, V, D)
+        solver.sweep(a0, v0, d0, A, V, D, solved)
         for x, x_copy in zip((a0, v0, d0), initial):
             np.testing.assert_array_equal(x, x_copy)
         n = len(loads)
-        for j, (a, v, d) in enumerate(step_reference.substeps(sub, solver, a0, v0, d0, loads)):
+        reference = step_reference.substeps(sub, solver, a0, v0, d0, loads, solved)
+        for j, (a, v, d) in enumerate(reference):
             np.testing.assert_array_equal(A[j], a)
             if j >= n - len(V):
                 np.testing.assert_array_equal(V[j - n], v)
@@ -352,31 +366,30 @@ def _sdof3_explicit_middle():
     ids=["bar_eta1000", "sdof3_explicit_middle", "plate"],
 )
 def test_every_reader_sees_the_same_bits(build, mapped):
-    # A history's end rows, its rows C d_j and its (3, eta, n) rows agree
-    # bit for bit, whichever is read first: on a mapped block the first
-    # two come from the kept map and the rows are formed on first read,
-    # once, read-only; on a swept block all three read the swept rows.
-    # The committed level holds the end rows' bits.
+    # A history holds what its step forms.  A mapped block's holds no
+    # sub-level rows, and its end rows and rows C d_j are read-only; a
+    # swept block's end rows are the last of its rows, and its rows C d_j
+    # are C times its displacement rows.  Either way the last row C d_j
+    # has the bits of C times the end displacements, and the committed
+    # level holds the end rows' bits.
     sys = build()
     sys = sys.apply(advance_system_step(sys))
     assert [k for k in range(len(sys.subdomains)) if sys.plan.response_map(k)] == mapped
-    rows_first, end_first = advance_system_step(sys), advance_system_step(sys)
-    for k, sub in enumerate(sys.subdomains):
-        first = rows_first.histories[k]
-        rows = first.rows
-        assert first.rows is rows and first.a is not None
-        second = end_first.histories[k]
-        end, constraint_rows = second.end, second.constraint_rows
-        for hist in (first, second):
+    result = advance_system_step(sys)
+    committed = sys.apply(result)
+    for k, (sub, hist) in enumerate(zip(sys.subdomains, result.histories)):
+        assert hist.end.shape == (3, sub.n_dofs)
+        assert hist.constraint_rows.shape == (sys.eta[k], sub.n_constraints)
+        if k in mapped:
+            assert hist.rows is None
+            assert not any(x.flags.writeable for x in (hist.end, hist.constraint_rows))
+        else:
             assert hist.rows.shape == (3, sys.eta[k], sub.n_dofs)
-            assert hist.rows[:, -1].tobytes() == end.tobytes() == hist.end.tobytes()
-            assert hist.constraint_rows.tobytes() == constraint_rows.tobytes()
-            assert sub.C.row_products(hist.d).tobytes() == constraint_rows.tobytes()
-            assert hist.rows.tobytes() == rows.tobytes()
-            if k in mapped:
-                assert not any(x.flags.writeable for x in (hist.rows, hist.end, hist.constraint_rows))
-        state = sys.apply(end_first).states[k]
-        assert np.array([state.a, state.v, state.d]).tobytes() == end.tobytes()
+            assert hist.rows[:, -1].tobytes() == hist.end.tobytes()
+            assert sub.C.row_products(hist.rows[2]).tobytes() == hist.constraint_rows.tobytes()
+        assert sub.C.row_products(hist.end[2:]).tobytes() == hist.constraint_rows[-1:].tobytes()
+        state = committed.states[k]
+        assert np.array([state.a, state.v, state.d]).tobytes() == hist.end.tobytes()
 
 
 @pytest.mark.parametrize(
