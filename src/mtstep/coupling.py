@@ -41,37 +41,35 @@ objects.  Loads are data, f_i(t) = g_i(t) f0_i with a fixed vector f0_i
 and an optional scalar time function g_i, so a step forms all eta_i + 1
 sub-level loads of a subdomain at once (:meth:`Subdomain.loads`): a
 read-only broadcast of f0_i when the load is constant, one g_i call per
-sub-level otherwise.  A step sweeps every subdomain once with dlam = 0
-(:meth:`mtstep.newmark.EffectiveSolver.sweep`, which applies R_i and
-solves with L_i), solves the complement for dlam and corrects all
-sub-levels of a subdomain from its stacked multiplier propagators
-(:meth:`Subdomain.multiplier_propagators`).  A :class:`Subdomain` is
-plain data.  Everything derived from the subdomains and dt_system, the
-critical steps, the effective factors, the propagators, the response
-maps and the factored complement, is fixed for a run, and one
-:class:`CouplingPlan` per run builds each of them once and holds it.
+sub-level otherwise.  A :class:`Subdomain` is plain data; one
+:class:`CouplingPlan` per run builds everything derived from the
+subdomains and dt_system once and holds it.
 
-The propagators come in two forms, picked by their size.  Up to
-``FULL_PROPAGATOR_MAX_BYTES`` a subdomain stores the a, v and d
-responses of every sub-level, and one product corrects the whole
-history.  Above it, only the a responses are stored (a third of the
-memory and of the bytes a step reads); the step takes
-dA = Y_a dlam and adds the dV and dD that the Newmark recurrences give
-for dA from a zero start (:func:`_add_newmark_response`).
+The plan picks each block's stepper once (:meth:`CouplingPlan.block`).
+Its ``start`` steps the block with dlam = 0 and returns what the block
+carries into the interface solve and its end velocity, whose C_i
+products sum to the gap; its ``finish`` takes dlam and returns the
+block's :class:`SubstepHistory`.  Either stepper carries the block's
+term C_i Y_i^v of the complement.  :class:`MultiplierPropagators` sweep
+the block (:meth:`mtstep.newmark.EffectiveSolver.sweep`, which applies
+R_i and solves with L_i) and correct all its sub-levels by one product
+with its stacked responses to a unit dlam.  Up to
+``FULL_PROPAGATOR_MAX_BYTES`` those hold a, v and d; above it only a,
+and the Newmark recurrences give the rest (:func:`_add_newmark_response`).
 
 A dense central-difference block with a constant load is not swept at
 every step.  Its history over a system step is linear in
 z = (a_n, v_n, d_n, 1, lam_n, dlam), which extends the superposition the
 propagators apply to dlam alone (the free/link split of Prakash and
 Hjelmstad, IJNME 61, 2004).  So the plan sweeps the block's m = 3n + 1 +
-2 N_C unit columns once per run (:meth:`Subdomain.response_map`), and a
-step forms the block's end rows and its rows C d_j as two matrix-vector
-products of that map with z.  The map keeps only those rows, up to
+2 N_C unit columns once per run into its :class:`ResponseMap`
+(:meth:`Subdomain.response_map`), whose start forms z and whose finish
+forms the block's end rows and its rows C d_j as two matrix-vector
+products of the map with z.  The map keeps only those rows, up to
 ``RESPONSE_MAP_MAX_BYTES``, and a step result holds only those rows of
-the block (:class:`SubstepHistory`): every reader of a mapped block
-reads its end rows and its rows C d_j.  CSR blocks, implicit schemes,
-blocks with a time function and larger maps keep the sweep, which stays
-the one definition of a block's history and builds the map.
+the block.  CSR blocks, implicit schemes, blocks with a time function
+and larger maps keep the sweep, which stays the one definition of a
+block's history and builds the map.
 """
 
 from __future__ import annotations
@@ -185,6 +183,13 @@ class SignedBooleanMatrix:
         """The dense (N_C, n) rows: zeros, with ``signs`` at (rows, dofs)."""
         out = np.zeros(self.shape)
         out[self.rows, self.dofs] = self.signs
+        return out
+
+    def transpose_columns(self) -> np.ndarray:
+        """``C^T`` as (n, N_C) load columns: zeros, with ``signs`` at
+        (dofs, rows)."""
+        out = np.zeros(self.shape[::-1])
+        out[self.dofs, self.rows] = self.signs
         return out
 
     def product(self, x: np.ndarray) -> np.ndarray:
@@ -318,8 +323,8 @@ class Subdomain:
         displacements into min(eta, 2) alternating rows, so the full
         array is never built, and the end velocities are dropped once
         their product is formed.  Both arrays are read-only.  Each call
-        builds them anew; :meth:`CouplingPlan.propagators` builds them
-        once per run.
+        builds them anew; :meth:`CouplingPlan.block` builds them once per
+        run for a block it sweeps.
         """
         n, nc = self.n_dofs, self.n_constraints
         Y = np.empty(_propagator_shape(eta, n, nc))
@@ -327,7 +332,7 @@ class Subdomain:
         A = Y[0] if full else Y
         solved = solver.G is not None
         if solved:  # (j/eta) M^-1 C^T, from one solve
-            _ramped(solver.solve(self.C.toarray().T), A)
+            _ramped(solver.solve(self.C.transpose_columns()), A)
         else:
             A.fill(0.0)
             A[:, self.C.dofs, self.C.rows] = _ramp(eta)[:, None] * self.C.signs  # (j/eta) C^T
@@ -362,15 +367,13 @@ class Subdomain:
         arrays, for the accelerations and displacements of every
         sub-level, that live only as long as the call, and into one
         velocity row.  Each call builds the map anew;
-        :meth:`CouplingPlan.response_map` builds it once per run.
+        :meth:`CouplingPlan.block` builds it once per run for a block it
+        maps.
         """
         n, nc = self.n_dofs, self.n_constraints
         m = 3 * n + 1 + 2 * nc
         A, V, D = np.empty((eta, n, m)), np.empty((1, n, m)), np.empty((eta, n, m))
-        fixed = np.zeros((n, 1 + nc))  # [f0 | C^T]
-        fixed[:, 0] = self.f0
-        fixed[self.C.dofs, 1 + self.C.rows] = self.C.signs
-        solved = solver.solve(fixed)
+        solved = solver.solve(np.column_stack((self.f0, self.C.transpose_columns())))
         A[:, :, :3 * n] = 0.0
         A[:, :, 3 * n:3 * n + 1 + nc] = solved
         _ramped(solved[:, 1:], A[:, :, 3 * n + 1 + nc:])
@@ -424,26 +427,30 @@ class ResponseMap(NamedTuple):
     gather: np.ndarray
     interface_term: np.ndarray
 
-    def end_velocity(self, z: np.ndarray) -> np.ndarray:
-        """The velocity at the last sub-level for the inputs ``z``."""
-        n = len(self.end) // 3
-        return self.end[n:2 * n] @ z
+    def start(self, sub: Subdomain, solver: EffectiveSolver, state: KinematicState,
+              lam_n: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """z with dlam = 0, and the end velocity it gives."""
+        z = np.concatenate((state.a, state.v, state.d, (1.0,), lam_n, np.zeros(len(lam_n))))
+        return z, self.end[sub.n_dofs:2 * sub.n_dofs] @ z
 
-    def rows(self, z: np.ndarray, C: SignedBooleanMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """The (3, n) end rows and the (eta, N_C) rows C d_j for ``z``,
-        read-only, from two matrix-vector products.  C d_j at the last
+    def finish(self, sub: Subdomain, z: np.ndarray, f: np.ndarray,
+               dlam: np.ndarray) -> "SubstepHistory":
+        """The history for ``dlam``, written into ``z``: the (3, n) end
+        rows and the (eta, N_C) rows C d_j, read-only, from two
+        matrix-vector products, and the loads ``f``.  C d_j at the last
         sub-level is read from the end rows, so the two agree bit for
         bit."""
+        z[len(z) - len(dlam):] = dlam
         end = (self.end @ z).reshape(3, -1)
         levels = self.constrained.shape[:2]
         d = np.concatenate((
             (self.constrained.reshape(-1, len(z)) @ z).reshape(levels), end[2, self.dofs][None]
         ))
-        out = np.zeros((len(d), C.n_constraints))
-        out[:, C.rows] = C.signs * d[:, self.gather]
+        out = np.zeros((len(d), sub.n_constraints))
+        out[:, sub.C.rows] = sub.C.signs * d[:, self.gather]
         end.setflags(write=False)
         out.setflags(write=False)
-        return end, out
+        return SubstepHistory(end, out, f)
 
 
 class MultiplierPropagators(NamedTuple):
@@ -459,9 +466,35 @@ class MultiplierPropagators(NamedTuple):
     Y: np.ndarray
     interface_term: np.ndarray
 
-    @property
-    def full(self) -> bool:
-        return self.Y.ndim == 4
+    def start(self, sub: Subdomain, solver: EffectiveSolver, state: KinematicState,
+              lam_n: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block's stacked (3, eta, n) rows H of a, v and d swept with
+        dlam = 0, and its end velocity, a view of H."""
+        H = np.empty((3, len(f) - 1, sub.n_dofs))
+        H[0] = 0.0 + f[1:]  # R_i's zero acceleration row plus the loads
+        H[0] += sub.C.transpose_product(lam_n)
+        solver.sweep(state.a, state.v, state.d, *H)
+        return H, H[1, -1]
+
+    def finish(self, sub: Subdomain, H: np.ndarray, f: np.ndarray,
+               dlam: np.ndarray) -> "SubstepHistory":
+        """The history of the rows ``H`` corrected in place by ``dlam``,
+        and the loads ``f``."""
+        n_c = len(dlam)
+        if n_c:
+            Y = self.Y
+            if Y.ndim == 3:  # the acceleration form
+                dA = (Y.reshape(-1, n_c) @ dlam).reshape(H[0].shape)
+                _add_newmark_response(H, dA, sub.params, sub.dt_sub)
+            elif sub.n_dofs > 1:
+                # One (3 eta n, N_C) matrix-vector product in place of
+                # the 3 eta small ones a stacked matmul makes.
+                H += (Y.reshape(-1, n_c) @ dlam).reshape(H.shape)
+            else:
+                # numpy takes each one-row product as a dot product,
+                # which a matrix-vector kernel would round differently.
+                H += Y @ dlam
+        return SubstepHistory.swept(H, f, sub.C)
 
 
 class CouplingPlan:
@@ -472,16 +505,16 @@ class CouplingPlan:
     ratios eta_i, a step's arrays within ``STEP_MAX_BYTES``, every
     sub-step below its critical step) and holds the subdomains, the
     ratios and the critical steps.  Each subdomain's effective factor
-    (:meth:`solver`) is built at its first sweep, its propagators
-    (:meth:`propagators`) when the N_C x N_C interface Schur complement
+    (:meth:`solver`) and its stepper (:meth:`block`), a response map or
+    multiplier propagators, are built at its first start, and the
+    N_C x N_C interface Schur complement
 
         S = sum_i C_i Y_i^v
 
-    is factored (:meth:`interface_factor`), with Y_i^v the end-of-step
-    velocity response of subdomain i to a unit dlam.  A block stepped by
-    its response map (:meth:`response_map`) takes that term from its map
-    and builds no propagators.  Propagators and maps carry their term
-    C_i Y_i^v, so the plan only adds the terms up.
+    is factored (:meth:`interface_factor`) at the first interface solve,
+    with Y_i^v the end-of-step velocity response of subdomain i to a unit
+    dlam.  Each stepper carries its term C_i Y_i^v, so the plan only adds
+    the terms up.
     None of these changes from step to step: :attr:`memo` keeps each,
     and other run-constant objects such as the backward-Euler
     :class:`DualSchur`, for the life of the plan.  :meth:`CoupledSystem.apply`
@@ -544,33 +577,26 @@ class CouplingPlan:
             ("solver", k), lambda: EffectiveSolver(sub.M, sub.K, sub.params, sub.dt_sub)
         )
 
-    def propagators(self, k: int) -> "MultiplierPropagators":
-        """Multiplier propagators of subdomain ``k`` at its ratio eta_k."""
-        return self.memo(
-            ("propagators", k),
-            lambda: self.subdomains[k].multiplier_propagators(self.eta[k], self.solver(k)),
-        )
+    def block(self, k: int) -> "ResponseMap | MultiplierPropagators":
+        """The stepper of subdomain ``k`` at its ratio eta_k: its response
+        map when it is a dense central-difference block (``solver.G``
+        set) with a constant load (``g`` is ``None``) whose map and map
+        build fit ``RESPONSE_MAP_MAX_BYTES`` and
+        ``RESPONSE_MAP_BUILD_MAX_BYTES``, else its multiplier propagators."""
+        return self.memo(("block", k), lambda: self._choose(k))
 
-    def response_map(self, k: int) -> Optional["ResponseMap"]:
-        """Response map of subdomain ``k``, or ``None`` when its steps
-        sweep: a block that is not dense central difference, has a time
-        function ``g``, or whose map or its build would exceed
-        ``RESPONSE_MAP_MAX_BYTES`` or ``RESPONSE_MAP_BUILD_MAX_BYTES``."""
-        return self.memo(("map", k), lambda: self._build_response_map(k))
-
-    def _build_response_map(self, k: int) -> Optional["ResponseMap"]:
+    def _choose(self, k: int) -> "ResponseMap | MultiplierPropagators":
         sub, eta, solver = self.subdomains[k], self.eta[k], self.solver(k)
-        if solver.G is None or sub.g is not None:
-            return None
-        n, n_c = sub.n_dofs, self.n_constraints
-        u = len(np.unique(sub.C.dofs))
-        m = 3 * n + 1 + 2 * n_c
-        if (
-            8 * m * (3 * n + (eta - 1) * u) > RESPONSE_MAP_MAX_BYTES
-            or 8 * m * eta * n > RESPONSE_MAP_BUILD_MAX_BYTES
-        ):
-            return None
-        return sub.response_map(eta, solver)
+        if solver.G is not None and sub.g is None:
+            n, n_c = sub.n_dofs, self.n_constraints
+            u = len(np.unique(sub.C.dofs))
+            m = 3 * n + 1 + 2 * n_c
+            if (
+                8 * m * (3 * n + (eta - 1) * u) <= RESPONSE_MAP_MAX_BYTES
+                and 8 * m * eta * n <= RESPONSE_MAP_BUILD_MAX_BYTES
+            ):
+                return sub.response_map(eta, solver)
+        return sub.multiplier_propagators(eta, solver)
 
     def interface_factor(self) -> linalg.Factor:
         """Pivoted LU of the interface Schur complement.
@@ -587,7 +613,7 @@ class CouplingPlan:
         n_c = self.n_constraints
         schur = np.zeros((n_c, n_c))
         for k in range(len(self.subdomains)):
-            schur += (self.response_map(k) or self.propagators(k)).interface_term
+            schur += self.block(k).interface_term
         try:
             return linalg.lu_factor(schur)
         except linalg.SingularMatrix as exc:
@@ -862,18 +888,12 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     """Advance the whole coupled system over one system time-step.
 
     Pure function: the input system is untouched; commit the result with
-    ``sys.apply(result)``.  A block with a response map (see
-    :meth:`CouplingPlan.response_map`) takes its gap from the map's end
-    velocity rows with dlam = 0.  Every other subdomain is swept once with
-    dlam = 0 on preallocated (eta, n) arrays.  The N_C x N_C interface
-    complement, factored once per run by the system's plan, gives dlam.
-    A mapped block's end rows and rows C d_j are then two matrix-vector
-    products of its map with z = (a_n, v_n, d_n, 1, lam_n, dlam), and its
-    history holds only those.  A swept block's sub-levels are corrected at
-    once by one product with its stacked multiplier propagators (in the
-    acceleration form, the product gives the accelerations and the
-    Newmark recurrences the rest), and its history holds them and the
-    rows C d_j formed from them (:meth:`SubstepHistory.swept`).
+    ``sys.apply(result)``.  Every block is started by its stepper
+    (:meth:`CouplingPlan.block`) with dlam = 0, and the products of C_i
+    with the end velocities sum to the gap.  The N_C x N_C interface
+    complement, factored once per run by the system's plan, gives dlam,
+    and every stepper then finishes its block with dlam into its
+    :class:`SubstepHistory`.
 
     Raises
     ------
@@ -886,55 +906,24 @@ def advance_system_step(sys: CoupledSystem) -> SystemStepResult:
     """
     lam_n = sys.lambda_current
     n_c = sys.n_constraints
-    t_n = sys.t_current
     plan = sys.plan
 
-    # Forward-eliminate each subdomain with dlam = 0.  A swept block's
-    # H[0], H[1] and H[2] are the stacked sub-level accelerations,
-    # velocities and displacements; a mapped block's z ends in dlam = 0.
-    levels = []
+    started = []
     gap = np.zeros(n_c)
     for k, (sub, eta, st) in enumerate(zip(sys.subdomains, sys.eta, sys.states)):
-        f = sub.loads(t_n, eta)
-        response = plan.response_map(k)
-        if response is not None:
-            z = np.concatenate((st.a, st.v, st.d, (1.0,), lam_n, np.zeros(n_c)))
-            gap += sub.C.product(response.end_velocity(z))
-            levels.append((z, f))
-            continue
-        H = np.empty((3, eta, sub.n_dofs))
-        H[0] = 0.0 + f[1:]  # R_i's zero acceleration row plus the loads
-        H[0] += sub.C.transpose_product(lam_n)
-        plan.solver(k).sweep(st.a, st.v, st.d, *H)
-        levels.append((H, f))
-        gap += sub.C.product(H[1, -1])
+        f = sub.loads(sys.t_current, eta)
+        block = plan.block(k)
+        carried, v_end = block.start(sub, plan.solver(k), st, lam_n, f)
+        gap += sub.C.product(v_end)
+        started.append((block, carried, f))
 
     dlam = plan.interface_factor().solve(-gap) if n_c else np.zeros(0)
 
-    histories = []
-    for k, (sub, (H, f)) in enumerate(zip(sys.subdomains, levels)):
-        response = plan.response_map(k)
-        if response is not None:  # H is the block's z, with dlam = 0 so far
-            H[len(H) - n_c:] = dlam
-            histories.append(SubstepHistory(*response.rows(H, sub.C), f))
-            continue
-        if n_c:
-            props = plan.propagators(k)
-            Y = props.Y
-            if not props.full:
-                dA = (Y.reshape(-1, n_c) @ dlam).reshape(H[0].shape)
-                _add_newmark_response(H, dA, sub.params, sub.dt_sub)
-            elif sub.n_dofs > 1:
-                # One (3 eta n, N_C) matrix-vector product in place of
-                # the 3 eta small ones a stacked matmul makes.
-                H += (Y.reshape(-1, n_c) @ dlam).reshape(H.shape)
-            else:
-                # numpy takes each one-row product as a dot product,
-                # which a matrix-vector kernel would round differently.
-                H += Y @ dlam
-        histories.append(SubstepHistory.swept(H, f, sub.C))
-
-    result = SystemStepResult(histories=tuple(histories), lambda_next=lam_n + dlam)
+    histories = tuple(
+        block.finish(sub, carried, f, dlam)
+        for sub, (block, carried, f) in zip(sys.subdomains, started)
+    )
+    result = SystemStepResult(histories=histories, lambda_next=lam_n + dlam)
     require_finite(result)
     return result
 

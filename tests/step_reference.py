@@ -25,6 +25,8 @@ from mtstep.baselines import merge_system_matrices
 from mtstep.coupling import (
     CoupledSystem,
     CouplingPlan,
+    MultiplierPropagators,
+    ResponseMap,
     Subdomain,
     SystemStepResult,
     initialize_coupled_system,
@@ -143,6 +145,16 @@ def propagators(sub: Subdomain, eta: int) -> list[tuple[np.ndarray, ...]]:
     return list(substeps(sub, solver, zero, zero, zero, loads, solved))
 
 
+def plan_propagators(plan: CouplingPlan, k: int) -> MultiplierPropagators:
+    """The multiplier propagators of block ``k``: the plan's own for a
+    block it sweeps, built anew with the plan's factor for a block it
+    maps, which the plan keeps none of."""
+    block = plan.block(k)
+    if isinstance(block, MultiplierPropagators):
+        return block
+    return plan.subdomains[k].multiplier_propagators(plan.eta[k], plan.solver(k))
+
+
 def response_columns(sub: Subdomain, eta: int) -> list[tuple[np.ndarray, ...]]:
     """``R[j - 1] = (aR, vR, dR)``, each (n, m): the responses at sub-level
     j of the m = 3n + 1 + 2 N_C unit columns of a response map, in the
@@ -180,7 +192,7 @@ def reference_step(sys: CoupledSystem) -> ReferenceStep:
     gap = np.zeros(n_c)
     schur = np.zeros((n_c, n_c))
     for k, (sub, eta, st) in enumerate(zip(sys.subdomains, sys.eta, sys.states)):
-        if sys.plan.response_map(k) is not None:
+        if isinstance(sys.plan.block(k), ResponseMap):
             R = response_columns(sub, eta)
             z = np.concatenate((st.a, st.v, st.d, [1.0], lam_n, np.zeros(n_c)))
             gap += sub.C.toarray() @ (R[-1][1] @ z)

@@ -38,7 +38,12 @@ from saddle_oracle import (
     interpolate_lambda,
     subdomain_substep,
 )
-from step_reference import sublevel_states, zero_multiplier_start, zero_multiplier_system
+from step_reference import (
+    plan_propagators,
+    sublevel_states,
+    zero_multiplier_start,
+    zero_multiplier_system,
+)
 
 
 def make_pair(dt_a=0.02, dt_b=0.02, sign=(+1, -1), params=AVERAGE_ACCELERATION):
@@ -555,16 +560,17 @@ def test_every_held_array_is_read_only(name, monkeypatch):
     sys1 = sys0.apply(advance_system_step(sys0))
     records = [("system", sys0), ("system", sys1)]
     records += [(f"state {k}", st) for level in (sys0, sys1) for k, st in enumerate(level.states)]
+    mapped = []
     for k, sub in enumerate(sys1.subdomains):
-        props = sys1.plan.propagators(k)
-        assert props.full == (form == "full")
+        props = plan_propagators(sys1.plan, k)
+        assert (props.Y.ndim == 4) == (form == "full")
         records += [(f"subdomain {k}", sub), (f"C {k}", sub.C), (f"propagators {k}", props)]
-        if sys1.plan.response_map(k) is not None:
-            records.append((f"map {k}", sys1.plan.response_map(k)))
+        if isinstance(sys1.plan.block(k), coupling.ResponseMap):
+            records.append((f"map {k}", sys1.plan.block(k)))
+            mapped.append(k)
     arrays = [pair for name, record in records for pair in _held_arrays(name, record)]
     # A mapped block's step result holds its end rows, its rows C d_j and
     # its loads, and no sub-level rows.
-    mapped = [k for k in range(len(sys1.subdomains)) if sys1.plan.response_map(k) is not None]
     assert bool(mapped) == (name == "bar1d")
     result = advance_system_step(sys1)
     for k in mapped:
@@ -658,7 +664,7 @@ def test_a_plan_owns_what_it_derives():
     assert sys_next.plan is sys.plan
     for k in range(len(sys.subdomains)):
         assert other.solver(k) is not sys.plan.solver(k)
-        ours, theirs = sys.plan.propagators(k), other.propagators(k)
+        ours, theirs = sys.plan.block(k), other.block(k)
         assert theirs is not ours
         assert theirs.Y.tobytes() == ours.Y.tobytes()
         assert theirs.interface_term.tobytes() == ours.interface_term.tobytes()

@@ -122,11 +122,16 @@ def test_acceleration_form_propagators_hold_only_the_sweep_buffers(eta, monkeypa
     #   the rows: 1 + 3 rows, no more for rows <= 2.  The rest, the ramp,
     #   the index products and the N_C x N_C interface term, is far below
     #   one buffer: 5 % of one is allowed.
-    # * The 20 x 10 mesh's 45-DOF block is dense.  Its summed form adds t,
-    #   and then one transient at a time: the Fortran-order copy that the
-    #   solve of one load row makes, the G product, or the velocity pass's
-    #   copy of the rows: 1 + 3 rows.  Its buffer is 3.2 KB, so the rest
-    #   (about 2.9 KB, mostly array headers) gets a fixed 4 KiB.
+    # * The 20 x 10 mesh's 45-DOF block is dense central difference, so
+    #   its loads are solved before the sweep: the dense C^T and the output
+    #   of its one solve, two buffers, are freed once the ramped loads are
+    #   written into Y, before the rows exist.  The sweep's summed form
+    #   makes no solve; it adds t and then one transient at a time, the G
+    #   product or the velocity pass's copy of the rows: 1 + 3 rows.  Its
+    #   buffer is 3.2 KB, so the rest (2.0-2.7 KB, mostly array headers)
+    #   gets a fixed 4 KiB.  Measured beside Y: 15 000 B at eta = 1 and
+    #   25 384 B at eta = 10 (4.6 and 7.8 buffers; bounds 17 056 and
+    #   26 776 B).
     monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     rows = min(eta, 2)
     for nx, ny in ((90, 45), (20, 10)):
@@ -145,7 +150,7 @@ def test_acceleration_form_propagators_hold_only_the_sweep_buffers(eta, monkeypa
         props = sub.multiplier_propagators(eta, solver)
         peak = tracemalloc.get_traced_memory()[1] - base
         assert peak - props.Y.nbytes <= bound
-        assert not props.full and props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
+        assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
         assert props.interface_term.shape == (sub.n_constraints,) * 2
 
 

@@ -298,7 +298,9 @@ def _block_sweeps(build, index, system_steps):
     r_form = np.array(rows).transpose(1, 0, 2)
     eta, n_c = system.eta[index], sub.n_constraints
     z = np.concatenate((st.a, st.v, st.d, [1.0], system.lambda_current, np.zeros(n_c)))
-    mapped = sub.response_map(eta, solver).rows(z, sub.C)
+    f = sub.loads(system.t_current, eta)
+    hist = sub.response_map(eta, solver).finish(sub, z, f, np.zeros(n_c))
+    mapped = hist.end, hist.constraint_rows
     return sub, [np.array([A, V, D]), r_form], mapped, _decimal_substeps(sub, st, loads)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mtstep
+from mtstep import coupling
 
 SOURCE = Path(mtstep.__file__).parent
 
@@ -138,3 +139,47 @@ def test_harness_hooks_resolve():
         if not any(callable(value) for value in found):
             missing.append(f"{name} ({module_name}.{attr})")
     assert not missing, "unresolved harness hooks: " + ", ".join(missing)
+
+
+def _names_in(code):
+    """The names a code object and the code nested in it (comprehensions,
+    lambdas) read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names_in(const)
+    return names
+
+
+def _readers(names):
+    """``module.py:Owner.function`` of every place in the package that
+    reads one of ``names``, as a name or as an attribute."""
+    found = set()
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if (
+                isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                and child.id in names
+            ) or (isinstance(child, ast.Attribute) and child.attr in names):
+                found.add(f"{path.name}:{owner or '<module>'}")
+            visit(child, path, owner)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, "")
+    return found
+
+
+def test_only_the_plan_picks_how_a_block_is_stepped():
+    # Each block's stepper, its response map or its multiplier
+    # propagators, is picked in one place, the plan's chooser, which alone
+    # reads the map's byte budgets.  The system step starts and finishes
+    # every block through its stepper and never asks which one it has.
+    asked = _names_in(coupling.advance_system_step.__code__)
+    asked &= {"response_map", "propagators", "full", "ndim"}
+    assert not asked, f"advance_system_step asks for {sorted(asked)}"
+    budgets = {"RESPONSE_MAP_MAX_BYTES", "RESPONSE_MAP_BUILD_MAX_BYTES"}
+    assert _readers(budgets) == {"coupling.py:CouplingPlan._choose"}

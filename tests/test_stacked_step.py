@@ -99,7 +99,7 @@ def test_acceleration_form_matches_per_level_reference(build, n_steps, monkeypat
     monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     sys = build()
     for k in range(len(sys.subdomains)):
-        assert not sys.plan.propagators(k).full
+        assert step_reference.plan_propagators(sys.plan, k).Y.ndim == 3
     _check_against_reference(sys, n_steps)
 
 
@@ -202,7 +202,7 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
     if rows == "alternating":
         monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
         props = sub.multiplier_propagators(6, solver)
-        assert not props.full
+        assert props.Y.ndim == 3
         reference = step_reference.propagators(sub, 6)
         np.testing.assert_array_equal(props.Y, np.array([level[0] for level in reference]))
         np.testing.assert_array_equal(props.interface_term, sub.C.toarray() @ reference[-1][1])
@@ -211,9 +211,9 @@ def test_sweep_reproduces_substeps_exactly(build, index, rows, monkeypatch):
 def test_propagators_stored_once_as_stacked_arrays():
     sys = _plate()
     for k, (sub, eta) in enumerate(zip(sys.subdomains, sys.eta)):
-        stacked = sys.plan.propagators(k)
+        stacked = sys.plan.block(k)
         assert stacked.Y.shape == (3, eta, sub.n_dofs, sub.n_constraints)
-        assert sys.plan.propagators(k) is stacked
+        assert sys.plan.block(k) is stacked
         reference = step_reference.propagators(sub, eta)
         for k, Y in enumerate(stacked.Y):
             np.testing.assert_array_equal(Y, np.array([level[k] for level in reference]))
@@ -224,11 +224,11 @@ def test_acceleration_form_keeps_the_bits_of_the_full_form(monkeypatch):
     # The alternating velocity and displacement rows change no bit of the
     # stored accelerations or of the interface term the complement adds.
     sys = _plate()
-    full = [sys.plan.propagators(k) for k in range(len(sys.subdomains))]
+    full = [sys.plan.block(k) for k in range(len(sys.subdomains))]
     monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     sys = _plate()
     for k, (sub, eta, ref) in enumerate(zip(sys.subdomains, sys.eta, full)):
-        props = sys.plan.propagators(k)
+        props = sys.plan.block(k)
         assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
         np.testing.assert_array_equal(props.Y, ref.Y[0])
         np.testing.assert_array_equal(props.interface_term, sub.C.toarray() @ ref.Y[1, -1])
@@ -246,11 +246,11 @@ def test_propagator_form_follows_the_size_rule():
     ):
         sys = build()
         for k, (sub, eta) in enumerate(zip(sys.subdomains, sys.eta)):
-            props = sys.plan.propagators(k)
+            props = step_reference.plan_propagators(sys.plan, k)
             assert props.Y.shape == (3, eta, sub.n_dofs, sub.n_constraints), name
     sys = problems.build_wave_2d().system
     for k, (sub, eta) in enumerate(zip(sys.subdomains, sys.eta)):
-        props = sys.plan.propagators(k)
+        props = sys.plan.block(k)
         assert 3 * props.Y.size * 8 > coupling.FULL_PROPAGATOR_MAX_BYTES
         assert props.Y.shape == (eta, sub.n_dofs, sub.n_constraints)
         assert props.interface_term.shape == (sub.n_constraints, sub.n_constraints)
@@ -343,15 +343,54 @@ def test_propagators_keep_the_bits_of_the_reference(build, acceleration_form, mo
         monkeypatch.setattr(coupling, "FULL_PROPAGATOR_MAX_BYTES", 0)
     sys = build()
     for k, (sub, eta) in enumerate(zip(sys.subdomains, sys.eta)):
-        props = sys.plan.propagators(k)
-        assert props.full is not acceleration_form
+        props = step_reference.plan_propagators(sys.plan, k)
+        assert (props.Y.ndim == 4) is not acceleration_form
         reference = step_reference.propagators(sub, eta)
         want = np.array(reference).transpose(1, 0, 2, 3)  # (3, eta, n, N_C)
-        got = props.Y if props.full else props.Y[None]
+        got = props.Y if props.Y.ndim == 4 else props.Y[None]
         assert got.shape == want[: len(got)].shape
         assert got.tobytes() == want[: len(got)].tobytes()
         assert props.interface_term.tobytes() == (sub.C.toarray() @ reference[-1][1]).tobytes()
 
+
+@pytest.mark.parametrize(
+    "index, eta, mapped",
+    [(0, 4, False), (1, 1000, True)],
+    ids=["swept_average_acceleration", "mapped_central_difference"],
+)
+def test_a_system_without_constraints_steps(index, eta, mapped):
+    # One bar block alone, under a unit load on every DOF, with no
+    # constraint rows (N_C = 0): the 5-DOF average-acceleration block,
+    # swept, and the 6-DOF central-difference block, mapped.  Each step
+    # is the block's own sweep of its loads: a swept history holds that
+    # sweep's bits, a mapped block's end rows agree with its last row to
+    # 1e-13 of the scale of the whole sweep, and no interface work is
+    # done.
+    sub = problems.build_bar_1d(etas=(1, 1000, 1)).system.subdomains[index]
+    n = sub.n_dofs
+    single = replace(sub, f0=np.ones(n), C=signed_boolean(np.zeros((0, n))))
+    rng = np.random.default_rng(11)
+    sys = coupling.initialize_coupled_system(
+        [single], eta * sub.dt_sub, d0=[1e-3 * rng.standard_normal(n)], v0=[rng.standard_normal(n)]
+    )
+    assert isinstance(sys.plan.block(0), coupling.ResponseMap) is mapped
+    for _ in range(3):
+        result = advance_system_step(sys)
+        (hist,) = result.histories
+        st = sys.states[0]
+        A = 0.0 + single.loads(sys.t_current, eta)[1:]
+        V, D = np.empty_like(A), np.empty_like(A)
+        sys.plan.solver(0).sweep(st.a, st.v, st.d, A, V, D)
+        want = np.array([A, V, D])
+        if mapped:
+            assert hist.rows is None
+            for x, x_ref in zip(hist.end, want):
+                _close(x, x_ref[-1], 1e-13, of=x_ref)
+        else:
+            assert hist.rows.tobytes() == want.tobytes()
+        assert hist.constraint_rows.shape == (eta, 0) and result.lambda_next.shape == (0,)
+        assert diagnostics.energy_interface(result, sys) == 0.0
+        sys = sys.apply(result)
 
 def _sdof3_explicit_middle():
     # The middle mass, whose one DOF sits in both constraint rows, in
@@ -374,7 +413,8 @@ def test_every_reader_sees_the_same_bits(build, mapped):
     # level holds the end rows' bits.
     sys = build()
     sys = sys.apply(advance_system_step(sys))
-    assert [k for k in range(len(sys.subdomains)) if sys.plan.response_map(k)] == mapped
+    blocks = [sys.plan.block(k) for k in range(len(sys.subdomains))]
+    assert [k for k, b in enumerate(blocks) if isinstance(b, coupling.ResponseMap)] == mapped
     result = advance_system_step(sys)
     committed = sys.apply(result)
     for k, (sub, hist) in enumerate(zip(sys.subdomains, result.histories)):
